@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -293,6 +294,10 @@ def _module_span_rows(R: FreeFieldRealization, p, r, max_degree):
 
 def cmd_realize(cfg: RunConfig) -> List[dict]:
     """Realized modes against the bracket table, plus module span checks."""
+    if cfg.cA != 0:
+        raise UsageError(
+            f"realize: the free-field realization fixes cA = 0 (level zero), got --cA {cfg.cA}"
+        )
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
     report = R.realized_bracket_report(
         cfg.p, cfg.r, max_twice_mode=6, max_degree=cfg.max_degree
@@ -1044,15 +1049,44 @@ def _cached_checks(command: str, cfg: RunConfig) -> List[dict]:
     cache = Path(cfg.cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"{command}-{_cache_key(command, cfg)}.json"
-    if path.exists():
-        stored = json.loads(path.read_text())
-        if stored.get("version") == _CACHE_VERSION:
-            return stored["checks"]
+    stored = _read_cache_entry(path)
+    if stored is not None:
+        return stored
     checks = _COMMANDS[command](cfg)
-    path.write_text(
-        json.dumps({"version": _CACHE_VERSION, "checks": checks}, indent=2) + "\n"
+    _write_atomically(
+        path, json.dumps({"version": _CACHE_VERSION, "checks": checks}, indent=2) + "\n"
     )
     return checks
+
+
+def _read_cache_entry(path: Path) -> Optional[List[dict]]:
+    """The cached checks at path, or None when the entry is missing,
+    unreadable, from another cache version or not shaped like checks."""
+    try:
+        stored = json.loads(path.read_text())
+    except (OSError, ValueError):  # ValueError covers bad UTF-8 and bad JSON
+        return None
+    if not isinstance(stored, dict) or stored.get("version") != _CACHE_VERSION:
+        return None
+    checks = stored.get("checks")
+    if not isinstance(checks, list) or not all(
+        isinstance(c, dict) and list(c) == ["name", "paper_ref", "status", "details"]
+        for c in checks
+    ):
+        return None
+    return checks
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path,
+    so a reader never sees a half-written entry."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

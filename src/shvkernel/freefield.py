@@ -9,6 +9,12 @@ fermion pair psi^+/psi^- carries half-odd modes.  A Fock basis vector is a word
 acting on the sector vacuum; fermion letters are strictly decreasing (stored as
 positive twice-values, most negative mode first), boson letters are partitions.
 
+States are hashed on every coefficient update, so they are built for cheap
+hashing: a FockBasisVector is a named tuple (sector, psip, psim, d_part,
+c_part) whose hash and equality run in C, and its sector, a LatticePoint of
+two Fractions, computes its hash once at construction and compares by
+identity first.  The hot paths build new states straight from the five fields.
+
 The algebra generators are realized as
 
     alpha(n) = -cLa * c(n)
@@ -31,9 +37,9 @@ vector constructions they generate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_linalg import Matrix, rank
 from .qchar import schur_expand
@@ -52,10 +58,32 @@ class CosetError(ValueError):
     """A mode index incompatible with the sector's momentum coset."""
 
 
-@dataclass(frozen=True)
 class LatticePoint:
-    x_c: Fraction
-    x_d: Fraction
+    """A lattice point x_c*c + x_d*d.  Immutable; its hash is computed once,
+    because every Fock state carries one and states are hashed constantly."""
+
+    __slots__ = ("x_c", "x_d", "_hash")
+
+    def __init__(self, x_c: Fraction, x_d: Fraction):
+        object.__setattr__(self, "x_c", x_c)
+        object.__setattr__(self, "x_d", x_d)
+        object.__setattr__(self, "_hash", hash((x_c, x_d)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LatticePoint is immutable: cannot set {name}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, LatticePoint):
+            return NotImplemented
+        return self._hash == other._hash and self.x_c == other.x_c and self.x_d == other.x_d
+
+    def __repr__(self):
+        return f"LatticePoint(x_c={self.x_c!r}, x_d={self.x_d!r})"
 
     def shifted_c(self, amount) -> "LatticePoint":
         return LatticePoint(self.x_c + Fraction(amount), self.x_d)
@@ -64,8 +92,10 @@ class LatticePoint:
         return f"({self.x_c})c + ({self.x_d})d"
 
 
-@dataclass(frozen=True)
-class FockBasisVector:
+class FockBasisVector(NamedTuple):
+    """A letter word over a sector vacuum, as the plain tuple
+    (sector, psip, psim, d_part, c_part), so hashing and equality run in C."""
+
     sector: LatticePoint
     psip: Tuple[int, ...] = ()   # twice-values, strictly decreasing
     psim: Tuple[int, ...] = ()
@@ -93,74 +123,93 @@ class FockBasisVector:
         return f"{word}|{self.sector}>"
 
 
+#: builds a state from its five fields in one C call, for the hot paths
+_state = partial(tuple.__new__, FockBasisVector)
+
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
+
 def _insert_sorted_desc(parts: Tuple[int, ...], value: int) -> Tuple[int, ...]:
-    out = list(parts)
     i = 0
-    while i < len(out) and out[i] >= value:
+    while i < len(parts) and parts[i] >= value:
         i += 1
-    out.insert(i, value)
-    return tuple(out)
+    return parts[:i] + (value,) + parts[i:]
 
 
-Hit = Tuple[FockBasisVector, Fraction]
+def _with_c_letters(b: FockBasisVector, mu_parts: Tuple[int, ...],
+                    sector: LatticePoint, d_part: Tuple[int, ...]) -> FockBasisVector:
+    """b with the c letters of mu added, over the given sector and d block."""
+    cp = b.c_part
+    for part in mu_parts:
+        cp = _insert_sorted_desc(cp, part)
+    return _state((sector, b.psip, b.psim, d_part, cp))
+
+
+# Free modes return (state, coefficient) hits.  Coefficients are Fractions or
+# small ints (fermion signs, boson pairings); callers multiply them into
+# Fraction coefficients and accumulate onto _ZERO, so results stay Fractions.
+Hit = Tuple[FockBasisVector, Union[Fraction, int]]
 
 
 def _psi_plus(b: FockBasisVector, s_twice: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
     if s_twice < 0:
         tv = -s_twice
-        if tv in b.psip:
+        if tv in psip:
             return []
         k = 0
-        while k < len(b.psip) and b.psip[k] > tv:
+        while k < len(psip) and psip[k] > tv:
             k += 1
-        new = b.psip[:k] + (tv,) + b.psip[k:]
-        return [(replace(b, psip=new), Fraction(-1) ** k)]
-    if s_twice in b.psim:
-        j = b.psim.index(s_twice)
-        sign = Fraction(-1) ** (len(b.psip) + j)
-        return [(replace(b, psim=b.psim[:j] + b.psim[j + 1:]), sign)]
+        return [(_state((sec, psip[:k] + (tv,) + psip[k:], psim, dp, cp)), -1 if k & 1 else 1)]
+    if s_twice in psim:
+        j = psim.index(s_twice)
+        sign = -1 if (len(psip) + j) & 1 else 1
+        return [(_state((sec, psip, psim[:j] + psim[j + 1:], dp, cp)), sign)]
     return []
 
 
 def _psi_minus(b: FockBasisVector, s_twice: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
     if s_twice < 0:
         tv = -s_twice
-        if tv in b.psim:
+        if tv in psim:
             return []
         k = 0
-        while k < len(b.psim) and b.psim[k] > tv:
+        while k < len(psim) and psim[k] > tv:
             k += 1
-        sign = Fraction(-1) ** (len(b.psip) + k)
-        return [(replace(b, psim=b.psim[:k] + (tv,) + b.psim[k:]), sign)]
-    if s_twice in b.psip:
-        j = b.psip.index(s_twice)
-        sign = Fraction(-1) ** j
-        return [(replace(b, psip=b.psip[:j] + b.psip[j + 1:]), sign)]
+        sign = -1 if (len(psip) + k) & 1 else 1
+        return [(_state((sec, psip, psim[:k] + (tv,) + psim[k:], dp, cp)), sign)]
+    if s_twice in psip:
+        j = psip.index(s_twice)
+        return [(_state((sec, psip[:j] + psip[j + 1:], psim, dp, cp)), -1 if j & 1 else 1)]
     return []
 
 
 def _c_free(b: FockBasisVector, n: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
     if n < 0:
-        return [(replace(b, c_part=_insert_sorted_desc(b.c_part, -n)), Fraction(1))]
+        return [(_state((sec, psip, psim, dp, _insert_sorted_desc(cp, -n))), 1)]
     if n == 0:
-        return [(b, 2 * b.sector.x_d)]
-    count = b.d_part.count(n)
+        return [(b, 2 * sec.x_d)]
+    count = dp.count(n)
     if not count:
         return []
-    j = b.d_part.index(n)
-    return [(replace(b, d_part=b.d_part[:j] + b.d_part[j + 1:]), Fraction(2 * n * count))]
+    j = dp.index(n)
+    return [(_state((sec, psip, psim, dp[:j] + dp[j + 1:], cp)), 2 * n * count)]
 
 
 def _d_free(b: FockBasisVector, n: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
     if n < 0:
-        return [(replace(b, d_part=_insert_sorted_desc(b.d_part, -n)), Fraction(1))]
+        return [(_state((sec, psip, psim, _insert_sorted_desc(dp, -n), cp)), 1)]
     if n == 0:
-        return [(b, 2 * b.sector.x_c)]
-    count = b.c_part.count(n)
+        return [(b, 2 * sec.x_c)]
+    count = cp.count(n)
     if not count:
         return []
-    j = b.c_part.index(n)
-    return [(replace(b, c_part=b.c_part[:j] + b.c_part[j + 1:]), Fraction(2 * n * count))]
+    j = cp.index(n)
+    return [(_state((sec, psip, psim, dp, cp[:j] + cp[j + 1:])), 2 * n * count)]
 
 
 class FockVector:
@@ -198,23 +247,26 @@ class FockVector:
         return FockVector(dict(self.terms), 1)
 
     def __add__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, False)
+
+    def __sub__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, True)
+
+    def _combine(self, other: "FockVector", subtract: bool) -> "FockVector":
         if self.is_zero():
-            return other
+            return other.scale(-1) if subtract else other
         if other.is_zero():
             return self
         if self.parity != other.parity:
             raise ValueError("cannot add vectors of different sqrt(2)-parity")
         out = dict(self.terms)
         for b, c in other.terms.items():
-            nv = out.get(b, Fraction(0)) + c
+            nv = out.get(b, _ZERO) - c if subtract else out.get(b, _ZERO) + c
             if nv:
                 out[b] = nv
             else:
                 out.pop(b, None)
         return FockVector(out, self.parity)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
@@ -226,7 +278,7 @@ class FockVector:
     __hash__ = None
 
     def coefficient(self, b: FockBasisVector) -> Fraction:
-        return self.terms.get(b, Fraction(0))
+        return self.terms.get(b, _ZERO)
 
     def sectors(self) -> set:
         return {b.sector for b in self.terms}
@@ -282,11 +334,17 @@ class FreeFieldRealization:
         self.cLa = DEFAULT_SPECIALIZATION["cLa"] if cLa is None else Fraction(cLa)
         self._basis_cache: Dict[Tuple[LatticePoint, int], Tuple[FockBasisVector, ...]] = {}
         self._mode_cache: Dict[Tuple[str, int], Dict[FockBasisVector, Tuple[Hit, ...]]] = {}
+        self._sectors: Dict[LatticePoint, LatticePoint] = {}
 
     # -- sectors -----------------------------------------------------------
 
+    def _shared(self, sec: LatticePoint) -> LatticePoint:
+        """This realization's one instance of the sector.  States of a sector
+        then share it, so comparing them seldom reaches its Fractions."""
+        return self._sectors.setdefault(sec, sec)
+
     def sector(self, p, r) -> LatticePoint:
-        return sector_for(p, r, self.cL)
+        return self._shared(sector_for(p, r, self.cL))
 
     def sector_weight(self, sec: LatticePoint) -> Fraction:
         return (
@@ -338,7 +396,7 @@ class FreeFieldRealization:
         out: Dict[FockBasisVector, Fraction] = {}
         for b, co in vec.terms.items():
             for b2, c2 in fn(b):
-                nv = out.get(b2, Fraction(0)) + co * c2
+                nv = out.get(b2, _ZERO) + co * c2
                 if nv:
                     out[b2] = nv
                 else:
@@ -377,7 +435,7 @@ class FreeFieldRealization:
                 first, second = ("d", k), ("c", j)
             for b1, c1 in (_c_free(b, second[1]) if second[0] == "c" else _d_free(b, second[1])):
                 for b2, c2 in (_c_free(b1, first[1]) if first[0] == "c" else _d_free(b1, first[1])):
-                    out.append((b2, Fraction(1, 2) * c1 * c2))
+                    out.append((b2, _HALF * c1 * c2))
         # linear terms
         coeff_c = -(self.cL - 3) * Fraction(n + 1, 24)
         if coeff_c:
@@ -409,7 +467,6 @@ class FreeFieldRealization:
     def _g_action(self, s2: int, b: FockBasisVector) -> List[Hit]:
         # rational part; the overall sqrt(2) is carried by the parity flag
         out: List[Hit] = []
-        half = Fraction(1, 2)
         # (1/2) c(j) psi+(t), t = s - j
         j_set = set(range((s2 + 1) // 2, 0))
         j_set.add(0)
@@ -419,7 +476,7 @@ class FreeFieldRealization:
             t2 = s2 - 2 * j
             for b1, c1 in _psi_plus(b, t2):
                 for b2, c2 in _c_free(b1, j):
-                    out.append((b2, half * c1 * c2))
+                    out.append((b2, _HALF * c1 * c2))
         # (1/2) d(j) psi-(t)
         j_set = set(range((s2 + 1) // 2, 0))
         j_set.add(0)
@@ -429,7 +486,7 @@ class FreeFieldRealization:
             t2 = s2 - 2 * j
             for b1, c1 in _psi_minus(b, t2):
                 for b2, c2 in _d_free(b1, j):
-                    out.append((b2, half * c1 * c2))
+                    out.append((b2, _HALF * c1 * c2))
         wm = -(self.cL - 3) * Fraction(s2 + 1, 24)  # ((cL-3)/12)(-s-1/2)
         if wm:
             out.extend((b2, wm * c2) for b2, c2 in _psi_minus(b, s2))
@@ -463,7 +520,7 @@ class FreeFieldRealization:
             raise ValueError(f"not a realized generator: {kind}")
         merged: Dict[FockBasisVector, Fraction] = {}
         for b2, c2 in res:
-            nv = merged.get(b2, Fraction(0)) + c2
+            nv = merged.get(b2, _ZERO) + c2
             if nv:
                 merged[b2] = nv
             else:
@@ -475,9 +532,10 @@ class FreeFieldRealization:
     def generator_mode(self, kind: str, mode, vec: FockVector) -> FockVector:
         """Action of a realized algebra generator mode on a Fock vector."""
         if kind in ("L", "A"):
-            twice = 2 * int(Fraction(mode))
-            if Fraction(mode).denominator != 1:
+            m = Fraction(mode)
+            if m.denominator != 1:
                 raise ValueError(f"{kind} takes integer modes: {mode}")
+            twice = 2 * int(m)
         else:
             twice = _twice_half_odd(mode)
         return self._lift(
@@ -564,32 +622,27 @@ class FreeFieldRealization:
         """Mode of the exponential operator for kappa = (k_half/2)c."""
         out: Dict[FockBasisVector, Fraction] = {}
         n = Fraction(n)
+        shift = Fraction(k_half, 2)
         for b, co in vec.terms.items():
-            m0 = k_half * b.sector.x_d
+            sec, d_part = b.sector, b.d_part
+            m0 = k_half * sec.x_d
             if (n + m0).denominator != 1:
                 raise CosetError(
-                    f"mode {n} is not admissible on sector {b.sector}"
+                    f"mode {n} is not admissible on sector {sec}"
                 )
-            positions = list(range(len(b.d_part)))
-            for size in range(len(positions) + 1):
+            target = self._shared(sec.shifted_c(shift))
+            j0 = -n - 1 - m0
+            positions = range(len(d_part))
+            for size in range(len(d_part) + 1):
                 for S in itertools.combinations(positions, size):
-                    z_s = sum(b.d_part[i] for i in S)
-                    j = -n - 1 - m0 + z_s
+                    j = j0 + sum(d_part[i] for i in S)
                     if j < 0:
                         continue
-                    kept = tuple(v for i, v in enumerate(b.d_part) if i not in S)
-                    coeff_s = co * Fraction(-k_half) ** size
-                    b1 = replace(
-                        b,
-                        d_part=kept,
-                        sector=b.sector.shifted_c(Fraction(k_half, 2)),
-                    )
-                    for mu, sc in schur_expand(int(j), Fraction(k_half, 2)).terms.items():
-                        cp = b1.c_part
-                        for part in mu.parts:
-                            cp = _insert_sorted_desc(cp, part)
-                        b2 = replace(b1, c_part=cp)
-                        nv = out.get(b2, Fraction(0)) + coeff_s * sc
+                    kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+                    coeff_s = co * (-k_half) ** size
+                    for mu, sc in schur_expand(int(j), shift).terms.items():
+                        b2 = _with_c_letters(b, mu.parts, target, kept)
+                        nv = out.get(b2, _ZERO) + coeff_s * sc
                         if nv:
                             out[b2] = nv
                         else:
@@ -601,42 +654,36 @@ class FreeFieldRealization:
         out: Dict[FockBasisVector, Fraction] = {}
         n = Fraction(n)
         for b, co in vec.terms.items():
-            m0 = b.sector.x_d
+            sec, psip, d_part = b.sector, b.psip, b.d_part
+            m0 = sec.x_d
             if (n + m0).denominator != 1:
                 raise CosetError(
-                    f"mode {n} is not admissible on sector {b.sector}"
+                    f"mode {n} is not admissible on sector {sec}"
                 )
-            positions = list(range(len(b.d_part)))
-            for size in range(len(positions) + 1):
+            target = self._shared(sec.shifted_c(_HALF))
+            positions = range(len(d_part))
+            for size in range(len(d_part) + 1):
                 for S in itertools.combinations(positions, size):
-                    z_s = sum(b.d_part[i] for i in S)
-                    kept = tuple(v for i, v in enumerate(b.d_part) if i not in S)
-                    coeff_s = co * Fraction(-1) ** size
-                    b1 = replace(
-                        b,
-                        d_part=kept,
-                        sector=b.sector.shifted_c(Fraction(1, 2)),
-                    )
+                    z_s = sum(d_part[i] for i in S)
+                    kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+                    coeff_s = -co if size & 1 else co
                     # fermion mode choices: creations, plus contractions on psi+
                     s_cands = set()
-                    s_min = n + Fraction(1, 2) + m0 - z_s
+                    s_min = n + _HALF + m0 - z_s
                     s = Fraction(-1, 2)
                     while s >= s_min:
                         s_cands.add(s)
                         s -= 1
-                    for tv in b.psip:
+                    for tv in psip:
                         s_cands.add(Fraction(tv, 2))
                     for s in s_cands:
-                        j = s - n - Fraction(1, 2) - m0 + z_s
+                        j = s - n - _HALF - m0 + z_s
                         if j < 0 or j.denominator != 1:
                             continue
-                        for mu, sc in schur_expand(int(j), Fraction(1, 2)).terms.items():
-                            cp = b1.c_part
-                            for part in mu.parts:
-                                cp = _insert_sorted_desc(cp, part)
-                            b2 = replace(b1, c_part=cp)
+                        for mu, sc in schur_expand(int(j), _HALF).terms.items():
+                            b2 = _with_c_letters(b, mu.parts, target, kept)
                             for b3, sg in _psi_minus(b2, _twice_half_odd(s)):
-                                nv = out.get(b3, Fraction(0)) + coeff_s * sc * sg
+                                nv = out.get(b3, _ZERO) + coeff_s * sc * sg
                                 if nv:
                                     out[b3] = nv
                                 else:
@@ -681,11 +728,8 @@ class FreeFieldRealization:
         out: Dict[FockBasisVector, Fraction] = {}
         for b, co in vec.terms.items():
             for mu, sc in schur_expand(order, scale).terms.items():
-                cp = b.c_part
-                for part in mu.parts:
-                    cp = _insert_sorted_desc(cp, part)
-                b2 = replace(b, c_part=cp)
-                nv = out.get(b2, Fraction(0)) + co * sc
+                b2 = _with_c_letters(b, mu.parts, b.sector, b.d_part)
+                nv = out.get(b2, _ZERO) + co * sc
                 if nv:
                     out[b2] = nv
                 else:

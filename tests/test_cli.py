@@ -64,6 +64,11 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert cli.main(["bogus"]) == 2
 
+    def test_realize_rejects_nonzero_cA(self, capsys):
+        # the realization fixes CA = 0, so any other value would be ignored
+        assert cli.main(["realize", "--cA", "5", "--max-degree", "0"]) == 2
+        assert "cA" in capsys.readouterr().err
+
 
 class TestReportShape:
     def test_json_schema(self, capsys):
@@ -131,6 +136,32 @@ class TestCache:
             rep.pop("elapsed_ms")
         assert cold == warm == bare
         assert list(cache.glob("char-*.json"))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: blob[:40],  # truncated mid-write
+            lambda blob: b"",
+            lambda blob: b"\xff\xfe",  # not UTF-8
+            lambda blob: b"[]",
+            lambda blob: b'{"version": 1, "checks": [1]}',
+        ],
+        ids=["truncated", "empty", "binary", "not-an-object", "bad-checks"],
+    )
+    def test_damaged_entry_is_a_miss(self, capsys, tmp_path, damage):
+        cache = tmp_path / "cache"
+        args = ["char", "--p", "2", "--r", "1/2", "--max-degree", "2", "--cache-dir", str(cache)]
+        _, cold = run_json(capsys, *args)
+        (entry,) = cache.glob("char-*.json")
+        entry.write_bytes(damage(entry.read_bytes()))
+        code, again = run_json(capsys, *args)
+        assert code == 0
+        cold.pop("elapsed_ms")
+        again.pop("elapsed_ms")
+        assert again == cold
+        # the entry was rewritten whole, and no temporary file is left behind
+        assert json.loads(entry.read_text())["checks"] == cold["checks"]
+        assert list(cache.iterdir()) == [entry]
 
     def test_cache_key_separates_configs(self, tmp_path):
         a = cli._cache_key("char", RunConfig(p=F(1)))

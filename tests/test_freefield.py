@@ -12,6 +12,7 @@ from shvkernel.freefield import (
     FockBasisVector,
     FockVector,
     FreeFieldRealization,
+    LatticePoint,
     basis_vector,
     sector_for,
     sector_label,
@@ -37,8 +38,6 @@ class TestSectors:
             assert R.sector_weight(R.sector(p, r)) == hw.h
 
     def test_half_charge_point_has_weight_one_half(self, R):
-        from shvkernel.freefield import LatticePoint
-
         assert R.sector_weight(LatticePoint(F(1, 2), F(0))) == F(1, 2)
 
     @given(
@@ -49,6 +48,89 @@ class TestSectors:
     def test_sector_label_roundtrip(self, p, r):
         cL = F(11, 2)
         assert sector_label(sector_for(p, r, cL), cL) == (p, r)
+
+
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+fermion_block = st.lists(st.integers(0, 3), unique=True, max_size=3).map(
+    lambda xs: tuple(sorted((2 * x + 1 for x in xs), reverse=True))
+)
+partition = st.lists(st.integers(1, 3), max_size=3).map(lambda xs: tuple(sorted(xs, reverse=True)))
+state_fields = st.tuples(
+    st.tuples(small_fractions, small_fractions), fermion_block, fermion_block, partition, partition
+)
+
+
+def state_from(fields):
+    # a fresh LatticePoint per call, so equal states never share a sector object
+    (x_c, x_d), psip, psim, d_part, c_part = fields
+    return FockBasisVector(
+        sector=LatticePoint(x_c, x_d), psip=psip, psim=psim, d_part=d_part, c_part=c_part
+    )
+
+
+class TestStates:
+    @given(f=state_fields, g=state_fields, same=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_are_fieldwise(self, f, g, same):
+        if same:
+            g = f
+        a, b = state_from(f), state_from(g)
+        assert (a == b) == (f == g)
+        assert (a != b) == (f != g)
+        if a == b:
+            assert hash(a) == hash(b)
+            assert len({a: 1, b: 2}) == 1
+        (x_c, x_d), psip, psim, d_part, c_part = f
+        assert (a.sector.x_c, a.sector.x_d) == (x_c, x_d)
+        assert (a.psip, a.psim, a.d_part, a.c_part) == (psip, psim, d_part, c_part)
+
+    @given(
+        p=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        r=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        k=st.integers(-4, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_sector_equals_built_sector(self, p, r, k):
+        cL = F(11, 2)
+        built = sector_for(p, r + F(k, 2), cL)
+        reached = sector_for(p, r, cL).shifted_c(F(k, 2))
+        assert built is not reached
+        assert built == reached and hash(built) == hash(reached)
+        assert FockBasisVector(built, (1,)) == FockBasisVector(reached, (1,))
+        assert hash(FockBasisVector(built, (1,))) == hash(FockBasisVector(reached, (1,)))
+
+    def test_sector_is_immutable(self):
+        sec = LatticePoint(F(1, 2), F(0))
+        with pytest.raises(AttributeError):
+            sec.x_c = F(1)
+
+    @given(
+        p=st.sampled_from([1, 2]),
+        twice_degree=st.integers(0, 4),
+        index=st.integers(0, 50),
+        unit_coeff=st.sampled_from([F(1), 1]),
+        kind=st.sampled_from(["L", "A", "G", "P"]),
+        m=st.integers(-2, 2),
+        k_half=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mode_coefficients_are_fractions(self, R, p, twice_degree, index, unit_coeff,
+                                             kind, m, k_half):
+        # fermion signs and boson pairings are small ints inside the free
+        # modes; none may reach a result, whatever the input coefficient's type
+        r = F(1, 3) if p == 1 else F(1, 2)
+        basis = R.basis(p, r, F(twice_degree, 2))
+        v = FockVector({basis[index % len(basis)]: unit_coeff}, 0)
+        x_d = R.sector(p, r).x_d
+        images = [
+            R.generator_mode(kind, m if kind in "LA" else m + F(1, 2), v),
+            R.a_mode(m + x_d % 1, v),
+            R.lattice_mode(k_half, m + (k_half * x_d) % 1, v),
+            R.c_mode(m, v),
+            R.psi_minus_mode(m + F(1, 2), v),
+        ]
+        for img in images:
+            assert all(type(c) is F for c in img.terms.values())
 
 
 class TestBasis:
