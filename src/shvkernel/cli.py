@@ -148,6 +148,12 @@ def _require_integer_p(cfg: RunConfig, nonzero: bool = False) -> int:
     return p
 
 
+def _require_level_zero(cfg: RunConfig, command: str, reason: str) -> None:
+    """Reject a nonzero --cA, which the command would otherwise ignore."""
+    if cfg.cA != 0:
+        raise UsageError(f"{command}: {reason} (level zero), got --cA {cfg.cA}")
+
+
 def _fock_coords(R: FreeFieldRealization, p, r, degree, vec: FockVector):
     basis = R.basis(p, r, degree)
     index = {b: i for i, b in enumerate(basis)}
@@ -239,6 +245,7 @@ def _jacobi_failures(syms) -> List[str]:
 
 def cmd_relations(cfg: RunConfig) -> List[dict]:
     """Super-antisymmetry and graded Jacobi identity over a mode window."""
+    _require_level_zero(cfg, "relations", "the bracket checks run at cA = 0")
     bound = int(2 * cfg.max_degree)
     syms = _mode_symbols(bound)
     anti = _antisymmetry_failures(syms)
@@ -294,10 +301,7 @@ def _module_span_rows(R: FreeFieldRealization, p, r, max_degree):
 
 def cmd_realize(cfg: RunConfig) -> List[dict]:
     """Realized modes against the bracket table, plus module span checks."""
-    if cfg.cA != 0:
-        raise UsageError(
-            f"realize: the free-field realization fixes cA = 0 (level zero), got --cA {cfg.cA}"
-        )
+    _require_level_zero(cfg, "realize", "the free-field realization fixes cA = 0")
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
     report = R.realized_bracket_report(
         cfg.p, cfg.r, max_twice_mode=6, max_degree=cfg.max_degree
@@ -602,8 +606,7 @@ def cmd_char(cfg: RunConfig) -> List[dict]:
     ]
     dual = pr_to_hw(-cfg.p, -cfg.r, cfg.cL, cfg.cLa, cfg.cA)
     rows = []
-    for d in _half_degrees(cfg.max_degree):
-        a = simple_graded_dim(hw, d)
+    for d, a in expected:
         b = simple_graded_dim(dual, d)
         rows.append({"degree": str(d), "dim": a, "dual_dim": b, "ok": a == b})
     checks.append(
@@ -619,6 +622,7 @@ def cmd_char(cfg: RunConfig) -> List[dict]:
 
 def cmd_det(cfg: RunConfig) -> List[dict]:
     """Gram determinant vanishing loci, symbolic in the module label."""
+    _require_level_zero(cfg, "det", "the Gram determinants are taken at cA = 0")
     checks = []
     level = _HALF
     while level <= min(cfg.max_degree, DET_LEVEL_CAP):
@@ -1047,15 +1051,21 @@ def _cached_checks(command: str, cfg: RunConfig) -> List[dict]:
     if not cfg.cache_dir:
         return _COMMANDS[command](cfg)
     cache = Path(cfg.cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--cache-dir {cfg.cache_dir}: {exc.strerror or exc}") from None
     path = cache / f"{command}-{_cache_key(command, cfg)}.json"
     stored = _read_cache_entry(path)
     if stored is not None:
         return stored
     checks = _COMMANDS[command](cfg)
-    _write_atomically(
-        path, json.dumps({"version": _CACHE_VERSION, "checks": checks}, indent=2) + "\n"
-    )
+    try:
+        _write_atomically(
+            path, json.dumps({"version": _CACHE_VERSION, "checks": checks}, indent=2) + "\n"
+        )
+    except OSError as exc:
+        raise UsageError(f"--cache-dir {cfg.cache_dir}: {exc.strerror or exc}") from None
     return checks
 
 

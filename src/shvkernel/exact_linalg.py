@@ -156,15 +156,15 @@ def _int_rows(data):
     """Scale each row by the lcm of its denominators.  Returns (rows, scales)."""
     out, scales = [], []
     for row in data:
-        fr = [Fraction(x) for x in row]
-        L = math.lcm(*(f.denominator for f in fr)) if fr else 1
-        out.append([int(f * L) for f in fr])
+        L = math.lcm(*(x.denominator for x in row)) if row else 1
+        out.append([x.numerator * (L // x.denominator) for x in row])
         scales.append(L)
     return out, scales
 
 
-def _echelon(work: List[list], zero, div):
-    """In-place fraction-free row echelon.  Returns (pivot_cols, sign, last_pivot)."""
+def _echelon(work: List[list]):
+    """In-place fraction-free row echelon over parameter polynomials (any
+    matrix with a non-rational entry).  Returns (pivot_cols, sign, last_pivot)."""
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots: List[int] = []
@@ -191,13 +191,59 @@ def _echelon(work: List[list], zero, div):
                 row_i = work[i]
                 for j in range(col + 1, cols):
                     if not _is_zero(row_i[j]):
-                        row_i[j] = div(row_i[j] * piv, prev)
+                        row_i[j] = _exact_div(row_i[j] * piv, prev)
                 continue
             row_i = work[i]
             row_r = work[r]
             for j in range(col + 1, cols):
-                row_i[j] = div(row_i[j] * piv - head * row_r[j], prev)
-            row_i[col] = zero
+                row_i[j] = _exact_div(row_i[j] * piv - head * row_r[j], prev)
+            row_i[col] = Fraction(0)
+        prev = piv
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    last = work[r - 1][pivots[-1]] if pivots else 1
+    return pivots, sign, last
+
+
+def _int_echelon(work: List[List[int]]):
+    """_echelon on integer rows: plain truthiness for zero tests, and every
+    Bareiss division checked to leave no remainder."""
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(r, rows) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        row_r = work[r]
+        piv = row_r[col]
+        for i in range(r + 1, rows):
+            row_i = work[i]
+            head = row_i[col]
+            if head:
+                for j in range(col + 1, cols):
+                    q, rem = divmod(row_i[j] * piv - head * row_r[j], prev)
+                    if rem:
+                        raise ArithmeticError("inexact Bareiss division")
+                    row_i[j] = q
+                row_i[col] = 0
+            else:
+                # the Bareiss rescale a*piv/prev, as in _echelon
+                for j in range(col + 1, cols):
+                    a = row_i[j]
+                    if a:
+                        q, rem = divmod(a * piv, prev)
+                        if rem:
+                            raise ArithmeticError("inexact Bareiss division")
+                        row_i[j] = q
         prev = piv
         pivots.append(col)
         r += 1
@@ -215,11 +261,11 @@ def _echelon_of(m: Matrix):
     """
     if _all_rational(m.data):
         work, scales = _int_rows(m.data)
-        pivots, sign, last = _echelon(work, 0, lambda a, b: a // b)
+        pivots, sign, last = _int_echelon(work)
         det_scale = math.prod(scales)
         return work, pivots, sign, last, det_scale
     work = [list(row) for row in m.data]
-    pivots, sign, last = _echelon(work, Fraction(0), _exact_div)
+    pivots, sign, last = _echelon(work)
     return work, pivots, sign, last, 1
 
 
@@ -235,17 +281,13 @@ def rational_rank(m: Matrix) -> int:
     the fraction-free elimination works on machine integers throughout."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    from math import gcd, lcm
-
-    rows = []
-    for i in range(m.rows):
-        row = [Fraction(x) for x in m.row(i)]
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * mult) for x in row]
-        g = gcd(*ints) if any(ints) else 1
+    if not _all_rational(m.data):
+        raise TypeError("rational_rank needs int or Fraction entries")
+    rows, _ = _int_rows(m.data)
+    for row in rows:
+        g = math.gcd(*row)
         if g > 1:
-            ints = [x // g for x in ints]
-        rows.append(ints)
+            row[:] = [x // g for x in row]
     return rank(Matrix.from_rows(rows))
 
 

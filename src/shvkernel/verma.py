@@ -12,6 +12,13 @@ Shapovalov Gram matrices, graded dimensions of the simple quotient, singular
 and subsingular vectors, submodule closures, embedding diagrams -- reduces to
 exact linear algebra over these coordinates.
 
+A generator acts on a basis word inside the module, by recursion on the
+word's first letter (``VermaAction.apply_symbol``); no word is normal-ordered
+in the enveloping algebra.  The Gram block at degree d is assembled from the
+blocks below it: for a basis word w = x * w', the row of w is one cached
+application of theta(x) to each column, dotted with the row of w' in the
+block at degree d - wt(x).
+
 The contravariant form uses the rational anti-involution
 
     L(n) -> L(-n),   A(n) -> -A(-n) + 2*CLA*delta_{n,0},
@@ -48,13 +55,20 @@ from .shv_algebra import (
     Partition,
     SuperPartition,
     Word,
-    _normal_form,
+    _CENTRAL_KINDS,
     pair_sort_key,
+    parity,
     partitions_of,
+    super_bracket,
     superpartitions_of,
     sym_key,
     word_weight,
 )
+
+# Unused here: the action works inside the module and never normal-orders a
+# word.  perfbench/tracing.py wraps ``_normal_form`` in every module that
+# imports it, this one included, so the import stays.
+from .shv_algebra import _normal_form  # noqa: F401
 
 
 class DegenerateFamilyError(ValueError):
@@ -264,14 +278,34 @@ class ModuleVector:
 # the action
 
 
-_CARTAN_SUBS = ("L", "A", "CL", "CA", "CLA")
+def _add_scaled(out: Dict[Word, object], vec: Dict[Word, object], scale) -> None:
+    """out += scale * vec, dropping the coefficients that cancel to zero."""
+    for w, c in vec.items():
+        prev = out.get(w)
+        nv = scale * c if prev is None else prev + scale * c
+        if _czero(nv):
+            out.pop(w, None)
+        else:
+            out[w] = nv
 
 
 class VermaAction:
-    """Evaluates normal-ordered words on the highest weight module of hw.
+    """The action of single generators on the PBW basis of the module of hw.
 
-    Caches single-symbol applications per basis word; those dominate every
-    downstream computation (Gram matrices, closures, kernels).
+    ``apply_symbol(sym, word)`` is sym applied to word * v, computed inside
+    the module by recursion on the first letter of the canonical lowering
+    word = s1 * rest:
+
+        sym * s1 * rest = (-1)^{|sym||s1|} s1 * (sym * rest) + [sym, s1] * rest
+
+    unless sym * word is already canonical (sym sorts before s1, or equals an
+    even s1) or sym = s1 is odd (then sym * sym = [sym, sym]_+ / 2).  On the
+    highest weight vector a lowering symbol gives its one-letter word, a
+    raising symbol gives zero and a Cartan or central symbol its eigenvalue;
+    a central symbol scales any word.  Every result is memoized per (symbol,
+    word), so each suffix is worked out once, whatever precedes it.  Those
+    applications dominate every downstream computation (Gram matrices,
+    closures, kernels).
     """
 
     def __init__(self, hw: HighestWeightData):
@@ -284,40 +318,44 @@ class VermaAction:
             "CLA": hw.cLa,
         }
         self._sym_cache: Dict[Tuple[GeneratorSymbol, Word], Dict[Word, object]] = {}
-        self._gram_cache: Dict[Tuple[int, bool], Matrix] = {}
+        self._gram_cache: Dict[int, Matrix] = {}
 
-    def _evaluate(self, word: Word, coeff) -> Tuple[Optional[Word], object]:
-        """Split a canonical word into lowering prefix * Cartan scalar, or None
-        if a raising symbol reaches the highest weight vector."""
-        cut = len(word)
-        # walk from the right through raising and Cartan symbols
-        for i in range(len(word) - 1, -1, -1):
-            cls = sym_key(word[i])[0]
-            if cls == 2:
-                return None, None
-            if cls == 1:
-                coeff = coeff * self._subs[word[i].kind]
-                cut = i
-            else:
-                break
-        return word[:cut], coeff
+    def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
+        c = self._subs[kind]
+        return {} if _czero(c) else {word: c}
 
     def apply_symbol(self, sym: GeneratorSymbol, word: Word) -> Dict[Word, object]:
+        """sym * word * v as {canonical lowering word: coefficient}."""
         key = (sym, word)
         hit = self._sym_cache.get(key)
         if hit is not None:
             return hit
-        out: Dict[Word, object] = {}
-        for w, c in _normal_form((sym,) + word).items():
-            lowered, scaled = self._evaluate(w, c)
-            if lowered is None:
-                continue
-            prev = out.get(lowered)
-            nv = scaled if prev is None else prev + scaled
-            if _czero(nv):
-                out.pop(lowered, None)
+        if sym.kind in _CENTRAL_KINDS:
+            out = self._scalar(sym.kind, word)
+        elif not word:
+            block = sym_key(sym)[0]
+            if block == 0:
+                out = {(sym,): Fraction(1)}
+            elif block == 2:
+                out = {}
             else:
-                out[lowered] = nv
+                out = self._scalar(sym.kind, ())
+        else:
+            s1, rest = word[0], word[1:]
+            odd = parity(sym)
+            if sym_key(sym) < sym_key(s1) or (sym == s1 and not odd):
+                out = {(sym,) + word: Fraction(1)}
+            elif sym == s1:
+                out = {}
+                for (b,), bc in super_bracket(sym, sym).terms.items():
+                    _add_scaled(out, self.apply_symbol(b, rest), Fraction(1, 2) * bc)
+            else:
+                out = {}
+                sign = -1 if (odd and parity(s1)) else 1
+                for u, c in self.apply_symbol(sym, rest).items():
+                    _add_scaled(out, self.apply_symbol(s1, u), sign * c)
+                for (b,), bc in super_bracket(sym, s1).terms.items():
+                    _add_scaled(out, self.apply_symbol(b, rest), bc)
         self._sym_cache[key] = out
         return out
 
@@ -325,13 +363,7 @@ class VermaAction:
         for sym in reversed(tuple(opword)):
             new: Dict[Word, object] = {}
             for w, c in vec.items():
-                for w2, c2 in self.apply_symbol(sym, w).items():
-                    prev = new.get(w2)
-                    nv = c * c2 if prev is None else prev + c * c2
-                    if _czero(nv):
-                        new.pop(w2, None)
-                    else:
-                        new[w2] = nv
+                _add_scaled(new, self.apply_symbol(sym, w), c)
             vec = new
             if not vec:
                 break
@@ -340,13 +372,7 @@ class VermaAction:
     def apply_element(self, x: Element, vec: Dict[Word, object]):
         out: Dict[Word, object] = {}
         for opword, coeff in x.terms.items():
-            for w, c in self.apply_word(opword, vec).items():
-                prev = out.get(w)
-                nv = coeff * c if prev is None else prev + coeff * c
-                if _czero(nv):
-                    out.pop(w, None)
-                else:
-                    out[w] = nv
+            _add_scaled(out, self.apply_word(opword, vec), coeff)
         return out
 
     def matrix_of(self, opword: Sequence[GeneratorSymbol], degree, vacuum=False) -> Matrix:
@@ -427,39 +453,65 @@ def theta_word(word: Word) -> Tuple[Word, int]:
     return tuple(out), sign
 
 
-def shapovalov_gram(hw: HighestWeightData, degree, vacuum: bool = False) -> Matrix:
+def shapovalov_gram(hw: HighestWeightData, degree) -> Matrix:
     """Gram matrix B[i][j] = <basis_i, basis_j> of the contravariant pairing."""
-    action = get_action(hw)
-    t = int(Fraction(degree) * 2)
-    key = (t, vacuum)
-    hit = action._gram_cache.get(key)
+    return _gram(get_action(hw), verma_basis(hw, degree).twice_degree)
+
+
+def _gram(action: VermaAction, twice_degree: int) -> Matrix:
+    """The Gram block at twice_degree, assembled from lower blocks.
+
+    Row w = x * w' of G_d pairs theta(w) = theta(w') * theta(x) with each
+    column v.  With theta(x) * v = sum_u c_u u (one cached symbol
+    application), the entry is sign(theta(x)) * sum_u c_u G_{d-wt(x)}[w'][u]:
+    a sparse dot product against a row of the lower block.
+    """
+    hit = action._gram_cache.get(twice_degree)
     if hit is not None:
         return hit
-    basis = verma_basis(hw, degree, vacuum)
-    rows = []
-    cols = [{w: Fraction(1)} for w in basis.words]
-    for w in basis.words:
-        op, sign = theta_word(w)
-        row = []
-        for col in cols:
-            res = action.apply_word(op, col)
-            val = res.get((), Fraction(0))
-            row.append(sign * val if sign < 0 else val)
-        rows.append(row)
-    m = Matrix(rows) if rows else Matrix([])
-    action._gram_cache[key] = m
+    if twice_degree == 0:
+        m = Matrix([[Fraction(1)]])  # <v, v> = 1
+        action._gram_cache[0] = m
+        return m
+    basis = verma_basis(action.hw, Fraction(twice_degree, 2))
+    by_first: Dict[GeneratorSymbol, List[int]] = {}
+    for i, w in enumerate(basis.words):
+        by_first.setdefault(w[0], []).append(i)
+    rows: List[Optional[List]] = [None] * len(basis)
+    for x, members in by_first.items():
+        lower_twice = twice_degree + x.mode.twice_value
+        lower = _gram(action, lower_twice)
+        lower_index = verma_basis(action.hw, Fraction(lower_twice, 2)).index
+        theta, sign = _THETA[x.kind](x.mode.twice_value)
+        images = [
+            [(lower_index[u], c) for u, c in action.apply_symbol(theta, v).items()]
+            for v in basis.words
+        ]
+        for i in members:
+            lower_row = lower.row(lower_index[basis.words[i][1:]])
+            nonzero = {j: g for j, g in enumerate(lower_row) if not _czero(g)}
+            row = []
+            for image in images:
+                acc = None
+                for j, c in image:
+                    g = nonzero.get(j)
+                    if g is not None:
+                        acc = c * g if acc is None else acc + c * g
+                if acc is None or _czero(acc):
+                    row.append(Fraction(0))
+                else:
+                    row.append(-acc if sign < 0 else acc)
+            rows[i] = row
+    m = Matrix(rows)
+    action._gram_cache[twice_degree] = m
     return m
 
 
 def _gram_rank(g: Matrix) -> int:
-    if g.rows and all(
-        isinstance(x, (int, Fraction)) for x in (g.entry(0, j) for j in range(g.cols))
-    ):
-        try:
-            return rational_rank(g)
-        except TypeError:
-            pass
-    return rank(g)
+    try:
+        return rational_rank(g)
+    except TypeError:  # polynomial entries
+        return rank(g)
 
 
 def simple_graded_dim(hw: HighestWeightData, degree) -> int:

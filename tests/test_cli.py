@@ -69,6 +69,15 @@ class TestUsageErrors:
         assert cli.main(["realize", "--cA", "5", "--max-degree", "0"]) == 2
         assert "cA" in capsys.readouterr().err
 
+    def test_relations_rejects_nonzero_cA(self, capsys):
+        # the bracket checks would run at level zero and print cA=5 as passed
+        assert cli.main(["relations", "--cA", "5", "--max-degree", "1"]) == 2
+        assert "cA" in capsys.readouterr().err
+
+    def test_det_rejects_nonzero_cA(self, capsys):
+        assert cli.main(["det", "--cA", "5", "--max-degree", "1"]) == 2
+        assert "cA" in capsys.readouterr().err
+
 
 class TestReportShape:
     def test_json_schema(self, capsys):
@@ -161,6 +170,23 @@ class TestCache:
         assert again == cold
         # the entry was rewritten whole, and no temporary file is left behind
         assert json.loads(entry.read_text())["checks"] == cold["checks"]
+        assert list(cache.iterdir()) == [entry]
+
+    def test_uncreatable_cache_dir_is_a_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["relations", "--max-degree", "0", "--cache-dir", str(blocker / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --cache-dir") and err.count("\n") == 1
+
+    def test_unwritable_cache_entry_is_a_usage_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        entry = cache / f"relations-{cli._cache_key('relations', RunConfig(max_degree=F(0)))}.json"
+        entry.mkdir(parents=True)  # a directory where the entry should go
+        code = cli.main(["relations", "--max-degree", "0", "--cache-dir", str(cache)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --cache-dir")
         assert list(cache.iterdir()) == [entry]
 
     def test_cache_key_separates_configs(self, tmp_path):

@@ -37,3 +37,42 @@ def test_tracer_installs_and_reads_counters():
     counters = json.loads(proc.stdout.splitlines()[-1])
     assert counters["freefield.mode_cache.entries"] == 3  # L(-1) on the three degree-1 states
     assert counters["freefield.basis_cache.entries"] == 1
+
+
+VERMA_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from fractions import Fraction
+import shvkernel, shvkernel.cli
+import tracing
+
+tracer = tracing.Tracer()
+read_counters = tracing.install(tracer, shvkernel)
+hw = shvkernel.verma.pr_to_hw(Fraction(1), Fraction(1, 3))
+shvkernel.verma.simple_graded_dim(hw, 1)
+calls = {name: row["calls"] for name, row in tracer.layer_totals().items()}
+print(json.dumps({"counters": read_counters(), "tracer": tracer.counters, "calls": calls}))
+"""
+
+
+def test_tracer_reads_verma_caches():
+    # guards verma._normal_form, VermaAction.apply_symbol, _sym_cache,
+    # _gram_cache, the (hw, action) pairs of _ACTIONS and verma.rational_rank
+    proc = subprocess.run(
+        [sys.executable, "-c", VERMA_SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    counters, calls = out["counters"], out["calls"]
+    assert counters["verma.actions.count"] == 1
+    # the degree-1 block is built on the blocks at degrees 1/2 and 0
+    assert counters["verma.gram.entries"] == 3 * 3 + 2 * 2 + 1
+    assert counters["verma.caches.entries"] > 3  # symbol results plus three blocks
+    assert out["tracer"]["verma.gram.max_rows"] == 3
+    assert calls["verma.gram"] == 1
+    assert calls["exact_linalg.rank"] == 1
+    assert calls["verma.apply_symbol"] > 0
+    assert calls.get("shv_algebra.normal_form", 0) == 0

@@ -8,15 +8,18 @@ bracket table; the helper comments show the arithmetic.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shvkernel.qchar import char_simple, char_verma
 from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial
-from shvkernel.shv_algebra import A, G, L, P
+from shvkernel import shv_algebra
+from shvkernel.shv_algebra import A, G, L, P, _normal_form, sym_key
 from shvkernel.verma import (
     DegenerateFamilyError,
     HighestWeightData,
     ModuleVector,
     Submodule,
+    VermaAction,
     act,
     det_formula_phi,
     det_vanishing_check,
@@ -33,6 +36,7 @@ from shvkernel.verma import (
     singular_vector_from_phi,
     singular_vectors,
     subsingular_vectors,
+    theta_word,
     verma_basis,
 )
 
@@ -399,4 +403,110 @@ class TestDiagram:
         assert d.pattern == "single-node"
         assert d.to_json()["nodes"] == [
             {"id": "v", "degree": "0", "kind": "highest"}
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the module-level action and the recursive Gram assembly, against oracles
+# that normal-order whole words in the enveloping algebra
+
+
+def _oracle_apply_symbol(hw, sym, word):
+    """sym * word * v: normal-order (sym,) + word, then evaluate each term's
+    Cartan tail on v; a raising letter at the right end kills the term."""
+    subs = {"L": hw.h, "A": hw.hA, "CL": hw.cL, "CA": hw.cA, "CLA": hw.cLa}
+    out = {}
+    for w, c in _normal_form((sym,) + word).items():
+        cut = len(w)
+        for i in range(len(w) - 1, -1, -1):
+            block = sym_key(w[i])[0]
+            if block == 2:
+                c = None
+                break
+            if block == 0:
+                break
+            c = c * subs[w[i].kind]
+            cut = i
+        if c is None:
+            continue
+        lowered = w[:cut]
+        prev = out.get(lowered)
+        nv = c if prev is None else prev + c
+        if nv == 0:
+            out.pop(lowered, None)
+        else:
+            out[lowered] = nv
+    return out
+
+
+def _oracle_gram(hw, degree):
+    """<w, v> = sign * (theta(w) * v)[v], one full theta word per entry."""
+    memo = {}
+
+    def apply(sym, vec):
+        new = {}
+        for w, c in vec.items():
+            if (sym, w) not in memo:
+                memo[sym, w] = _oracle_apply_symbol(hw, sym, w)
+            for w2, c2 in memo[sym, w].items():
+                prev = new.get(w2)
+                nv = c * c2 if prev is None else prev + c * c2
+                if nv == 0:
+                    new.pop(w2, None)
+                else:
+                    new[w2] = nv
+        return new
+
+    words = verma_basis(hw, degree).words
+    rows = []
+    for w in words:
+        op, sign = theta_word(w)
+        row = []
+        for v in words:
+            vec = {v: Fraction(1)}
+            for sym in reversed(op):
+                vec = apply(sym, vec)
+            val = vec.get((), Fraction(0))
+            row.append(sign * val if sign < 0 else val)
+        rows.append(row)
+    return rows
+
+
+_ORACLE_WEIGHTS = {
+    "p=1": pr_to_hw(Fraction(1), Fraction(1, 3)),
+    "p=-2": pr_to_hw(Fraction(-2), Fraction(3, 4)),
+    "p=5/7": pr_to_hw(Fraction(5, 7), Fraction(2, 3)),
+    "p symbolic": pr_to_hw(ParamPolynomial.variable("p"), R),
+}
+_ORACLE_SYMBOLS = [shv_algebra.CL, shv_algebra.CA, shv_algebra.CLA] + [
+    kind(Fraction(t, 2))
+    for t in range(-6, 7)
+    for kind in ((L, A) if t % 2 == 0 else (G, P))
+]
+_ORACLE_WORDS = [w for t in range(7) for w in verma_basis(None, Fraction(t, 2)).words]
+
+
+def _typed(vec):
+    return {w: (type(c), c) for w, c in vec.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(_ORACLE_WEIGHTS.values())),
+    st.sampled_from(_ORACLE_SYMBOLS),
+    st.sampled_from(_ORACLE_WORDS),
+)
+def test_apply_symbol_matches_normal_form_oracle(hw, sym, word):
+    # a fresh action, so the recursion runs rather than a cache lookup
+    got = VermaAction(hw).apply_symbol(sym, word)
+    assert _typed(got) == _typed(_oracle_apply_symbol(hw, sym, word))
+
+
+@pytest.mark.parametrize("hw", list(_ORACLE_WEIGHTS.values()), ids=list(_ORACLE_WEIGHTS))
+def test_recursive_gram_matches_theta_word_gram(hw):
+    for t in range(7):
+        got = shapovalov_gram(hw, Fraction(t, 2))
+        want = _oracle_gram(hw, Fraction(t, 2))
+        assert [[(type(x), x) for x in row] for row in got.data] == [
+            [(type(x), x) for x in row] for row in want
         ]
