@@ -79,9 +79,6 @@ class ParamPolynomial:
             raise ValueError(f"{self} is not constant")
         return self.terms.get(_ZERO_EXP, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = _PARAM_INDEX[name]
         return max((e[i] for e in self.terms), default=0)
@@ -412,47 +409,11 @@ class RatFunc:
 Scalar = Union[Fraction, ParamPolynomial, RatFunc]
 
 
-def is_symbolic(x) -> bool:
-    return isinstance(x, (ParamPolynomial, RatFunc))
-
-
-def promote(x) -> RatFunc:
-    """Explicitly lift a rational (or polynomial) into symbolic mode."""
-    r = RatFunc._coerce(x)
-    if r is None:
-        raise TypeError(f"cannot promote {type(x).__name__} to a rational function")
-    return r
-
-
-def scalar_arithmetic(a, b=None, op: str = "add"):
-    """Strict-mode scalar operations.
-
-    ``op`` is one of ``add``, ``mul`` (binary) or ``neg``, ``inv`` (unary).
-    Mixing a plain rational with a symbolic scalar raises; promote explicitly
-    with :func:`promote` if that is what you mean.
-    """
-    if op in ("neg", "inv"):
-        if b is not None:
-            raise ValueError(f"{op} is unary")
-        if op == "neg":
-            return -a
-        if isinstance(a, Fraction):
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / a
-        if isinstance(a, RatFunc):
-            return a.inv()
-        if isinstance(a, ParamPolynomial):
-            return RatFunc(ParamPolynomial.const(1), a)
-        raise TypeError(f"not a scalar: {a!r}")
-    if op not in ("add", "mul"):
-        raise ValueError(f"unknown scalar op {op!r}")
-    sym_a, sym_b = is_symbolic(a), is_symbolic(b)
-    if sym_a != sym_b:
-        raise TypeError(
-            "mixing symbolic and specialized scalars; call promote() first"
-        )
-    return a + b if op == "add" else a * b
+def is_zero(x) -> bool:
+    """The zero test for any exact scalar: int, Fraction or symbolic."""
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    return x.is_zero()
 
 
 def evaluate(value: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:

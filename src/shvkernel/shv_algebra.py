@@ -19,9 +19,9 @@ aggressively because module computations hit the same words over and over.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .scalars import ParamPolynomial, RatFunc
+from .scalars import ParamPolynomial, RatFunc, is_zero
 
 
 class Mode(NamedTuple):
@@ -32,10 +32,6 @@ class Mode(NamedTuple):
     @property
     def value(self) -> Fraction:
         return Fraction(self.twice_value, 2)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.twice_value % 2 == 0
 
     def __str__(self) -> str:
         t = self.twice_value
@@ -158,12 +154,6 @@ class PBWMonomial(NamedTuple):
     factors: Tuple[GeneratorSymbol, ...]
 
 
-def _czero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
-
-
 Word = Tuple[GeneratorSymbol, ...]
 
 
@@ -176,7 +166,7 @@ class Element:
         t: Dict[Word, object] = {}
         if terms:
             for w, c in terms.items():
-                if not _czero(c):
+                if not is_zero(c):
                     t[tuple(w)] = c
         self.terms = t
 
@@ -191,13 +181,6 @@ class Element:
     @classmethod
     def of(cls, *syms, coefficient=Fraction(1)) -> "Element":
         return cls({tuple(syms): coefficient})
-
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[PBWMonomial]) -> "Element":
-        out: Dict[Word, object] = {}
-        for m in monomials:
-            _accumulate(out, m.factors, m.coefficient)
-        return cls(out)
 
     def monomials(self) -> List[PBWMonomial]:
         return [PBWMonomial(c, w) for w, c in self.sorted_terms()]
@@ -228,7 +211,7 @@ class Element:
         return Element({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
-        if _czero(c):
+        if is_zero(c):
             return Element()
         return Element({w: v * c for w, v in self.terms.items()})
 
@@ -299,7 +282,7 @@ class Element:
 def _accumulate(d: Dict[Word, object], w: Word, c) -> None:
     nv = d.get(w)
     nv = c if nv is None else nv + c
-    if _czero(nv):
+    if is_zero(nv):
         d.pop(w, None)
     else:
         d[w] = nv

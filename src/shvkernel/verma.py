@@ -37,12 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact_linalg import Matrix, determinant, kernel_basis, rank, rational_rank
+from .exact_linalg import Matrix, determinant, kernel_basis, rank
 from .qchar import char_verma, schur_expand
 from .scalars import (
     DEFAULT_SPECIALIZATION,
     ParamPolynomial,
     RatFunc,
+    is_zero,
     rational_roots_in,
 )
 from .shv_algebra import (
@@ -66,20 +67,16 @@ from .shv_algebra import (
 )
 
 # Unused here: the action works inside the module and never normal-orders a
-# word.  perfbench/tracing.py wraps ``_normal_form`` in every module that
-# imports it, this one included, so the import stays.
+# word, and ranks go through ``rank``.  perfbench/tracing.py wraps
+# ``_normal_form`` and ``rational_rank`` in this module by name, so the
+# imports stay.
+from .exact_linalg import rational_rank  # noqa: F401
 from .shv_algebra import _normal_form  # noqa: F401
 
 
 class DegenerateFamilyError(ValueError):
     """Raised when (h, hA) sits on the hA = cLa line (p = 0), where the
     (p, r) coordinates are not defined."""
-
-
-def _czero(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return c.is_zero()
 
 
 @dataclass(frozen=True, eq=True)
@@ -118,10 +115,10 @@ def _scalar_div(a, b):
 
 def hw_to_pr(hw: HighestWeightData) -> PRLabel:
     """Invert the family parametrization.  Errors on the degenerate hA = cLa line."""
-    if _czero(hw.cLa):
+    if is_zero(hw.cLa):
         raise ZeroDivisionError("cLa = 0 has no (p, r) coordinates")
     diff = hw.hA - hw.cLa
-    if _czero(diff):
+    if is_zero(diff):
         raise DegenerateFamilyError(
             "hA = cLa corresponds to p = 0, where r is not determined"
         )
@@ -137,11 +134,10 @@ def hw_to_pr(hw: HighestWeightData) -> PRLabel:
 class GradedBasis:
     """PBW basis words of one graded component, in a fixed deterministic order."""
 
-    __slots__ = ("twice_degree", "vacuum", "words", "index")
+    __slots__ = ("twice_degree", "words", "index")
 
-    def __init__(self, twice_degree: int, vacuum: bool, words: Tuple[Word, ...]):
+    def __init__(self, twice_degree: int, words: Tuple[Word, ...]):
         self.twice_degree = twice_degree
-        self.vacuum = vacuum
         self.words = words
         self.index = {w: i for i, w in enumerate(words)}
 
@@ -159,7 +155,7 @@ class GradedBasis:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-_BASIS_CACHE: Dict[Tuple[int, bool], GradedBasis] = {}
+_BASIS_CACHE: Dict[int, GradedBasis] = {}
 
 
 def _block_word(kind, parts, twice=False) -> Word:
@@ -169,17 +165,16 @@ def _block_word(kind, parts, twice=False) -> Word:
     return tuple(kind(-p) for p in parts)
 
 
-def verma_basis(hw: HighestWeightData, degree, vacuum: bool = False) -> GradedBasis:
+def verma_basis(hw: HighestWeightData, degree) -> GradedBasis:
     """All PBW words of the given degree (hw fixes the module; the basis shape
-    depends only on degree and the vacuum flag)."""
+    depends only on the degree)."""
     t = Fraction(degree) * 2
     if t.denominator != 1 or t < 0:
         raise ValueError(f"degree must be a non-negative half-integer: {degree}")
-    key = (int(t), vacuum)
-    cached = _BASIS_CACHE.get(key)
+    twice_d = int(t)
+    cached = _BASIS_CACHE.get(twice_d)
     if cached is not None:
         return cached
-    twice_d = int(t)
     words: List[Word] = []
     for t_P in range(twice_d + 1):
         for lam_minus in superpartitions_of(t_P):
@@ -191,17 +186,13 @@ def verma_basis(hw: HighestWeightData, degree, vacuum: bool = False) -> GradedBa
                         t_L = twice_d - t_P - t_A - t_G
                         if t_L % 2:
                             continue
-                        for lam_plus in superpartitions_of(
-                            t_G, min_twice_part=3 if vacuum else 1
-                        ):
+                        for lam_plus in superpartitions_of(t_G):
                             g_block = _block_word(G, lam_plus.twice_parts, twice=True)
-                            for mu_plus in partitions_of(
-                                t_L // 2, min_part=2 if vacuum else 1
-                            ):
+                            for mu_plus in partitions_of(t_L // 2):
                                 l_block = _block_word(L, mu_plus.parts)
                                 words.append(p_block + a_block + g_block + l_block)
-    basis = GradedBasis(twice_d, vacuum, tuple(words))
-    _BASIS_CACHE[key] = basis
+    basis = GradedBasis(twice_d, tuple(words))
+    _BASIS_CACHE[twice_d] = basis
     return basis
 
 
@@ -233,27 +224,26 @@ class ModuleVector:
 
     degree: Fraction
     coords: Tuple
-    vacuum: bool = False
 
     def basis(self) -> GradedBasis:
-        return verma_basis(None, self.degree, self.vacuum)
+        return verma_basis(None, self.degree)
 
     def to_dict(self) -> Dict[Word, object]:
         basis = self.basis()
         return {
-            w: c for w, c in zip(basis.words, self.coords) if not _czero(c)
+            w: c for w, c in zip(basis.words, self.coords) if not is_zero(c)
         }
 
     @classmethod
-    def from_dict(cls, vec: Dict[Word, object], degree, vacuum=False) -> "ModuleVector":
-        basis = verma_basis(None, degree, vacuum)
+    def from_dict(cls, vec: Dict[Word, object], degree) -> "ModuleVector":
+        basis = verma_basis(None, degree)
         coords = [Fraction(0)] * len(basis)
         for w, c in vec.items():
             coords[basis.index[w]] = c
-        return cls(degree=Fraction(degree), coords=tuple(coords), vacuum=vacuum)
+        return cls(degree=Fraction(degree), coords=tuple(coords))
 
     def is_zero(self) -> bool:
-        return all(_czero(c) for c in self.coords)
+        return all(is_zero(c) for c in self.coords)
 
     def to_json(self) -> dict:
         basis = self.basis()
@@ -267,7 +257,7 @@ class ModuleVector:
         basis = self.basis()
         bits = []
         for w, c in zip(basis.words, self.coords):
-            if _czero(c):
+            if is_zero(c):
                 continue
             word_txt = "".join(str(s) for s in w) if w else "1"
             bits.append(f"({c})*{word_txt}v" if w else f"({c})*v")
@@ -283,7 +273,7 @@ def _add_scaled(out: Dict[Word, object], vec: Dict[Word, object], scale) -> None
     for w, c in vec.items():
         prev = out.get(w)
         nv = scale * c if prev is None else prev + scale * c
-        if _czero(nv):
+        if is_zero(nv):
             out.pop(w, None)
         else:
             out[w] = nv
@@ -322,7 +312,7 @@ class VermaAction:
 
     def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
         c = self._subs[kind]
-        return {} if _czero(c) else {word: c}
+        return {} if is_zero(c) else {word: c}
 
     def apply_symbol(self, sym: GeneratorSymbol, word: Word) -> Dict[Word, object]:
         """sym * word * v as {canonical lowering word: coefficient}."""
@@ -375,11 +365,11 @@ class VermaAction:
             _add_scaled(out, self.apply_word(opword, vec), coeff)
         return out
 
-    def matrix_of(self, opword: Sequence[GeneratorSymbol], degree, vacuum=False) -> Matrix:
+    def matrix_of(self, opword: Sequence[GeneratorSymbol], degree) -> Matrix:
         """Matrix of a homogeneous operator word from degree to degree + weight."""
-        src = verma_basis(self.hw, degree, vacuum)
+        src = verma_basis(self.hw, degree)
         target_degree = Fraction(degree) + word_weight(tuple(opword))
-        dst = verma_basis(self.hw, target_degree, vacuum)
+        dst = verma_basis(self.hw, target_degree)
         cols = []
         for w in src.words:
             img = self.apply_word(opword, {w: Fraction(1)})
@@ -422,12 +412,12 @@ def act(x, v: ModuleVector, hw: HighestWeightData) -> ModuleVector:
     if target < 0:
         # raising past the top: the image is zero, reported at degree 0
         assert not out
-        return ModuleVector(degree=Fraction(0), coords=(Fraction(0),), vacuum=v.vacuum)
-    return ModuleVector.from_dict(out, target, v.vacuum)
+        return ModuleVector(degree=Fraction(0), coords=(Fraction(0),))
+    return ModuleVector.from_dict(out, target)
 
 
-def highest_weight_vector(vacuum: bool = False) -> ModuleVector:
-    return ModuleVector(degree=Fraction(0), coords=(Fraction(1),), vacuum=vacuum)
+def highest_weight_vector() -> ModuleVector:
+    return ModuleVector(degree=Fraction(0), coords=(Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +479,7 @@ def _gram(action: VermaAction, twice_degree: int) -> Matrix:
         ]
         for i in members:
             lower_row = lower.row(lower_index[basis.words[i][1:]])
-            nonzero = {j: g for j, g in enumerate(lower_row) if not _czero(g)}
+            nonzero = {j: g for j, g in enumerate(lower_row) if not is_zero(g)}
             row = []
             for image in images:
                 acc = None
@@ -497,7 +487,7 @@ def _gram(action: VermaAction, twice_degree: int) -> Matrix:
                     g = nonzero.get(j)
                     if g is not None:
                         acc = c * g if acc is None else acc + c * g
-                if acc is None or _czero(acc):
+                if acc is None or is_zero(acc):
                     row.append(Fraction(0))
                 else:
                     row.append(-acc if sign < 0 else acc)
@@ -507,21 +497,14 @@ def _gram(action: VermaAction, twice_degree: int) -> Matrix:
     return m
 
 
-def _gram_rank(g: Matrix) -> int:
-    try:
-        return rational_rank(g)
-    except TypeError:  # polynomial entries
-        return rank(g)
-
-
 def simple_graded_dim(hw: HighestWeightData, degree) -> int:
     """Graded dimension of the irreducible quotient: the rank of the Gram block."""
-    return _gram_rank(shapovalov_gram(hw, degree))
+    return rank(shapovalov_gram(hw, degree))
 
 
 def maximal_submodule_dim(hw: HighestWeightData, degree) -> int:
     g = shapovalov_gram(hw, degree)
-    return g.cols - _gram_rank(g)
+    return g.cols - rank(g)
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +537,16 @@ def _normalize_leading(vec: Dict[Word, object]) -> Dict[Word, object]:
     return {w: v * inv for w, v in vec.items()}
 
 
-def singular_vectors(hw: HighestWeightData, degree, vacuum: bool = False) -> List[ModuleVector]:
+def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
     """Basis of the space of degree-d vectors killed by every raising generator,
     each normalized so its leading basis word has coefficient 1."""
     action = get_action(hw)
-    basis = verma_basis(hw, degree, vacuum)
+    basis = verma_basis(hw, degree)
     if len(basis) == 0:
         return []
     blocks = []
     for g in raising_symbols(degree):
-        m = action.matrix_of((g,), degree, vacuum)
+        m = action.matrix_of((g,), degree)
         if m.rows:
             blocks.append(m)
     if not blocks:
@@ -574,10 +557,10 @@ def singular_vectors(hw: HighestWeightData, degree, vacuum: bool = False) -> Lis
     out = []
     for coords in kernel_basis(stacked):
         vec = {
-            w: c for w, c in zip(basis.words, coords) if not _czero(c)
+            w: c for w, c in zip(basis.words, coords) if not is_zero(c)
         }
         vec = _normalize_leading(vec)
-        out.append(ModuleVector.from_dict(vec, Fraction(degree), vacuum))
+        out.append(ModuleVector.from_dict(vec, Fraction(degree)))
     return out
 
 
@@ -629,11 +612,10 @@ class Submodule:
     this is for numerically specialized highest weights.
     """
 
-    def __init__(self, hw: HighestWeightData, max_degree, vacuum: bool = False):
+    def __init__(self, hw: HighestWeightData, max_degree):
         self.hw = hw
         self.action = get_action(hw)
         self.max_twice = int(Fraction(max_degree) * 2)
-        self.vacuum = vacuum
         self._spans: Dict[int, List[Dict[Word, object]]] = {}
         self._echelons: Dict[int, _EchelonSpan] = {}
 
@@ -642,7 +624,7 @@ class Submodule:
         return Fraction(self.max_twice, 2)
 
     def _coords(self, vec: Dict[Word, object], twice_degree: int):
-        basis = verma_basis(self.hw, Fraction(twice_degree, 2), self.vacuum)
+        basis = verma_basis(self.hw, Fraction(twice_degree, 2))
         col = [Fraction(0)] * len(basis)
         for w, c in vec.items():
             col[basis.index[w]] = c
@@ -651,7 +633,7 @@ class Submodule:
     def _echelon(self, twice_degree: int) -> _EchelonSpan:
         e = self._echelons.get(twice_degree)
         if e is None:
-            basis = verma_basis(self.hw, Fraction(twice_degree, 2), self.vacuum)
+            basis = verma_basis(self.hw, Fraction(twice_degree, 2))
             e = _EchelonSpan(len(basis))
             self._echelons[twice_degree] = e
         return e
@@ -712,7 +694,7 @@ def subsingular_vectors(
     and the vector itself is reduced modulo S plus the genuine singular space.
     Returns normalized representatives of the new directions."""
     action = get_action(hw)
-    basis = verma_basis(hw, degree, False)
+    basis = verma_basis(hw, degree)
     n = len(basis)
     if n == 0:
         return []
@@ -743,7 +725,7 @@ def subsingular_vectors(
     candidates = []
     for k in kernel:
         x = k[:n]
-        if any(not _czero(c) for c in x):
+        if any(not is_zero(c) for c in x):
             candidates.append(x)
     if not candidates:
         return []
@@ -757,9 +739,9 @@ def subsingular_vectors(
     for x in candidates:
         if not span.insert(list(x)):
             continue
-        vec = {w: c for w, c in zip(basis.words, x) if not _czero(c)}
+        vec = {w: c for w, c in zip(basis.words, x) if not is_zero(c)}
         out.append(
-            ModuleVector.from_dict(_normalize_leading(vec), Fraction(degree), False)
+            ModuleVector.from_dict(_normalize_leading(vec), Fraction(degree))
         )
     return out
 
@@ -783,7 +765,7 @@ def det_formula_phi(k: int, l: int, hw: HighestWeightData):
         raise ValueError("k, l must be >= 1")
     if (k - l) % 2:
         raise ValueError("k and l must have equal parity")
-    if _czero(hw.cLa):
+    if is_zero(hw.cLa):
         raise ZeroDivisionError("cLa = 0: determinant factor undefined")
     x = _scalar_div(hw.hA, hw.cLa)
     quartic = (1 + k - x) * (-1 + k + x) * (1 + l - x) * (-1 + l + x)

@@ -43,6 +43,20 @@ class TestConfig:
 
 
 class TestUsageErrors:
+    def test_no_mode_flag(self, capsys):
+        # no command read the mode, so the flag and the field are gone
+        assert cli.main(["relations", "--mode", "symbolic", "--max-degree", "0"]) == 2
+        with pytest.raises(TypeError):
+            RunConfig(mode="symbolic")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--p", "2"), ("--r", "1/2"), ("--cL", "1"), ("--cLa", "1"), ("--cA", "5")]
+    )
+    def test_acceptance_rejects_labels(self, capsys, flag, value):
+        # the battery pins its own labels, so any other value would be ignored
+        assert cli.main(["acceptance", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_bad_rational(self, capsys):
         assert cli.main(["relations", "--p", "abc"]) == 2
 
@@ -132,6 +146,24 @@ class TestFaultInjection:
         assert anti["status"] == "fail"
         named = " ".join(anti["details"]["failures"])
         assert "L(2)" in named and "L(-2)" in named
+
+    def test_corrupted_determinant_check_fails_det_and_criterion(self, capsys, monkeypatch):
+        # the det command and criterion 07 share one implementation
+        orig = cli.det_vanishing_check
+
+        def corrupted(level, *args):
+            result = orig(level, *args)
+            if level == 1:
+                result["match"] = False
+            return result
+
+        monkeypatch.setattr(cli, "det_vanishing_check", corrupted)
+        code, report = run_json(capsys, "det", "--max-degree", "2")
+        assert code == 1
+        assert [c["status"] for c in report["checks"]] == ["pass", "fail", "pass", "pass"]
+        check = cli._criterion_07()
+        assert check["status"] == "fail"
+        assert check["details"]["failures"] == ["det --max-degree 2: determinant-locus-1"]
 
 
 class TestCache:

@@ -147,3 +147,28 @@ def test_in_span_of_column_combination(m, coeffs):
 @given(matrices(4, 4))
 def test_det_transpose_invariant(m):
     assert determinant(m) == determinant(m.transpose())
+
+
+rational_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n
+            ).map(Matrix),
+            st.integers(0, n - 1),
+        )
+    ),
+    st.integers(-6, 6).filter(bool),
+)
+def test_row_scaling(m_row, k):
+    # the integer path divides each row by its content; the determinant has to
+    # multiply it back in, while rank and kernel do not see it
+    m, i = m_row
+    scaled = Matrix([[k * x for x in row] if j == i else row for j, row in enumerate(m.data)])
+    assert determinant(scaled) == k * determinant(m)
+    assert rank(scaled) == rank(m)
+    assert kernel_basis(scaled) == kernel_basis(m)

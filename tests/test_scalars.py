@@ -10,9 +10,7 @@ from shvkernel.scalars import (
     evaluate,
     format_rational,
     parse_rational,
-    promote,
     rational_roots_in,
-    scalar_arithmetic,
 )
 
 P = ParamPolynomial
@@ -38,23 +36,6 @@ def test_parse_and_format_rationals():
         parse_rational("one half")
     with pytest.raises(ValueError):
         parse_rational("1/0")
-
-
-def test_scalar_arithmetic_rational_mode():
-    assert scalar_arithmetic(F(1, 2), F(1, 3), "add") == F(5, 6)
-    assert scalar_arithmetic(F(1, 2), F(1, 3), "mul") == F(1, 6)
-    assert scalar_arithmetic(F(-2, 3), op="neg") == F(2, 3)
-    assert scalar_arithmetic(F(2, 3), op="inv") == F(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        scalar_arithmetic(F(0), op="inv")
-
-
-def test_scalar_arithmetic_rejects_mode_mixing():
-    with pytest.raises(TypeError):
-        scalar_arithmetic(F(1, 2), RatFunc.variable("p"), "add")
-    # explicit promotion is the sanctioned route
-    s = scalar_arithmetic(promote(F(1, 2)), RatFunc.variable("p"), "add")
-    assert s.evaluate({"p": F(1, 2)}) == F(1)
 
 
 def test_polynomial_basics():
@@ -197,17 +178,3 @@ def test_divexact_roundtrip(a, b):
     if b.is_zero():
         return
     assert (a * b).divexact(b) == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(rationals, rationals, rationals)
-def test_scalar_arithmetic_field_axioms(x, y, z):
-    assert scalar_arithmetic(x, y, "add") == scalar_arithmetic(y, x, "add")
-    assert scalar_arithmetic(x, y, "mul") == scalar_arithmetic(y, x, "mul")
-    lhs = scalar_arithmetic(x, scalar_arithmetic(y, z, "add"), "mul")
-    rhs = scalar_arithmetic(
-        scalar_arithmetic(x, y, "mul"), scalar_arithmetic(x, z, "mul"), "add"
-    )
-    assert lhs == rhs
-    if x != 0:
-        assert scalar_arithmetic(x, op="inv") * x == 1

@@ -95,11 +95,6 @@ class TestBasis:
         dims = [len(verma_basis(hw, Fraction(t, 2))) for t in range(9)]
         assert dims == [1, 2, 3, 6, 11, 18, 28, 44, 69]
 
-    def test_vacuum_dims(self):
-        hw = hw_for(1)
-        dims = [len(verma_basis(hw, Fraction(t, 2), vacuum=True)) for t in range(4)]
-        assert dims == [1, 1, 1, 3]
-
     def test_degree_one_words(self):
         hw = hw_for(1)
         words = verma_basis(hw, 1).words
