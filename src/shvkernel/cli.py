@@ -35,7 +35,6 @@ from .verma import (
     act,
     det_vanishing_check,
     embedding_diagram,
-    kostant_p2,
     maximal_submodule_dim,
     pr_to_hw,
     raising_symbols,
@@ -507,6 +506,15 @@ def _subsingular_span_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
     )
 
 
+def _detected_subsingular(hw, p: int) -> list:
+    """Vectors of degree p singular modulo the submodule that the singular
+    vectors of degree p/2 generate, found by the kernel detector."""
+    base = Submodule(hw, Fraction(p))
+    for vec in singular_vectors(hw, Fraction(p, 2)):
+        base.add_generator(vec.to_dict(), Fraction(p, 2))
+    return subsingular_vectors(hw, Fraction(p), base)
+
+
 def _subsingular_checks(cfg: RunConfig, p: int) -> List[dict]:
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
     w1 = R.family_vector(p, cfg.r, 1, "w")
@@ -533,11 +541,7 @@ def _subsingular_checks(cfg: RunConfig, p: int) -> List[dict]:
             note="the half-mode sends the subsingular vector onto the singular one",
         ),
     ]
-    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
-    base = Submodule(hw, Fraction(p))
-    for vec in singular_vectors(hw, Fraction(p, 2)):
-        base.add_generator(vec.to_dict(), Fraction(p, 2))
-    reps = subsingular_vectors(hw, Fraction(p), base)
+    reps = _detected_subsingular(pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA), p)
     checks.append(
         _check(
             "subsingular-detected",
@@ -651,6 +655,18 @@ def cmd_det(cfg: RunConfig) -> List[dict]:
     return checks
 
 
+def _shape_holds(shape: dict) -> bool:
+    """Whether the covering arrows have the shape the pattern names: the
+    highest-weight node alone, or one chain from it through every node."""
+    ids = [n["id"] for n in shape["nodes"]]
+    step = {e["from"]: e["to"] for e in shape["edges"]}
+    path = ["v"]
+    while path[-1] in step and len(path) <= len(ids):
+        path.append(step[path[-1]])
+    chain = sorted(path) == sorted(ids) and len(shape["edges"]) == len(ids) - 1
+    return chain and (shape["pattern"] == "single-node") == (len(ids) == 1)
+
+
 def cmd_diagram(cfg: RunConfig) -> List[dict]:
     """Submodule-generator diagram of the Verma module at an integer label."""
     _require_integer_p(cfg, nonzero=True)
@@ -660,7 +676,7 @@ def cmd_diagram(cfg: RunConfig) -> List[dict]:
         _check(
             "embedding-diagram",
             "embedding-diagram",
-            True,
+            _shape_holds(shape),
             pattern=shape["pattern"],
             nodes=shape["nodes"],
             edges=shape["edges"],
@@ -704,33 +720,20 @@ def _criterion_01() -> dict:
 
 
 def _criterion_02(deepen) -> dict:
-    R = FreeFieldRealization(Fraction(11, 2), Fraction(2, 3))
-    labels = [
-        (Fraction(-1), Fraction(0)),
-        (Fraction(1), Fraction(1, 3)),
-        (Fraction(2), Fraction(1, 2)),
-        (Fraction(-2), Fraction(3, 4)),
-        (Fraction(1, 2), Fraction(1, 3)),
-    ]
-    rows = []
-    bad = []
-    for p, r in labels:
-        rep = R.realized_bracket_report(p, r, max_twice_mode=6, max_degree=3 + deepen)
-        rows.append(
-            {
-                "label": f"({format_rational(p)}, {format_rational(r)})",
-                "checked": rep["checked"],
-                "ok": rep["ok"],
-            }
-        )
-        bad.extend(list(m) for m in rep["mismatches"])
-    return _check(
-        "criterion-02",
-        "fock-realization",
-        not bad,
-        labels=rows,
-        failures=_clip(bad),
+    labels = [("-1", "0"), ("1", "1/3"), ("2", "1/2"), ("-2", "3/4"), ("1/2", "1/3")]
+    runs = _pinned_runs(
+        "realize",
+        [RunConfig(p=Fraction(p), r=Fraction(r), max_degree=3 + deepen) for p, r in labels],
     )
+    rows = [
+        {
+            "label": f"({p}, {r})",
+            "checked": checks[0]["details"]["checked"],
+            "ok": checks[0]["status"] == "pass",
+        }
+        for (p, r), (_, checks) in zip(labels, runs)
+    ]
+    return _fold("criterion-02", "fock-realization", runs, labels=rows)
 
 
 #: checks that certify one explicit vector each
@@ -798,34 +801,35 @@ def _criterion_08(deepen) -> dict:
 
     def graded_vectors(p, r):
         for d in _half_degrees(cap):
-            for i, b in enumerate(R.basis(p, r, d)):
+            for b in R.basis(p, r, d):
                 yield FockVector({b: Fraction(1)}, int(2 * d) % 2)
+
+    def anticommutator_failures(modes, p, r, prefix):
+        """Charge modes a(m), a(n) anticommute on every graded basis vector."""
+        return [
+            f"{prefix}anticommutator a({m}), a({n})"
+            for i, m in enumerate(modes)
+            for n in modes[i:]
+            if any(
+                not (R.a_mode(m, R.a_mode(n, v)) + R.a_mode(n, R.a_mode(m, v))).is_zero()
+                for v in graded_vectors(p, r)
+            )
+        ]
 
     p, r = Fraction(1), Fraction(1, 3)
     for v in graded_vectors(p, r):
         if not R.screening_q(R.screening_q(v)).is_zero():
             failures.append("charge-square")
             break
-    modes = [Fraction(k) for k in range(-3, 4)]
-    for i, m in enumerate(modes):
-        for n in modes[i:]:
-            for v in graded_vectors(p, r):
-                if not (R.a_mode(m, R.a_mode(n, v)) + R.a_mode(n, R.a_mode(m, v))).is_zero():
-                    failures.append(f"anticommutator a({m}), a({n})")
-                    break
+    failures.extend(anticommutator_failures([Fraction(k) for k in range(-3, 4)], p, r, ""))
     for v in graded_vectors(p, r):
         if not (R.screening_q(R.screening_g(v)) - R.screening_g(R.screening_q(v))).is_zero():
             failures.append("charge-screening commutator")
             break
     failures.extend(_kernel_commutation_failures(R, p, r, cap))
-    twisted_modes = [Fraction(t, 2) for t in range(-5, 6, 2)]
     pt, rt = Fraction(2), Fraction(1, 2)
-    for i, m in enumerate(twisted_modes):
-        for n in twisted_modes[i:]:
-            for v in graded_vectors(pt, rt):
-                if not (R.a_mode(m, R.a_mode(n, v)) + R.a_mode(n, R.a_mode(m, v))).is_zero():
-                    failures.append(f"twisted anticommutator a({m}), a({n})")
-                    break
+    twisted_modes = [Fraction(t, 2) for t in range(-5, 6, 2)]
+    failures.extend(anticommutator_failures(twisted_modes, pt, rt, "twisted "))
     for v in graded_vectors(pt, rt):
         for kind, m in _SCREENING_GEN_MODES:
             d = R.screening_g(R.generator_mode(kind, m, v), twisted=True) - R.generator_mode(
@@ -860,77 +864,59 @@ def _kernel_commutation_failures(R: FreeFieldRealization, p, r, cap) -> List[str
 
 
 def _criterion_09() -> dict:
-    r = Fraction(1, 3)
-    cap = Fraction(3)
-    failures = []
-    cfg = RunConfig(p=Fraction(2), r=r)
-    R = FreeFieldRealization()
-    inj = _even_injectivity_check(R, cfg, 2)
-    if inj["status"] != "pass":
-        failures.append("free action on the even singular vector")
-    hw2 = pr_to_hw(2, r)
-    for d in _half_degrees(cap):
-        want = kostant_p2(d - 2) if d >= 2 else 0
-        if maximal_submodule_dim(hw2, d) != want:
-            failures.append(f"shifted dims at degree {d}")
-    hw1 = pr_to_hw(1, r)
-    base = Submodule(hw1, cap)
-    for vec in singular_vectors(hw1, _HALF):
-        base.add_generator(vec.to_dict(), _HALF)
-    reps = subsingular_vectors(hw1, Fraction(1), base)
-    if len(reps) != 1:
-        failures.append(f"subsingular detection found {len(reps)}")
-    else:
-        span = Submodule(hw1, cap)
-        span.add_generator(reps[0].to_dict(), Fraction(1))
-        for d in _half_degrees(cap):
-            if span.graded_dim(d) != maximal_submodule_dim(hw1, d):
-                failures.append(f"subsingular closure at degree {d}")
-    return _check("criterion-09", "module-embedding", not failures, failures=failures)
+    runs = (
+        _pinned_runs("singular", [RunConfig(p=Fraction(2))])
+        + _pinned_runs("char", [RunConfig(p=Fraction(2), max_degree=Fraction(3))])
+        + _pinned_runs("subsingular", [RunConfig()])
+    )
+    # the one check no subcommand runs: the subsingular vector at p = 1
+    # generates the whole maximal submodule through degree 3
+    hw = pr_to_hw(1, Fraction(1, 3))
+    reps = _detected_subsingular(hw, 1)
+    closure = Submodule(hw, Fraction(3))
+    if len(reps) == 1:
+        closure.add_generator(reps[0].to_dict(), Fraction(1))
+    ok = len(reps) == 1 and all(
+        closure.graded_dim(d) == maximal_submodule_dim(hw, d) for d in _half_degrees(3)
+    )
+    own = _check("subsingular-closure", "module-embedding", ok)
+    return _fold("criterion-09", "module-embedding", runs + [("criterion-09", [own])])
 
 
-_CHAIN_NEG1 = {
-    "nodes": [("0", "highest")] + [(format_rational(Fraction(t, 2)), "singular") for t in range(1, 9)],
-    "edges": [("v", "sing@1/2")]
-    + [
-        (f"sing@{format_rational(Fraction(t, 2))}", f"sing@{format_rational(Fraction(t + 1, 2))}")
-        for t in range(1, 8)
-    ],
-}
-
-_CHAIN_NEG2 = {
-    "nodes": [("0", "highest"), ("2", "singular"), ("4", "singular")],
-    "edges": [("v", "sing@2"), ("sing@2", "sing@4")],
-}
-
-_LOCAL_POS1 = {
-    "nodes": [("0", "highest"), ("1/2", "singular"), ("1", "subsingular")],
-    "edges": [("v", "sub@1"), ("sub@1", "sing@1/2")],
-}
+def _chain(pattern: str, *path: str) -> dict:
+    """The details of a diagram run whose covering arrows form the chain
+    v -> path[0] -> path[1] -> ..., in the report's own JSON form."""
+    kinds = {"sing": "singular", "sub": "subsingular"}
+    nodes = [{"id": "v", "degree": "0", "kind": "highest"}]
+    for node in sorted(path, key=lambda i: Fraction(i.partition("@")[2])):
+        kind, _, degree = node.partition("@")
+        nodes.append({"id": node, "degree": degree, "kind": kinds[kind]})
+    ids = ("v",) + path
+    edges = [{"from": a, "to": b} for a, b in sorted(zip(ids, ids[1:]))]
+    return {"pattern": pattern, "nodes": nodes, "edges": edges}
 
 
-def _diagram_shape(diagram):
-    shape = diagram.to_json()
-    nodes = [(n["degree"], n["kind"]) for n in shape["nodes"]]
-    edges = sorted((e["from"], e["to"]) for e in shape["edges"])
-    return shape["pattern"], nodes, edges
+#: criterion 10: pinned diagram runs and the shapes they must report
+_DIAGRAMS = (
+    (
+        RunConfig(p=Fraction(-1)),
+        _chain("singular-chain", *(f"sing@{format_rational(Fraction(t, 2))}" for t in range(1, 9))),
+    ),
+    (RunConfig(p=Fraction(-2), r=Fraction(3, 4)), _chain("singular-chain", "sing@2", "sing@4")),
+    (
+        RunConfig(max_degree=Fraction(2)),
+        _chain("interleaved-chain", "sub@1", "sing@1/2", "sing@3/2"),
+    ),
+)
 
 
 def _criterion_10() -> dict:
-    failures = []
-    pattern, nodes, edges = _diagram_shape(embedding_diagram(-1, Fraction(1, 3), 4))
-    if pattern != "singular-chain" or nodes != _CHAIN_NEG1["nodes"] or edges != sorted(_CHAIN_NEG1["edges"]):
-        failures.append("half-integer chain")
-    pattern, nodes, edges = _diagram_shape(embedding_diagram(-2, Fraction(3, 4), 4))
-    if pattern != "singular-chain" or nodes != _CHAIN_NEG2["nodes"] or edges != sorted(_CHAIN_NEG2["edges"]):
-        failures.append("even chain")
-    pattern, nodes, edges = _diagram_shape(embedding_diagram(1, Fraction(1, 3), 2))
-    local_nodes = [nd for nd in nodes if Fraction(parse_rational(nd[0])) <= 1]
-    if pattern != "interleaved-chain" or local_nodes != _LOCAL_POS1["nodes"]:
-        failures.append("interleaved local pattern")
-    if not set(_LOCAL_POS1["edges"]) <= set(edges):
-        failures.append("interleaved local edges")
-    return _check("criterion-10", "embedding-diagram", not failures, failures=failures)
+    runs = _pinned_runs("diagram", [cfg for cfg, _ in _DIAGRAMS])
+    judged = [
+        (line, [dict(c, status=c["status"] if c["details"] == shape else "fail") for c in checks])
+        for (line, checks), (_, shape) in zip(runs, _DIAGRAMS)
+    ]
+    return _fold("criterion-10", "embedding-diagram", judged)
 
 
 def _criterion_11() -> dict:

@@ -24,6 +24,12 @@ def _exact_div(a, b):
     if isinstance(b, (int, Fraction)):
         if isinstance(a, ParamPolynomial):
             return ParamPolynomial({e: c / b for e, c in a.terms.items()})
+        if isinstance(a, int) and isinstance(b, int):
+            # a / b would be a float; divide exactly, as _int_echelon does
+            q, rem = divmod(a, b)
+            if rem:
+                raise ArithmeticError("inexact Bareiss division")
+            return q
         return a / b
     if isinstance(b, ParamPolynomial):
         if b.is_constant():
@@ -56,10 +62,6 @@ class Matrix:
         self.data = tuple(rows)
         self.rows = len(rows)
         self.cols = width
-
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls(rows)
 
     @classmethod
     def from_columns(cls, columns) -> "Matrix":

@@ -294,19 +294,6 @@ class FockVector:
         return root + " + ".join(bits)
 
 
-def basis_vector(p, r, cL=None, *, psip=(), psim=(), d_part=(), c_part=()) -> FockBasisVector:
-    """Convenience builder for a letter word over the (p, r) sector vacuum."""
-    cL = DEFAULT_SPECIALIZATION["cL"] if cL is None else cL
-    sec = sector_for(p, r, cL)
-    return FockBasisVector(
-        sector=sec,
-        psip=tuple(psip),
-        psim=tuple(psim),
-        d_part=tuple(d_part),
-        c_part=tuple(c_part),
-    )
-
-
 def sector_for(p, r, cL) -> LatticePoint:
     p = Fraction(p)
     r = Fraction(r)
@@ -314,12 +301,6 @@ def sector_for(p, r, cL) -> LatticePoint:
         x_c=r + (p + 1) * (cL - 3) * Fraction(1, 24),
         x_d=-(p + 1) * Fraction(1, 2),
     )
-
-
-def sector_label(sec: LatticePoint, cL) -> Tuple[Fraction, Fraction]:
-    p = -1 - 2 * sec.x_d
-    r = sec.x_c - (p + 1) * (cL - 3) * Fraction(1, 24)
-    return p, r
 
 
 _MODE_PARITY = {"L": 0, "A": 0, "G": 1, "P": 1}

@@ -130,13 +130,11 @@ def word_key(word: Sequence[GeneratorSymbol]):
 def weight(x) -> Fraction:
     """Conformal weight added by x acting on a weight vector: -sum of modes.
 
-    Accepts a symbol, a word (tuple of symbols), a PBWMonomial, or a
-    weight-homogeneous Element.
+    Accepts a symbol, a word (tuple of symbols), or a weight-homogeneous
+    Element.
     """
     if isinstance(x, GeneratorSymbol):
         return -x.mode.value
-    if isinstance(x, PBWMonomial):
-        x = x.factors
     if isinstance(x, Element):
         weights = {word_weight(w) for w in x.terms}
         if len(weights) > 1:
@@ -147,11 +145,6 @@ def weight(x) -> Fraction:
 
 def word_weight(word: Sequence[GeneratorSymbol]) -> Fraction:
     return Fraction(-sum(s.mode.twice_value for s in word), 2)
-
-
-class PBWMonomial(NamedTuple):
-    coefficient: object
-    factors: Tuple[GeneratorSymbol, ...]
 
 
 Word = Tuple[GeneratorSymbol, ...]
@@ -181,9 +174,6 @@ class Element:
     @classmethod
     def of(cls, *syms, coefficient=Fraction(1)) -> "Element":
         return cls({tuple(syms): coefficient})
-
-    def monomials(self) -> List[PBWMonomial]:
-        return [PBWMonomial(c, w) for w, c in self.sorted_terms()]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -415,10 +405,6 @@ def normal_order(word: Sequence[GeneratorSymbol], coefficient=Fraction(1)) -> El
     if isinstance(coefficient, Fraction) and coefficient == 1:
         return Element(dict(nf))
     return Element({w: c * coefficient for w, c in nf.items()})
-
-
-def is_canonical(word: Sequence[GeneratorSymbol]) -> bool:
-    return _first_disorder(tuple(word)) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,44 @@ class TestFaultInjection:
         assert check["status"] == "fail"
         assert check["details"]["failures"] == ["det --max-degree 2: determinant-locus-1"]
 
+    def test_corrupted_bracket_report_fails_realize_and_criterion(self, capsys, monkeypatch):
+        # the realize command and criterion 02 share one implementation
+        from shvkernel.freefield import FreeFieldRealization
+
+        def corrupted(self, p, r, max_twice_mode=6, max_degree=F(3)):
+            mismatches = [("L(1)", "L(-1)", "0")] if (p, r) == (2, F(1, 2)) else []
+            return {"pairs": 1, "vectors": 1, "checked": 1, "mismatches": mismatches,
+                    "ok": not mismatches}
+
+        monkeypatch.setattr(FreeFieldRealization, "realized_bracket_report", corrupted)
+        code, report = run_json(capsys, "realize", "--p", "2", "--r", "1/2", "--max-degree", "3")
+        assert code == 1
+        assert [c["status"] for c in report["checks"]] == ["fail", "pass"]
+        check = cli._criterion_02(F(0))
+        assert check["status"] == "fail"
+        assert [row["ok"] for row in check["details"]["labels"]] == [True, True, False, True, True]
+        assert check["details"]["failures"] == [
+            "realize --p 2 --r 1/2 --max-degree 3: commutator-matrices"
+        ]
+
+    def test_wrong_diagram_pattern_fails_diagram_and_criterion(self, capsys, monkeypatch):
+        # the diagram command and criterion 10 share one implementation
+        orig = cli.embedding_diagram
+
+        def corrupted(p, *args):
+            diagram = orig(p, *args)
+            if p == -2:
+                diagram.pattern = "single-node"
+            return diagram
+
+        monkeypatch.setattr(cli, "embedding_diagram", corrupted)
+        code, report = run_json(capsys, "diagram", "--p", "-2", "--r", "3/4")
+        assert code == 1
+        assert report["checks"][0]["details"]["pattern"] == "single-node"
+        check = cli._criterion_10()
+        assert check["status"] == "fail"
+        assert check["details"]["failures"] == ["diagram --p -2 --r 3/4: embedding-diagram"]
+
 
 class TestCache:
     def test_cache_round_trip(self, capsys, tmp_path):

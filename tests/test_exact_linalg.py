@@ -12,7 +12,7 @@ from shvkernel.exact_linalg import (
     matvec,
     rank,
 )
-from shvkernel.scalars import ParamPolynomial, RatFunc
+from shvkernel.scalars import ParamPolynomial, RatFunc, evaluate
 
 P = ParamPolynomial
 
@@ -172,3 +172,36 @@ def test_row_scaling(m_row, k):
     assert determinant(scaled) == k * determinant(m)
     assert rank(scaled) == rank(m)
     assert kernel_basis(scaled) == kernel_basis(m)
+
+
+def test_polynomial_bareiss_on_int_entries():
+    # plain int entries beside one polynomial go down the polynomial path,
+    # whose divisions by int pivots have to stay exact integers
+    p = P.variable("p")
+    m = Matrix([[2, 1, 0], [1, 1, 1], [0, 1, p]])
+    assert determinant(m) == p - 2
+    assert rank(m) == 3
+    assert kernel_basis(m) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            matrices(n, n), st.integers(0, n - 1), st.integers(0, n - 1)
+        )
+    ),
+    st.integers(-6, 6),
+)
+def test_symbolic_determinant_evaluates_to_integer_determinant(m_entry, k):
+    # the polynomial path on a matrix with one entry p, evaluated at p = k,
+    # against the integer path on the matrix with k in that place
+    m, i, j = m_entry
+
+    def with_entry(x):
+        rows = [list(row) for row in m.data]
+        rows[i][j] = x
+        return Matrix(rows)
+
+    d = determinant(with_entry(P.variable("p")))
+    assert evaluate(d, {"p": F(k)}) == determinant(with_entry(k))

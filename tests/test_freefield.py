@@ -13,9 +13,7 @@ from shvkernel.freefield import (
     FockVector,
     FreeFieldRealization,
     LatticePoint,
-    basis_vector,
     sector_for,
-    sector_label,
 )
 from shvkernel.qchar import char_verma
 from shvkernel.shv_algebra import A, G, L, P
@@ -25,6 +23,19 @@ from shvkernel.verma import pr_to_hw, verma_basis
 @pytest.fixture(scope="module")
 def R():
     return FreeFieldRealization()
+
+
+def basis_vector(p, r, cL, *, psip=(), psim=(), d_part=(), c_part=()):
+    """The letter word over the (p, r) sector vacuum."""
+    return FockBasisVector(
+        sector_for(p, r, cL), tuple(psip), tuple(psim), tuple(d_part), tuple(c_part)
+    )
+
+
+def sector_label(sec, cL):
+    """The label (p, r) of a sector: the inverse of sector_for."""
+    p = -1 - 2 * sec.x_d
+    return p, sec.x_c - (p + 1) * (cL - 3) * F(1, 24)
 
 
 def unit(R, p, r, **kw):

@@ -17,7 +17,6 @@ from shvkernel.shv_algebra import (
     compare_pairs,
     element_bracket,
     half,
-    is_canonical,
     normal_order,
     pair_sort_key,
     parity,
@@ -28,6 +27,13 @@ from shvkernel.shv_algebra import (
     weight,
     word_parity,
 )
+
+
+def is_canonical(word):
+    """PBW order: keys weakly increase and no odd symbol repeats."""
+    return all(
+        sym_key(x) < sym_key(y) or (x == y and not parity(x)) for x, y in zip(word, word[1:])
+    )
 
 
 def el(*syms, c=F(1)):
