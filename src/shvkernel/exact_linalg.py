@@ -74,10 +74,6 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def entry(self, i: int, j: int):
         return self.data[i][j]
 

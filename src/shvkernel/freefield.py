@@ -32,13 +32,24 @@ Lattice exponential operators e^{kappa} (kappa a multiple of c), the odd
 screening built from psi^-(-1/2)e^{c/2}, and the long screenings assembled from
 its modes are provided, together with the explicit singular and subsingular
 vector constructions they generate.
+
+A mode of e^{kappa} or of the screening current removes a subset of the d
+letters, inserts the c letters of a Schur polynomial and, for the current,
+applies one fermion mode.  Which letters, which polynomials and which fermion
+modes depends on a state only through its integer effective mode N = n +
+k*x_d, its d partition and (for the current) its psi^+ letters; never on x_c,
+psi^- or the c letters.  So each operator expands once per such key into a
+template, a tuple of (kept d letters, c letters[, twice fermion mode],
+coefficient) with equal shapes merged and zero sums dropped, memoized in a
+bounded lru_cache (_a_template, _lattice_template); a_mode and lattice_mode
+then only place each template entry on each state.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_linalg import Matrix, rank
@@ -141,8 +152,8 @@ def _with_c_letters(b: FockBasisVector, mu_parts: Tuple[int, ...],
                     sector: LatticePoint, d_part: Tuple[int, ...]) -> FockBasisVector:
     """b with the c letters of mu added, over the given sector and d block."""
     cp = b.c_part
-    for part in mu_parts:
-        cp = _insert_sorted_desc(cp, part)
+    if mu_parts:
+        cp = tuple(sorted(cp + mu_parts, reverse=True))
     return _state((sector, b.psip, b.psim, d_part, cp))
 
 
@@ -210,6 +221,58 @@ def _d_free(b: FockBasisVector, n: int) -> List[Hit]:
         return []
     j = cp.index(n)
     return [(_state((sec, psip, psim, dp, cp[:j] + cp[j + 1:])), 2 * n * count)]
+
+
+# Screening templates (see the module docstring).  They call schur_expand
+# through this module's global, where perfbench/tracing.py counts its calls.
+
+
+def _d_subsets(d_part: Tuple[int, ...]):
+    """(kept d letters, sum of the removed ones, number removed), per subset."""
+    positions = range(len(d_part))
+    for size in range(len(d_part) + 1):
+        for S in itertools.combinations(positions, size):
+            kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+            yield kept, sum(d_part[i] for i in S), size
+
+
+@lru_cache(maxsize=2048)
+def _a_template(N: int, psip: Tuple[int, ...],
+                d_part: Tuple[int, ...]) -> Tuple[tuple, ...]:
+    """Mode n of the current on states with n + x_d = N, these psi^+ letters
+    and this d block, as (kept_d, mu_parts, twice_s, coeff) entries: keep
+    kept_d, add the c letters mu_parts, then apply psi^-(twice_s/2)."""
+    merged: Dict[tuple, Fraction] = {}
+    for kept, z_s, size in _d_subsets(d_part):
+        sign = -1 if size & 1 else 1
+        # fermion modes: creations down to where the Schur order
+        # j = s - N - 1/2 + z_s turns negative, plus contractions on psi+
+        for twice_s in itertools.chain(range(-1, 2 * (N - z_s), -2), psip):
+            j = (twice_s - 1) // 2 - N + z_s
+            if j < 0:
+                continue
+            for mu, sc in schur_expand(j, _HALF).terms.items():
+                key = (kept, mu.parts, twice_s)
+                merged[key] = merged.get(key, _ZERO) + sign * sc
+    return tuple(key + (c,) for key, c in merged.items() if c)
+
+
+@lru_cache(maxsize=512)
+def _lattice_template(k_half: int, N: int,
+                      d_part: Tuple[int, ...]) -> Tuple[tuple, ...]:
+    """Mode n of e^{(k_half/2)c} on states with n + k_half*x_d = N and this d
+    block, as (kept_d, mu_parts, coeff) entries."""
+    shift = Fraction(k_half, 2)
+    merged: Dict[tuple, Fraction] = {}
+    for kept, z_s, size in _d_subsets(d_part):
+        j = z_s - N - 1
+        if j < 0:
+            continue
+        weight = (-k_half) ** size
+        for mu, sc in schur_expand(j, shift).terms.items():
+            key = (kept, mu.parts)
+            merged[key] = merged.get(key, _ZERO) + weight * sc
+    return tuple(key + (c,) for key, c in merged.items() if c)
 
 
 class FockVector:
@@ -316,6 +379,7 @@ class FreeFieldRealization:
         self._basis_cache: Dict[Tuple[LatticePoint, int], Tuple[FockBasisVector, ...]] = {}
         self._mode_cache: Dict[Tuple[str, int], Dict[FockBasisVector, Tuple[Hit, ...]]] = {}
         self._sectors: Dict[LatticePoint, LatticePoint] = {}
+        self._shifts: Dict[Tuple[LatticePoint, int], LatticePoint] = {}
 
     # -- sectors -----------------------------------------------------------
 
@@ -323,6 +387,14 @@ class FreeFieldRealization:
         """This realization's one instance of the sector.  States of a sector
         then share it, so comparing them seldom reaches its Fractions."""
         return self._sectors.setdefault(sec, sec)
+
+    def _shifted(self, sec: LatticePoint, twice_shift: int) -> LatticePoint:
+        """The shared instance of sec shifted by (twice_shift/2)c."""
+        key = (sec, twice_shift)
+        hit = self._shifts.get(key)
+        if hit is None:
+            hit = self._shifts[key] = self._shared(sec.shifted_c(Fraction(twice_shift, 2)))
+        return hit
 
     def sector(self, p, r) -> LatticePoint:
         return self._shared(sector_for(p, r, self.cL))
@@ -603,31 +675,21 @@ class FreeFieldRealization:
         """Mode of the exponential operator for kappa = (k_half/2)c."""
         out: Dict[FockBasisVector, Fraction] = {}
         n = Fraction(n)
-        shift = Fraction(k_half, 2)
         for b, co in vec.terms.items():
-            sec, d_part = b.sector, b.d_part
-            m0 = k_half * sec.x_d
-            if (n + m0).denominator != 1:
+            sec = b.sector
+            N = n + k_half * sec.x_d
+            if N.denominator != 1:
                 raise CosetError(
                     f"mode {n} is not admissible on sector {sec}"
                 )
-            target = self._shared(sec.shifted_c(shift))
-            j0 = -n - 1 - m0
-            positions = range(len(d_part))
-            for size in range(len(d_part) + 1):
-                for S in itertools.combinations(positions, size):
-                    j = j0 + sum(d_part[i] for i in S)
-                    if j < 0:
-                        continue
-                    kept = tuple(v for i, v in enumerate(d_part) if i not in S)
-                    coeff_s = co * (-k_half) ** size
-                    for mu, sc in schur_expand(int(j), shift).terms.items():
-                        b2 = _with_c_letters(b, mu.parts, target, kept)
-                        nv = out.get(b2, _ZERO) + coeff_s * sc
-                        if nv:
-                            out[b2] = nv
-                        else:
-                            out.pop(b2, None)
+            target = self._shifted(sec, k_half)
+            for kept, mu_parts, tc in _lattice_template(k_half, int(N), b.d_part):
+                b2 = _with_c_letters(b, mu_parts, target, kept)
+                nv = out.get(b2, _ZERO) + co * tc
+                if nv:
+                    out[b2] = nv
+                else:
+                    out.pop(b2, None)
         return FockVector(out, vec.parity)
 
     def a_mode(self, n, vec: FockVector) -> FockVector:
@@ -635,40 +697,23 @@ class FreeFieldRealization:
         out: Dict[FockBasisVector, Fraction] = {}
         n = Fraction(n)
         for b, co in vec.terms.items():
-            sec, psip, d_part = b.sector, b.psip, b.d_part
-            m0 = sec.x_d
-            if (n + m0).denominator != 1:
+            sec = b.sector
+            N = n + sec.x_d
+            if N.denominator != 1:
                 raise CosetError(
                     f"mode {n} is not admissible on sector {sec}"
                 )
-            target = self._shared(sec.shifted_c(_HALF))
-            positions = range(len(d_part))
-            for size in range(len(d_part) + 1):
-                for S in itertools.combinations(positions, size):
-                    z_s = sum(d_part[i] for i in S)
-                    kept = tuple(v for i, v in enumerate(d_part) if i not in S)
-                    coeff_s = -co if size & 1 else co
-                    # fermion mode choices: creations, plus contractions on psi+
-                    s_cands = set()
-                    s_min = n + _HALF + m0 - z_s
-                    s = Fraction(-1, 2)
-                    while s >= s_min:
-                        s_cands.add(s)
-                        s -= 1
-                    for tv in psip:
-                        s_cands.add(Fraction(tv, 2))
-                    for s in s_cands:
-                        j = s - n - _HALF - m0 + z_s
-                        if j < 0 or j.denominator != 1:
-                            continue
-                        for mu, sc in schur_expand(int(j), _HALF).terms.items():
-                            b2 = _with_c_letters(b, mu.parts, target, kept)
-                            for b3, sg in _psi_minus(b2, _twice_half_odd(s)):
-                                nv = out.get(b3, _ZERO) + coeff_s * sc * sg
-                                if nv:
-                                    out[b3] = nv
-                                else:
-                                    out.pop(b3, None)
+            target = self._shifted(sec, 1)
+            for kept, mu_parts, twice_s, tc in _a_template(int(N), b.psip, b.d_part):
+                b2 = _with_c_letters(b, mu_parts, target, kept)
+                for b3, sg in _psi_minus(b2, twice_s):
+                    # sg is a fermion sign, +1 or -1
+                    ct = co * tc
+                    nv = out.get(b3, _ZERO) + ct if sg > 0 else out.get(b3, _ZERO) - ct
+                    if nv:
+                        out[b3] = nv
+                    else:
+                        out.pop(b3, None)
         return FockVector(out, vec.parity)
 
     def _a_mode_bound(self, vec: FockVector) -> Fraction:

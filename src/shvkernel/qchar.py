@@ -145,13 +145,11 @@ def _geometric_double_inverse(twice_k: int, T: int) -> Dict[int, int]:
     return out
 
 
-def char_verma(truncation, vacuum: bool = False) -> QSeries:
+def char_verma(truncation) -> QSeries:
     """Character of the rank-(2|2) universal module, without the q^h prefactor.
 
     Two even generator families contribute 1/(1-q^k)^2 for every positive
-    integer k, two odd families contribute (1+q^(k-1/2))^2.  The vacuum variant
-    (no weight-one even generator, no weight-1/2 odd generator) is the same
-    series times (1 - q^(1/2)).
+    integer k, two odd families contribute (1+q^(k-1/2))^2.
     """
     T = _twice_deg(truncation)
     if T < 0:
@@ -171,8 +169,6 @@ def char_verma(truncation, vacuum: bool = False) -> QSeries:
             odd[2 * (2 * k - 1)] = 1
         series = series.mul_polynomial(odd)
         k += 1
-    if vacuum:
-        series = series.mul_polynomial({0: 1, 1: -1})
     return series
 
 

@@ -10,10 +10,10 @@ touch floats):
 * ``CL, CA, CLA`` -- the three central elements
 
 The bracket is a super-bracket: anticommutator on odd-odd pairs, commutator
-otherwise.  ``normal_order`` rewrites arbitrary words into the canonical PBW
-order (lowering < Cartan < raising, with a fixed kind order inside each block)
-using the bracket relations; the rewriting is confluent, and we memoize
-aggressively because module computations hit the same words over and over.
+otherwise.  Products of elements rewrite words into the canonical PBW order
+(lowering < Cartan < raising, with a fixed kind order inside each block) using
+the bracket relations; the rewriting is confluent, and we memoize aggressively
+because module computations hit the same words over and over.
 """
 
 from __future__ import annotations
@@ -397,14 +397,6 @@ def _normal_form(word: Word) -> Dict[Word, Fraction]:
         _NF_CACHE[w] = out
         stack.pop()
     return _NF_CACHE[word]
-
-
-def normal_order(word: Sequence[GeneratorSymbol], coefficient=Fraction(1)) -> Element:
-    """Rewrite a word into the canonical PBW order."""
-    nf = _normal_form(tuple(word))
-    if isinstance(coefficient, Fraction) and coefficient == 1:
-        return Element(dict(nf))
-    return Element({w: c * coefficient for w, c in nf.items()})
 
 
 # ---------------------------------------------------------------------------

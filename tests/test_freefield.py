@@ -1,6 +1,7 @@
 """Fock-module realization: free modes, lattice operators, screenings and
 the explicit vectors they generate."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -13,9 +14,13 @@ from shvkernel.freefield import (
     FockVector,
     FreeFieldRealization,
     LatticePoint,
+    _a_template,
+    _lattice_template,
+    _psi_minus,
+    _with_c_letters,
     sector_for,
 )
-from shvkernel.qchar import char_verma
+from shvkernel.qchar import char_verma, schur_expand
 from shvkernel.shv_algebra import A, G, L, P
 from shvkernel.verma import pr_to_hw, verma_basis
 
@@ -286,6 +291,151 @@ class TestLattice:
         # Q v lands on the half-shifted sector with a single fermion letter
         img = R.screening_q(R.vacuum_vector(1, F(-1, 6)))
         assert img == unit(R, 1, F(1, 3), psim=(1,))
+
+
+def oracle_lattice_mode(R, k_half, n, vec):
+    """The per-state expansion of e^{(k_half/2)c} that the templates replaced:
+    every d-letter subset and Schur polynomial, redone for each state."""
+    out = {}
+    n = F(n)
+    shift = F(k_half, 2)
+    for b, co in vec.terms.items():
+        sec, d_part = b.sector, b.d_part
+        m0 = k_half * sec.x_d
+        if (n + m0).denominator != 1:
+            raise CosetError(f"mode {n} is not admissible on sector {sec}")
+        target = R._shared(sec.shifted_c(shift))
+        j0 = -n - 1 - m0
+        positions = range(len(d_part))
+        for size in range(len(d_part) + 1):
+            for S in itertools.combinations(positions, size):
+                j = j0 + sum(d_part[i] for i in S)
+                if j < 0:
+                    continue
+                kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+                coeff_s = co * (-k_half) ** size
+                for mu, sc in schur_expand(int(j), shift).terms.items():
+                    b2 = _with_c_letters(b, mu.parts, target, kept)
+                    nv = out.get(b2, F(0)) + coeff_s * sc
+                    if nv:
+                        out[b2] = nv
+                    else:
+                        out.pop(b2, None)
+    return FockVector(out, vec.parity)
+
+
+def oracle_a_mode(R, n, vec):
+    """The per-state expansion of the current psi^-(-1/2)e^{c/2} that the
+    templates replaced, with its Fraction loop over fermion modes."""
+    out = {}
+    n = F(n)
+    half = F(1, 2)
+    for b, co in vec.terms.items():
+        sec, psip, d_part = b.sector, b.psip, b.d_part
+        m0 = sec.x_d
+        if (n + m0).denominator != 1:
+            raise CosetError(f"mode {n} is not admissible on sector {sec}")
+        target = R._shared(sec.shifted_c(half))
+        positions = range(len(d_part))
+        for size in range(len(d_part) + 1):
+            for S in itertools.combinations(positions, size):
+                z_s = sum(d_part[i] for i in S)
+                kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+                coeff_s = -co if size & 1 else co
+                s_cands = set()
+                s_min = n + half + m0 - z_s
+                s = F(-1, 2)
+                while s >= s_min:
+                    s_cands.add(s)
+                    s -= 1
+                for tv in psip:
+                    s_cands.add(F(tv, 2))
+                for s in s_cands:
+                    j = s - n - half - m0 + z_s
+                    if j < 0 or j.denominator != 1:
+                        continue
+                    for mu, sc in schur_expand(int(j), half).terms.items():
+                        b2 = _with_c_letters(b, mu.parts, target, kept)
+                        for b3, sg in _psi_minus(b2, (2 * s).numerator):
+                            nv = out.get(b3, F(0)) + coeff_s * sc * sg
+                            if nv:
+                                out[b3] = nv
+                            else:
+                                out.pop(b3, None)
+    return FockVector(out, vec.parity)
+
+
+def outcome(apply):
+    try:
+        return apply()
+    except CosetError:
+        return CosetError
+
+
+@st.composite
+def screening_inputs(draw, R):
+    """A combination of basis vectors to degree 3 in the untwisted (1, r) or
+    the twisted (2, 1/2) sector, and a mode on that sector's grid (integer,
+    or half-odd when twisted), moved off it by 1/2 now and then."""
+    if draw(st.booleans()):
+        p, r = 2, F(1, 2)
+    else:
+        p, r = 1, draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+    picks = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 50)), min_size=1,
+                          max_size=3))
+    terms = {}
+    for twice_degree, index in picks:
+        basis = R.basis(p, r, F(twice_degree, 2))
+        terms[basis[index % len(basis)]] = draw(small_fractions.filter(bool))
+    vec = FockVector(terms, draw(st.integers(0, 1)))
+    mode = draw(st.integers(-4, 3)) + (F(1, 2) if p == 2 else 0)
+    if draw(st.integers(0, 4)) == 0:
+        mode += F(1, 2)
+    return vec, mode, draw(st.sampled_from([1, 2]))
+
+
+class TestScreeningTemplates:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_modes_match_per_state_oracle(self, R, data):
+        vec, mode, k_half = data.draw(screening_inputs(R))
+        for got, want in (
+            (outcome(lambda: R.a_mode(mode, vec)), outcome(lambda: oracle_a_mode(R, mode, vec))),
+            (
+                outcome(lambda: R.lattice_mode(k_half, mode, vec)),
+                outcome(lambda: oracle_lattice_mode(R, k_half, mode, vec)),
+            ),
+        ):
+            if want is CosetError:
+                assert got is CosetError
+                continue
+            assert got == want
+            assert all(type(c) is F for c in got.terms.values())
+
+    @given(
+        N=st.integers(-4, 4),
+        psip=fermion_block,
+        d_part=partition,
+        k_half=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_templates_are_merged_and_exact(self, N, psip, d_part, k_half):
+        for template, width in ((_a_template(N, psip, d_part), 3),
+                                (_lattice_template(k_half, N, d_part), 2)):
+            shapes = [entry[:width] for entry in template]
+            assert len(set(shapes)) == len(shapes)
+            assert all(type(entry[-1]) is F and entry[-1] for entry in template)
+
+    def test_template_caches_are_bounded_and_recomputable(self):
+        a_key, lattice_key = (-1, (3, 1), (2, 1, 1)), (2, -3, (2, 1, 1))
+        before = _a_template(*a_key), _lattice_template(*lattice_key)
+        assert all(before)
+        for cache in (_a_template, _lattice_template):
+            maxsize = cache.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
+            cache.cache_clear()
+            assert cache.cache_info().currsize == 0
+        assert (_a_template(*a_key), _lattice_template(*lattice_key)) == before
 
 
 class TestScreenings:

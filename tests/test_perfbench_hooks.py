@@ -76,3 +76,37 @@ def test_tracer_reads_verma_caches():
     assert calls["exact_linalg.rank"] == 1
     assert calls["verma.apply_symbol"] > 0
     assert calls.get("shv_algebra.normal_form", 0) == 0
+
+
+SCREENING_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from fractions import Fraction
+import shvkernel, shvkernel.cli
+import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer, shvkernel)
+ff = shvkernel.freefield
+ff._a_template.cache_clear()
+ff._lattice_template.cache_clear()
+R = ff.FreeFieldRealization()
+R.a_mode(0, R.vacuum_vector(1, Fraction(-1, 6)))
+calls = {name: row["calls"] for name, row in tracer.layer_totals().items()}
+print(json.dumps(calls))
+"""
+
+
+def test_tracer_counts_schur_expand_inside_screening_templates():
+    # the templates must call schur_expand through the freefield module
+    # global, where the tracer patches it; a cleared cache forces the call
+    proc = subprocess.run(
+        [sys.executable, "-c", SCREENING_SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert calls["freefield.screening"] == 1
+    assert calls["qchar.schur_expand"] >= 1

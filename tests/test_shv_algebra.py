@@ -17,7 +17,6 @@ from shvkernel.shv_algebra import (
     compare_pairs,
     element_bracket,
     half,
-    normal_order,
     pair_sort_key,
     parity,
     partitions_of,
@@ -38,6 +37,11 @@ def is_canonical(word):
 
 def el(*syms, c=F(1)):
     return Element.of(*syms, coefficient=c)
+
+
+def normal_order(word):
+    """The canonical PBW form of a word, as the product 1 * word."""
+    return Element.one() * Element.of(*word)
 
 
 def test_symbol_constructors_validate_modes():
