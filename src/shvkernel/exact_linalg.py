@@ -3,8 +3,11 @@
 Everything here is fraction-free where it matters: rank and determinant use
 Bareiss elimination, so integer matrices stay integer and polynomial matrices
 stay polynomial (every intermediate entry is a minor of the input, hence the
-divisions are exact).  Kernels are solved by back substitution over the field
-after the fraction-free forward pass.
+divisions are exact).  Kernels of rational matrices are back-substituted over
+the integers too: one integer vector per free column, rescaled at each pivot
+just enough for the solved entry to be an integer, so no ``Fraction`` is
+formed before the result.  Kernels of polynomial matrices are
+back-substituted over rational functions.
 
 Matrices are small (a few hundred rows at most) and dense, so plain lists of
 lists beat any sparse cleverness.
@@ -12,7 +15,9 @@ lists beat any sparse cleverness.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -80,12 +85,6 @@ class Matrix:
     def row(self, i: int):
         return self.data[i]
 
-    def column(self, j: int):
-        return tuple(r[j] for r in self.data)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data))) if self.rows else Matrix([])
-
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
@@ -104,36 +103,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def matvec(m: Matrix, v: Sequence) -> list:
-    if len(v) != m.cols:
-        raise ValueError("dimension mismatch")
-    out = []
-    for row in m.data:
-        acc = Fraction(0)
-        for a, x in zip(row, v):
-            if not is_zero(a) and not is_zero(x):
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    bt = b.transpose()
-    out = []
-    for row in a.data:
-        new = []
-        for col in bt.data:
-            acc = Fraction(0)
-            for x, y in zip(row, col):
-                if not is_zero(x) and not is_zero(y):
-                    acc = acc + x * y
-            new.append(acc)
-        out.append(new)
-    return Matrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +262,41 @@ def determinant(m: Matrix):
     return last if sign == 1 else -last
 
 
+def _int_kernel_vector(work: List[List[int]], pivots: List[int], free: int) -> list:
+    """The kernel vector of integer echelon rows for one free column.
+
+    Back substitution keeps one integer vector: before solving for pivot
+    column pc with x[pc] * piv = -acc, the vector is rescaled by piv // g
+    (g = gcd(acc, piv)), which makes x[pc] = -acc // g an integer.  Returns
+    the primitive multiple with first nonzero entry positive, as Fractions.
+    """
+    x = [0] * len(work[0])
+    x[free] = 1
+    # pivots right of the free column see only zeros and solve to zero
+    for k in range(bisect.bisect_left(pivots, free) - 1, -1, -1):
+        pc = pivots[k]
+        row = work[k]
+        acc = sum(map(operator.mul, row[pc + 1:], x[pc + 1:]))
+        if acc:
+            piv = row[pc]
+            g = math.gcd(acc, piv)
+            s = piv // g
+            if s != 1:
+                x = [c * s for c in x]
+            x[pc] = -(acc // g)
+    g = math.gcd(*x)
+    if next(c for c in x if c) < 0:
+        g = -g
+    return [Fraction(c // g) for c in x]
+
+
 def kernel_basis(m: Matrix) -> List[list]:
     """Basis of the right kernel {x : m x = 0}.
 
-    One vector per free column, solved by back substitution over the field.
-    All-rational input yields primitive integer vectors (cleared denominators,
-    first nonzero entry positive); symbolic input yields RatFunc entries.
+    One vector per free column.  All-rational input is back-substituted over
+    the integers and yields primitive integer vectors (as Fractions, first
+    nonzero entry positive); symbolic input is back-substituted over the
+    field and yields RatFunc entries.
     """
     if m.cols == 0:
         return []
@@ -311,13 +309,11 @@ def kernel_basis(m: Matrix) -> List[list]:
         return basis
     rational = _all_rational(m.data)
     work, pivots, _, _, _ = _echelon_of(m)
-    if rational:
-        work = [[Fraction(x) for x in row] for row in work]
-        div = lambda a, b: a / b
-    else:
-        div = lambda a, b: RatFunc._coerce(a) / RatFunc._coerce(b)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
+    if rational:
+        return [_int_kernel_vector(work, pivots, f) for f in free_cols]
+    div = lambda a, b: RatFunc._coerce(a) / RatFunc._coerce(b)
     basis = []
     for f in free_cols:
         x = [Fraction(0)] * m.cols
@@ -333,28 +329,22 @@ def kernel_basis(m: Matrix) -> List[list]:
                 x[pc] = Fraction(0)
             else:
                 x[pc] = -div(acc, row[pc])
-        if rational:
-            L = math.lcm(*(Fraction(c).denominator for c in x))
-            ints = [int(Fraction(c) * L) for c in x]
-            g = math.gcd(*ints)
-            if g:
-                ints = [c // g for c in ints]
-            lead = next((c for c in ints if c), 1)
-            if lead < 0:
-                ints = [-c for c in ints]
-            x = [Fraction(c) for c in ints]
         basis.append(x)
     return basis
 
 
 def in_span(v: Sequence, m: Matrix) -> bool:
-    """Is the vector v in the column span of m?"""
+    """Is the vector v in the column span of m?
+
+    One elimination of [m | v]: pivots are found left to right, so v is in
+    the span exactly when its column is not a pivot column.
+    """
     if len(v) != m.rows and not (m.rows == 0 and m.cols == 0):
         if m.cols == 0:
             return all(is_zero(x) for x in v)
         raise ValueError("dimension mismatch")
     if m.cols == 0:
         return all(is_zero(x) for x in v)
-    base_rank = rank(m)
     aug = m.augment(Matrix.from_columns([list(v)]))
-    return rank(aug) == base_rank
+    _, pivots, _, _, _ = _echelon_of(aug)
+    return not pivots or pivots[-1] != m.cols

@@ -478,17 +478,25 @@ def rational_roots_in(value: Scalar, name: str) -> frozenset:
         return frozenset(roots)  # monomial: only the stripped root
     scale = math.lcm(*(c.denominator for c in coeffs.values()))
     ints = {k: int(c * scale) for k, c in coeffs.items()}
-    a0 = ints[0]
-    atop = ints[max(ints)]
+    deg = max(ints)
+    # highest coefficient first, for Horner
+    desc = [ints.get(k, 0) for k in range(deg, -1, -1)]
 
-    def value_at(x: Fraction) -> Fraction:
-        return sum((c * x**k for k, c in coeffs.items()), Fraction(0))
+    def vanishes_at(x: Fraction) -> bool:
+        # q^deg * f(p/q) = sum a_k p^k q^(deg-k), by Horner in p
+        pn, qn = x.numerator, x.denominator
+        acc, qk = desc[0], 1
+        for c in desc[1:]:
+            qk *= qn
+            acc = acc * pn + c * qk
+        return acc == 0
 
-    for pn in _divisors(a0):
-        for qn in _divisors(atop):
+    tops = _divisors(desc[0])
+    for pn in _divisors(ints[0]):
+        for qn in tops:
             cand = Fraction(pn, qn)
             for root in (cand, -cand):
-                if root not in roots and value_at(root) == 0:
+                if root not in roots and vanishes_at(root):
                     roots.add(root)
     return frozenset(roots)
 

@@ -33,6 +33,7 @@ be symmetric; its right kernel is the maximal submodule, which is all we use.)
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -566,20 +567,32 @@ def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
 
 class _EchelonSpan:
     """Incremental reduced row echelon span over the rationals, for fast
-    membership tests during submodule closure."""
+    membership tests during submodule closure.
 
-    __slots__ = ("dim", "rows")
+    Rows are primitive integer rows keyed by pivot column: each pivot is
+    positive and every other pivot column of the row is zero.  Input vectors
+    are scaled to integers by the lcm of their denominators, and reduction is
+    fraction-free, v <- row[piv] * v - v[piv] * row followed by division by
+    the content, so no Fraction is formed.
+    """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: Dict[int, List[Fraction]] = {}
+    __slots__ = ("rows",)
 
-    def reduce(self, vec: Sequence) -> List:
-        v = list(vec)
+    def __init__(self):
+        self.rows: Dict[int, List[int]] = {}
+
+    def reduce(self, vec: Sequence) -> List[int]:
+        """An integer multiple of vec minus its projection onto the span."""
+        den = math.lcm(*(x.denominator for x in vec))
+        v = [x.numerator * (den // x.denominator) for x in vec]
         for piv, row in self.rows.items():
             c = v[piv]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                p = row[piv]
+                v = [p * a - c * b for a, b in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
         return v
 
     def insert(self, vec: Sequence) -> bool:
@@ -587,17 +600,24 @@ class _EchelonSpan:
         piv = next((i for i, c in enumerate(v) if c), None)
         if piv is None:
             return False
-        inv = Fraction(1) / v[piv]
-        v = [c * inv for c in v]
+        g = math.gcd(*v)
+        if v[piv] < 0:
+            g = -g
+        if g != 1:
+            v = [c // g for c in v]
+        p = v[piv]
         for other in self.rows.values():
             c = other[piv]
             if c:
-                other[:] = [a - c * b for a, b in zip(other, v)]
+                # the other row's own pivot entry is multiplied by p > 0
+                new = [p * a - c * b for a, b in zip(other, v)]
+                g = math.gcd(*new)
+                other[:] = [a // g for a in new] if g > 1 else new
         self.rows[piv] = v
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return all(not c for c in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def __len__(self):
         return len(self.rows)
@@ -610,6 +630,11 @@ class Submodule:
     generated by a subsingular vector picks up singular vectors through the
     raising action), truncated at max_degree.  Coordinates are rational, so
     this is for numerically specialized highest weights.
+
+    Each degree keeps its spanning vectors in insertion order (graded_span)
+    beside an integer echelon form (_EchelonSpan) for membership tests.  The
+    closure is a worklist: a count per degree of the vectors already
+    processed, so every symbol is applied to every vector once.
     """
 
     def __init__(self, hw: HighestWeightData, max_degree):
@@ -618,6 +643,8 @@ class Submodule:
         self.max_twice = int(Fraction(max_degree) * 2)
         self._spans: Dict[int, List[Dict[Word, object]]] = {}
         self._echelons: Dict[int, _EchelonSpan] = {}
+        # per degree, how many vectors of _spans[t] _close has processed
+        self._processed: Dict[int, int] = {}
 
     @property
     def max_degree(self) -> Fraction:
@@ -633,9 +660,7 @@ class Submodule:
     def _echelon(self, twice_degree: int) -> _EchelonSpan:
         e = self._echelons.get(twice_degree)
         if e is None:
-            basis = verma_basis(self.hw, Fraction(twice_degree, 2))
-            e = _EchelonSpan(len(basis))
-            self._echelons[twice_degree] = e
+            e = self._echelons[twice_degree] = _EchelonSpan()
         return e
 
     def graded_dim(self, degree) -> int:
@@ -665,6 +690,16 @@ class Submodule:
             self._close()
 
     def _close(self) -> None:
+        """Apply every symbol to every vector not yet processed, until no
+        degree has one left.
+
+        The order is the one of a full sweep over all vectors (degrees
+        ascending, each degree's list in insertion order, repeated until a
+        sweep adds nothing) with the vectors an earlier sweep already
+        processed left out: their images are in the span already, since the
+        span only grows.  So graded_span lists come out in the order a full
+        sweep gives them, and the kernels built from them do not change.
+        """
         symbols = []
         for tm in range(1, self.max_twice + 1):
             if tm % 2 == 0:
@@ -672,19 +707,16 @@ class Submodule:
             else:
                 s = Fraction(tm, 2)
                 symbols += [G(s), P(s), G(-s), P(-s)]
-        changed = True
-        while changed:
-            changed = False
+        done = self._processed
+        while any(done.get(t, 0) < len(vecs) for t, vecs in self._spans.items()):
             for t in sorted(self._spans):
-                for vec in list(self._spans[t]):
+                vecs = self._spans[t]
+                start, done[t] = done.get(t, 0), len(vecs)
+                for vec in vecs[start:done[t]]:
                     for sym in symbols:
                         t2 = t - sym.mode.twice_value
-                        if t2 < 0 or t2 > self.max_twice:
-                            continue
-                        img = self.action.apply_word((sym,), vec)
-                        if img and self._try_add(img, t2):
-                            changed = True
-        return None
+                        if 0 <= t2 <= self.max_twice:
+                            self._try_add(self.action.apply_word((sym,), vec), t2)
 
 
 def subsingular_vectors(
@@ -730,7 +762,7 @@ def subsingular_vectors(
     if not candidates:
         return []
     # quotient by S_d + genuine singular vectors
-    span = _EchelonSpan(n)
+    span = _EchelonSpan()
     for v in submodule.graded_span(degree):
         span.insert(submodule._coords(v, int(Fraction(degree) * 2)))
     for sv in singular_vectors(hw, degree):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,14 +8,36 @@ from shvkernel.exact_linalg import (
     Matrix,
     determinant,
     in_span,
+    _echelon_of,
     kernel_basis,
-    matmul,
-    matvec,
     rank,
 )
-from shvkernel.scalars import ParamPolynomial, RatFunc, evaluate
+from shvkernel.scalars import ParamPolynomial, RatFunc, evaluate, is_zero
 
 P = ParamPolynomial
+
+
+# test-local matrix helpers: the library has no use for them
+
+
+def column(m, j):
+    return tuple(r[j] for r in m.data)
+
+
+def transpose(m):
+    return Matrix(list(zip(*m.data))) if m.rows else Matrix([])
+
+
+def matvec(m, v):
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return [sum((a * x for a, x in zip(row, v)), F(0)) for row in m.data]
+
+
+def matmul(a, b):
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    return Matrix([matvec(transpose(b), row) for row in a.data])
 
 
 def identity(n):
@@ -26,8 +49,8 @@ def test_matrix_shape_checks():
         Matrix([[1, 2], [3]])
     m = Matrix([[1, 2], [3, 4]])
     assert m.entry(1, 0) == 3
-    assert m.column(1) == (2, 4)
-    assert m.transpose().row(0) == (1, 3)
+    assert column(m, 1) == (2, 4)
+    assert transpose(m).row(0) == (1, 3)
     with pytest.raises(ValueError):
         determinant(Matrix([[1, 2]]))
 
@@ -150,7 +173,7 @@ def test_in_span_of_column_combination(m, coeffs):
 @settings(max_examples=40, deadline=None)
 @given(matrices(4, 4))
 def test_det_transpose_invariant(m):
-    assert determinant(m) == determinant(m.transpose())
+    assert determinant(m) == determinant(transpose(m))
 
 
 rational_entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -209,3 +232,67 @@ def test_symbolic_determinant_evaluates_to_integer_determinant(m_entry, k):
 
     d = determinant(with_entry(P.variable("p")))
     assert evaluate(d, {"p": F(k)}) == determinant(with_entry(k))
+
+
+# ---------------------------------------------------------------------------
+# oracle: back substitution over the field
+
+
+def _fraction_kernel_basis(m):
+    """The rational kernel by back substitution in Fraction after the same
+    fraction-free forward pass, then scaled to primitive integer vectors."""
+    work, pivots, _, _, _ = _echelon_of(m)
+    work = [[F(x) for x in row] for row in work]
+    pivot_set = set(pivots)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivot_set):
+        x = [F(0)] * m.cols
+        x[f] = F(1)
+        for k in range(len(pivots) - 1, -1, -1):
+            pc = pivots[k]
+            acc = F(0)
+            row = work[k]
+            for j in range(pc + 1, m.cols):
+                if not is_zero(row[j]) and not is_zero(x[j]):
+                    acc = acc + row[j] * x[j]
+            x[pc] = F(0) if is_zero(acc) else -(acc / row[pc])
+        L = math.lcm(*(c.denominator for c in x))
+        ints = [int(c * L) for c in x]
+        g = math.gcd(*ints)
+        ints = [c // g for c in ints]
+        if next(c for c in ints if c) < 0:
+            ints = [-c for c in ints]
+        basis.append([F(c) for c in ints])
+    return basis
+
+
+def rational_matrices_of(rows, cols):
+    return st.lists(
+        st.lists(rational_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(Matrix)
+
+
+def _low_rank(rows, cols, k):
+    # products of a rows x k and a k x cols factor: kernels of every size
+    return st.tuples(rational_matrices_of(rows, k), rational_matrices_of(k, cols)).map(
+        lambda ab: matmul(*ab)
+    )
+
+
+rational_matrices = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda rc: st.one_of(
+        rational_matrices_of(*rc),
+        st.integers(1, min(rc)).flatmap(lambda k: _low_rank(rc[0], rc[1], k)),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+def test_integer_kernel_matches_fraction_back_substitution(m):
+    ker = kernel_basis(m)
+    expected = _fraction_kernel_basis(m)
+    assert ker == expected
+    assert [[type(c) for c in v] for v in ker] == [[type(c) for c in v] for v in expected]
+    for v in ker:
+        assert all(x == 0 for x in matvec(m, v))

@@ -178,3 +178,20 @@ def test_divexact_roundtrip(a, b):
     if b.is_zero():
         return
     assert (a * b).divexact(b) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    st.booleans(),
+)
+def test_rational_roots_of_linear_factor_products(roots, lead, irreducible):
+    # lead * prod (p - root), times p^2 + 2 (no rational root) if asked
+    p = var("p")
+    f = lead * (p - roots[0])
+    for root in roots[1:]:
+        f = f * (p - root)
+    if irreducible:
+        f = f * (p * p + 2)
+    assert rational_roots_in(f, "p") == frozenset(roots)

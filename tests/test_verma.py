@@ -5,6 +5,7 @@ The small Gram matrices used as oracles here were computed by hand from the
 bracket table; the helper comments show the arithmetic.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from shvkernel.verma import (
     ModuleVector,
     Submodule,
     VermaAction,
+    _EchelonSpan,
     act,
     det_formula_phi,
     det_vanishing_check,
@@ -505,3 +507,131 @@ def test_recursive_gram_matches_theta_word_gram(hw):
         assert [[(type(x), x) for x in row] for row in got.data] == [
             [(type(x), x) for x in row] for row in want
         ]
+
+
+# ---------------------------------------------------------------------------
+# the integer echelon span and the worklist closure, against the Fraction
+# RREF and the full-sweep closure they replace
+
+
+class _FractionEchelon:
+    """Reduced row echelon span with rows normalized to pivot 1, in Fraction."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for piv, row in self.rows.items():
+            c = v[piv]
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        piv = next((i for i, c in enumerate(v) if c), None)
+        if piv is None:
+            return False
+        inv = Fraction(1) / v[piv]
+        v = [c * inv for c in v]
+        for other in self.rows.values():
+            c = other[piv]
+            if c:
+                other[:] = [a - c * b for a, b in zip(other, v)]
+        self.rows[piv] = v
+        return True
+
+    def contains(self, vec):
+        return all(not c for c in self.reduce(vec))
+
+
+_span_entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _vectors(length, min_size, max_size):
+    return st.lists(
+        st.lists(_span_entries, min_size=length, max_size=length),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 4)).flatmap(
+        lambda nb: st.tuples(
+            _vectors(nb[0], nb[1], nb[1]), _vectors(nb[1], 1, 8), _vectors(nb[1], 1, 4)
+        )
+    )
+)
+def test_integer_echelon_span_matches_fraction_rref(case):
+    # inserted and queried vectors are combinations of a few base vectors, so
+    # both fresh and dependent vectors occur
+    base, inserts, queries = case
+
+    def combo(coeffs):
+        return [sum((c * x for c, x in zip(coeffs, col)), Fraction(0)) for col in zip(*base)]
+
+    got, want = _EchelonSpan(), _FractionEchelon()
+    for coeffs in inserts:
+        v = combo(coeffs)
+        assert got.insert(v) == want.insert(v)
+        assert list(got.rows) == list(want.rows)
+        for piv, row in got.rows.items():
+            assert row[piv] > 0 and math.gcd(*row) == 1
+            assert all(type(x) is int for x in row)
+            assert [Fraction(x, row[piv]) for x in row] == want.rows[piv]
+    for coeffs in queries + [[1] + [0] * (len(base) - 1)]:
+        v = combo(coeffs)
+        assert got.contains(v) == want.contains(v)
+    assert len(got) == len(want.rows)
+
+
+class _FullSweepSubmodule(Submodule):
+    """The closure as a full sweep: every symbol on every vector, repeated
+    until a sweep adds nothing."""
+
+    def _close(self):
+        symbols = []
+        for tm in range(1, self.max_twice + 1):
+            if tm % 2 == 0:
+                symbols += [L(tm // 2), A(tm // 2), L(-(tm // 2)), A(-(tm // 2))]
+            else:
+                s = Fraction(tm, 2)
+                symbols += [G(s), P(s), G(-s), P(-s)]
+        changed = True
+        while changed:
+            changed = False
+            for t in sorted(self._spans):
+                for vec in list(self._spans[t]):
+                    for sym in symbols:
+                        t2 = t - sym.mode.twice_value
+                        if t2 < 0 or t2 > self.max_twice:
+                            continue
+                        img = self.action.apply_word((sym,), vec)
+                        if img and self._try_add(img, t2):
+                            changed = True
+
+
+def _spans(sub):
+    return [sub.graded_span(Fraction(t, 2)) for t in range(sub.max_twice + 1)]
+
+
+@pytest.mark.parametrize("p, r, max_degree", [(-1, Fraction(1, 3), 3), (1, Fraction(1, 3), 2)])
+def test_worklist_closure_matches_full_sweep(p, r, max_degree):
+    # the generators embedding_diagram adds, one closure each and all of
+    # them accumulated in order
+    hw = pr_to_hw(Fraction(p), r)
+    nodes = [n for n in embedding_diagram(p, r, max_degree).nodes if n.node_id != "v"]
+    assert nodes
+    got, want = Submodule(hw, max_degree), _FullSweepSubmodule(hw, max_degree)
+    for node in nodes:
+        gen = node.vector.to_dict()
+        one, one_want = Submodule(hw, max_degree), _FullSweepSubmodule(hw, max_degree)
+        one.add_generator(gen, node.degree)
+        one_want.add_generator(gen, node.degree)
+        assert _spans(one) == _spans(one_want)
+        got.add_generator(gen, node.degree)
+        want.add_generator(gen, node.degree)
+        assert _spans(got) == _spans(want)
