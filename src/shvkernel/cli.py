@@ -152,15 +152,6 @@ def _require_level_zero(cfg: RunConfig, command: str, reason: str) -> None:
         raise UsageError(f"{command}: {reason} (level zero), got --cA {cfg.cA}")
 
 
-def _fock_coords(R: FreeFieldRealization, p, r, degree, vec: FockVector):
-    basis = R.basis(p, r, degree)
-    index = {b: i for i, b in enumerate(basis)}
-    col = [Fraction(0)] * len(basis)
-    for b, c in vec.terms.items():
-        col[index[b]] = c
-    return col
-
-
 def _realize_module_vector(R: FreeFieldRealization, coords, p, r) -> FockVector:
     vac = R.vacuum_vector(p, r)
     out = FockVector.zero()
@@ -290,7 +281,7 @@ def _module_span_rows(R: FreeFieldRealization, p, r, max_degree):
     rows = []
     for d in _half_degrees(max_degree):
         words = verma_basis(hw, d).words
-        cols = [_fock_coords(R, p, r, d, R.realize_word(w, vac)) for w in words]
+        cols = [R.coordinates(p, r, d, R.realize_word(w, vac)) for w in words]
         rk = rational_rank(Matrix.from_columns(cols)) if cols else 0
         want = simple_graded_dim(hw, d) if negative_integer else len(R.basis(p, r, d))
         rows.append({"degree": str(d), "rank": rk, "expected": want, "ok": rk == want})
@@ -460,7 +451,7 @@ def _even_injectivity_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
     for d in _half_degrees(cap):
         words = verma_basis(hw, d).words
         cols = [
-            _fock_coords(R, cfg.p, cfg.r, p + d, R.realize_word(w, u1)) for w in words
+            R.coordinates(cfg.p, cfg.r, p + d, R.realize_word(w, u1)) for w in words
         ]
         rk = rational_rank(Matrix.from_columns(cols)) if cols else 0
         rows.append({"degree": str(d), "rank": rk, "words": len(words), "ok": rk == len(words)})
@@ -491,10 +482,10 @@ def _subsingular_span_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
             continue
         words = verma_basis(hw, delta).words
         span = [
-            _fock_coords(R, cfg.p, cfg.r, Fraction(p) - m, R.realize_word(w, u0))
+            R.coordinates(cfg.p, cfg.r, Fraction(p) - m, R.realize_word(w, u0))
             for w in words
         ]
-        target = _fock_coords(R, cfg.p, cfg.r, Fraction(p) - m, img)
+        target = R.coordinates(cfg.p, cfg.r, Fraction(p) - m, img)
         if not in_span(target, Matrix.from_columns(span)):
             failures.append(str(x))
     return _check(
@@ -694,9 +685,24 @@ def _moved_flags(cfg: RunConfig) -> List[str]:
     return [f"--{k.replace('_', '-')} {v}" for k, v in cfg.params().items() if v != default[k]]
 
 
+#: within one acceptance call, the checks of each pinned run by command line
+_shared_runs: Optional[Dict[str, List[dict]]] = None
+
+
 def _pinned_runs(command: str, configs: Sequence[RunConfig]) -> List[tuple]:
-    """(command line, checks) for each pinned configuration of a subcommand."""
-    return [(" ".join([command] + _moved_flags(cfg)), _COMMANDS[command](cfg)) for cfg in configs]
+    """(command line, checks) for each pinned configuration of a subcommand;
+    inside acceptance, a command line run by an earlier criterion is reused."""
+    runs = []
+    for cfg in configs:
+        line = " ".join([command] + _moved_flags(cfg))
+        if _shared_runs is None:
+            checks = _COMMANDS[command](cfg)
+        elif line in _shared_runs:
+            checks = _shared_runs[line]
+        else:
+            checks = _shared_runs[line] = _COMMANDS[command](cfg)
+        runs.append((line, checks))
+    return runs
 
 
 def _fold(name: str, ref: str, runs: List[tuple], **details) -> dict:
@@ -848,7 +854,7 @@ def _kernel_commutation_failures(R: FreeFieldRealization, p, r, cap) -> List[str
         if not basis:
             continue
         cols = [
-            _fock_coords(R, p, r + _HALF, d + _HALF, R.screening_q(FockVector({b: Fraction(1)})))
+            R.coordinates(p, r + _HALF, d + _HALF, R.screening_q(FockVector({b: Fraction(1)})))
             for b in basis
         ]
         for kv in kernel_basis(Matrix.from_columns(cols)):
@@ -939,19 +945,24 @@ def cmd_acceptance(cfg: RunConfig) -> List[dict]:
     if moved:
         raise UsageError(f"acceptance pins its own labels; {', '.join(moved)} would be ignored")
     deepen = max(Fraction(0), cfg.max_degree - 4)
-    return [
-        _criterion_01(),
-        _criterion_02(deepen),
-        _criterion_03(),
-        _criterion_04(),
-        _criterion_05(deepen),
-        _criterion_06(deepen),
-        _criterion_07(),
-        _criterion_08(deepen),
-        _criterion_09(),
-        _criterion_10(),
-        _criterion_11(),
-    ]
+    global _shared_runs
+    _shared_runs = {}
+    try:
+        return [
+            _criterion_01(),
+            _criterion_02(deepen),
+            _criterion_03(),
+            _criterion_04(),
+            _criterion_05(deepen),
+            _criterion_06(deepen),
+            _criterion_07(),
+            _criterion_08(deepen),
+            _criterion_09(),
+            _criterion_10(),
+            _criterion_11(),
+        ]
+    finally:
+        _shared_runs = None
 
 
 # ---------------------------------------------------------------------------

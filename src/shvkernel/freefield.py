@@ -28,6 +28,18 @@ All sums truncate term-by-term on any basis vector, so no truncation parameter
 is needed.  Irrational scalars never appear: every vector carries a parity flag
 counting the power of sqrt(2) modulo two, and coefficients stay rational.
 
+Realized modes never leave a sector, and their columns are kept in integers
+over one denominator D per (realization, sector), built from cL, cLa, x_c and
+x_d: it clears the weights 1/2, (s+1/2)/2, (cL-3)(n+1)/24 and cLa, each times
+the zero-mode pairings 2*x_c and 2*x_d.  _realized_raw caches the column of a
+mode at a state as (state, int) pairs, D times the mode's rational part.  D is
+derived by hand, so it is checked where each column is built: a coefficient it
+does not clear raises ArithmeticError.  realize_word (and generator_mode, a
+one-letter word) scales its input to integers, composes the columns and
+divides each output entry once, at the end, by that scale and D per mode;
+bracket_defect composes the columns, and the bracket table's image, over one
+integer scale and returns to Fractions only for a nonzero defect.
+
 Lattice exponential operators e^{kappa} (kappa a multiple of c), the odd
 screening built from psi^-(-1/2)e^{c/2}, and the long screenings assembled from
 its modes are provided, together with the explicit singular and subsingular
@@ -48,6 +60,7 @@ then only place each template entry on each state.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -58,6 +71,7 @@ from .scalars import DEFAULT_SPECIALIZATION
 from .shv_algebra import (
     Element,
     GeneratorSymbol,
+    Mode,
     parity as symbol_parity,
     partitions_of,
     super_bracket,
@@ -157,10 +171,46 @@ def _with_c_letters(b: FockBasisVector, mu_parts: Tuple[int, ...],
     return _state((sector, b.psip, b.psim, d_part, cp))
 
 
-# Free modes return (state, coefficient) hits.  Coefficients are Fractions or
-# small ints (fermion signs, boson pairings); callers multiply them into
-# Fraction coefficients and accumulate onto _ZERO, so results stay Fractions.
+# Free modes return (state, coefficient) hits.  Coefficients are small ints
+# (fermion signs, boson pairings) or a zero mode's Fraction pairing 2*x_c or
+# 2*x_d.  The free-mode methods multiply them into Fraction coefficients and
+# accumulate onto _ZERO, so results stay Fractions; the realized columns
+# multiply them into integer weights and check that the product is an int.
 Hit = Tuple[FockBasisVector, Union[Fraction, int]]
+
+# A realized column's hits: (state, numerator over the sector's D).
+IntHit = Tuple[FockBasisVector, int]
+
+
+def _cleared(x) -> int:
+    """x as an int, where a sector denominator is assumed to clear it."""
+    if type(x) is int:
+        return x
+    if x.denominator != 1:
+        raise ArithmeticError(f"the sector denominator does not clear {x}")
+    return x.numerator
+
+
+def _image(terms: Dict[FockBasisVector, object], fn: Callable[[FockBasisVector], Sequence],
+           zero) -> Dict[FockBasisVector, object]:
+    """The sum over terms of co * fn(b), whose hits are (state, coefficient);
+    entries that cancel are dropped, and sums start from zero, whose type
+    (Fraction or int) the result keeps."""
+    out: Dict[FockBasisVector, object] = {}
+    for b, co in terms.items():
+        for b2, c2 in fn(b):
+            nv = out.get(b2, zero) + co * c2
+            if nv:
+                out[b2] = nv
+            else:
+                out.pop(b2, None)
+    return out
+
+
+def _integer_terms(vec: "FockVector") -> Tuple[Dict[FockBasisVector, int], int]:
+    """vec's coefficients times their common denominator M, and M."""
+    M = math.lcm(*[c.denominator for c in vec.terms.values()])
+    return {b: c.numerator * (M // c.denominator) for b, c in vec.terms.items()}, M
 
 
 def _psi_plus(b: FockBasisVector, s_twice: int) -> List[Hit]:
@@ -377,7 +427,8 @@ class FreeFieldRealization:
         self.cL = DEFAULT_SPECIALIZATION["cL"] if cL is None else Fraction(cL)
         self.cLa = DEFAULT_SPECIALIZATION["cLa"] if cLa is None else Fraction(cLa)
         self._basis_cache: Dict[Tuple[LatticePoint, int], Tuple[FockBasisVector, ...]] = {}
-        self._mode_cache: Dict[Tuple[str, int], Dict[FockBasisVector, Tuple[Hit, ...]]] = {}
+        self._mode_cache: Dict[Tuple[str, int], Dict[FockBasisVector, Tuple[IntHit, ...]]] = {}
+        self._sector_weights: Dict[LatticePoint, Tuple[int, int, int, int]] = {}
         self._sectors: Dict[LatticePoint, LatticePoint] = {}
         self._shifts: Dict[Tuple[LatticePoint, int], LatticePoint] = {}
 
@@ -444,19 +495,8 @@ class FreeFieldRealization:
 
     # -- raw free modes ----------------------------------------------------
 
-    def _lift(self, vec: FockVector, fn: Callable[[FockBasisVector], List[Hit]],
-              flip_parity: int = 0) -> FockVector:
-        out: Dict[FockBasisVector, Fraction] = {}
-        for b, co in vec.terms.items():
-            for b2, c2 in fn(b):
-                nv = out.get(b2, _ZERO) + co * c2
-                if nv:
-                    out[b2] = nv
-                else:
-                    out.pop(b2, None)
-        if flip_parity and vec.parity:
-            out = {b: 2 * c for b, c in out.items()}
-        return FockVector(out, vec.parity ^ flip_parity)
+    def _lift(self, vec: FockVector, fn: Callable[[FockBasisVector], List[Hit]]) -> FockVector:
+        return FockVector(_image(vec.terms, fn, _ZERO), vec.parity)
 
     def c_mode(self, n: int, vec: FockVector) -> FockVector:
         return self._lift(vec, lambda b: _c_free(b, n))
@@ -470,10 +510,34 @@ class FreeFieldRealization:
     def psi_minus_mode(self, s, vec: FockVector) -> FockVector:
         return self._lift(vec, lambda b: _psi_minus(b, _twice_half_odd(s)))
 
-    # -- realized algebra modes -------------------------------------------
+    # -- realized algebra modes: integer columns ----------------------------
 
-    def _l_action(self, n: int, b: FockBasisVector) -> List[Hit]:
-        out: List[Hit] = []
+    def _denominator(self, sec: LatticePoint) -> int:
+        """The sector's D: it clears 1/2, (cL-3)/24 and cLa, each times the
+        zero-mode pairings 2*x_c and 2*x_d where a column can pair them."""
+        return math.lcm(
+            2 * (2 * sec.x_c).denominator,
+            ((self.cL - 3) / 24).denominator,
+            self.cLa.denominator,
+        ) * (2 * sec.x_d).denominator
+
+    def _weights(self, sec: LatticePoint) -> Tuple[int, int, int, int]:
+        """(D, D/2, D(cL-3)/24, D*cLa) for the sector, each division checked."""
+        hit = self._sector_weights.get(sec)
+        if hit is None:
+            D = self._denominator(sec)
+            hit = self._sector_weights[sec] = (
+                D,
+                _cleared(Fraction(D, 2)),
+                _cleared(D * (self.cL - 3) / 24),
+                _cleared(D * self.cLa),
+            )
+        return hit
+
+    def _l_action(self, n: int, b: FockBasisVector) -> List[IntHit]:
+        """D times L(n) on b, as integer hits."""
+        _, half, cl24, _ = self._weights(b.sector)
+        out: List[IntHit] = []
         # boson pairs :c(j)d(n-j):
         j_set = set(range(n + 1, 0))
         j_set.add(0)
@@ -488,14 +552,14 @@ class FreeFieldRealization:
                 first, second = ("d", k), ("c", j)
             for b1, c1 in (_c_free(b, second[1]) if second[0] == "c" else _d_free(b, second[1])):
                 for b2, c2 in (_c_free(b1, first[1]) if first[0] == "c" else _d_free(b1, first[1])):
-                    out.append((b2, _HALF * c1 * c2))
+                    out.append((b2, _cleared(half * c1 * c2)))
         # linear terms
-        coeff_c = -(self.cL - 3) * Fraction(n + 1, 24)
+        coeff_c = -cl24 * (n + 1)
         if coeff_c:
-            out.extend((b2, coeff_c * c2) for b2, c2 in _c_free(b, n))
-        coeff_d = Fraction(n + 1, 2)
+            out.extend((b2, _cleared(coeff_c * c2)) for b2, c2 in _c_free(b, n))
+        coeff_d = half * (n + 1)
         if coeff_d:
-            out.extend((b2, coeff_d * c2) for b2, c2 in _d_free(b, n))
+            out.extend((b2, _cleared(coeff_d * c2)) for b2, c2 in _d_free(b, n))
         # fermion pairs
         s_cands = set(range(2 * n + 1, 0, 2))
         for tv in b.psip + b.psim:
@@ -505,7 +569,7 @@ class FreeFieldRealization:
             if s2 % 2 == 0:
                 continue
             t2 = 2 * n - s2
-            w = Fraction(-(s2 + 1), 4)  # (1/2)(-s - 1/2)
+            w = -half * ((s2 + 1) // 2)  # D (1/2)(-s - 1/2)
             for first, second in ((_psi_plus, _psi_minus), (_psi_minus, _psi_plus)):
                 if s2 < 0:
                     for b1, c1 in second(b, t2):
@@ -517,9 +581,11 @@ class FreeFieldRealization:
                             out.append((b2, -w * c1 * c2))
         return out
 
-    def _g_action(self, s2: int, b: FockBasisVector) -> List[Hit]:
-        # rational part; the overall sqrt(2) is carried by the parity flag
-        out: List[Hit] = []
+    def _g_action(self, s2: int, b: FockBasisVector) -> List[IntHit]:
+        """D times the rational part of G(s2/2) on b, as integer hits; the
+        overall sqrt(2) is carried by the parity flag."""
+        D, half, cl24, _ = self._weights(b.sector)
+        out: List[IntHit] = []
         # (1/2) c(j) psi+(t), t = s - j
         j_set = set(range((s2 + 1) // 2, 0))
         j_set.add(0)
@@ -529,7 +595,7 @@ class FreeFieldRealization:
             t2 = s2 - 2 * j
             for b1, c1 in _psi_plus(b, t2):
                 for b2, c2 in _c_free(b1, j):
-                    out.append((b2, _HALF * c1 * c2))
+                    out.append((b2, _cleared(half * c1 * c2)))
         # (1/2) d(j) psi-(t)
         j_set = set(range((s2 + 1) // 2, 0))
         j_set.add(0)
@@ -539,16 +605,16 @@ class FreeFieldRealization:
             t2 = s2 - 2 * j
             for b1, c1 in _psi_minus(b, t2):
                 for b2, c2 in _d_free(b1, j):
-                    out.append((b2, _HALF * c1 * c2))
-        wm = -(self.cL - 3) * Fraction(s2 + 1, 24)  # ((cL-3)/12)(-s-1/2)
+                    out.append((b2, _cleared(half * c1 * c2)))
+        wm = -cl24 * (s2 + 1)  # D ((cL-3)/12)(-s-1/2)
         if wm:
             out.extend((b2, wm * c2) for b2, c2 in _psi_minus(b, s2))
-        wp = Fraction(s2 + 1, 2)  # -(-s-1/2) = s + 1/2
+        wp = D * ((s2 + 1) // 2)  # D (s + 1/2)
         if wp:
             out.extend((b2, wp * c2) for b2, c2 in _psi_plus(b, s2))
         return out
 
-    def _cached(self, kind: str, twice: int) -> Dict[FockBasisVector, Tuple[Hit, ...]]:
+    def _cached(self, kind: str, twice: int) -> Dict[FockBasisVector, Tuple[IntHit, ...]]:
         key = (kind, twice)
         store = self._mode_cache.get(key)
         if store is None:
@@ -556,24 +622,28 @@ class FreeFieldRealization:
             self._mode_cache[key] = store
         return store
 
-    def _realized_raw(self, kind: str, twice: int, b: FockBasisVector) -> Tuple[Hit, ...]:
+    def _realized_raw(self, kind: str, twice: int, b: FockBasisVector) -> Tuple[IntHit, ...]:
+        """The column of a realized mode at b: D times its rational part, as
+        (state, int) pairs over b's sector denominator D."""
         store = self._cached(kind, twice)
         hit = store.get(b)
         if hit is not None:
             return hit
         if kind == "A":
-            res = [(b2, -self.cLa * c2) for b2, c2 in _c_free(b, twice // 2)]
+            cla = self._weights(b.sector)[3]
+            res = [(b2, _cleared(-cla * c2)) for b2, c2 in _c_free(b, twice // 2)]
         elif kind == "P":
-            res = [(b2, -self.cLa * c2) for b2, c2 in _psi_minus(b, twice)]
+            cla = self._weights(b.sector)[3]
+            res = [(b2, -cla * c2) for b2, c2 in _psi_minus(b, twice)]
         elif kind == "L":
             res = self._l_action(twice // 2, b)
         elif kind == "G":
             res = self._g_action(twice, b)
         else:
             raise ValueError(f"not a realized generator: {kind}")
-        merged: Dict[FockBasisVector, Fraction] = {}
+        merged: Dict[FockBasisVector, int] = {}
         for b2, c2 in res:
-            nv = merged.get(b2, _ZERO) + c2
+            nv = merged.get(b2, 0) + c2
             if nv:
                 merged[b2] = nv
             else:
@@ -582,6 +652,12 @@ class FreeFieldRealization:
         store[b] = out
         return out
 
+    def _apply_columns(self, kind: str, twice: int,
+                       ivec: Dict[FockBasisVector, int]) -> Dict[FockBasisVector, int]:
+        """A realized mode on an integer vector; the image carries one more
+        factor D of each state's sector."""
+        return _image(ivec, partial(self._realized_raw, kind, twice), 0)
+
     def generator_mode(self, kind: str, mode, vec: FockVector) -> FockVector:
         """Action of a realized algebra generator mode on a Fock vector."""
         if kind in ("L", "A"):
@@ -589,27 +665,24 @@ class FreeFieldRealization:
             if m.denominator != 1:
                 raise ValueError(f"{kind} takes integer modes: {mode}")
             twice = 2 * int(m)
-        else:
+        elif kind in ("G", "P"):
             twice = _twice_half_odd(mode)
-        return self._lift(
-            vec,
-            lambda b: self._realized_raw(kind, twice, b),
-            flip_parity=_MODE_PARITY[kind],
-        )
+        else:
+            raise ValueError(f"not a realized generator: {kind}")
+        return self.realize_word((GeneratorSymbol(kind, Mode(twice)),), vec)
 
     def realize_word(self, word: Sequence[GeneratorSymbol], vec: FockVector) -> FockVector:
-        for sym in reversed(tuple(word)):
-            if vec.is_zero():
-                return vec
-            if sym.kind == "CL":
-                vec = vec.scale(self.cL)
-            elif sym.kind == "CA":
-                vec = vec.scale(0)
-            elif sym.kind == "CLA":
-                vec = vec.scale(self.cLa)
-            else:
-                vec = self.generator_mode(sym.kind, sym.mode.value, vec)
-        return vec
+        """A word applied right to left: the columns compose over the
+        integers, and each output entry is divided once, by M * D**modes."""
+        ivec, M = _integer_terms(vec)
+        scalar, img, modes, odd = self._word_columns(word, ivec)
+        twos, parity = divmod(vec.parity + odd, 2)
+        num, den = scalar.numerator << twos, M * scalar.denominator
+        weights = self._weights
+        return FockVector(
+            {b: Fraction(num * n, den * weights(b.sector)[0] ** modes) for b, n in img.items()},
+            parity,
+        )
 
     def realize_element(self, x: Element, vec: FockVector) -> FockVector:
         total = FockVector.zero()
@@ -617,19 +690,69 @@ class FreeFieldRealization:
             total = total + self.realize_word(word, vec).scale(coeff)
         return total
 
+    def _word_columns(self, word: Sequence[GeneratorSymbol], ivec: Dict[FockBasisVector, int]):
+        """A word on an integer vector, right to left, as (scalar, image,
+        modes, odd): the word's value is scalar * image / D**modes times
+        sqrt(2)**odd, D each state's sector denominator, with central letters
+        folded into scalar."""
+        scalar, modes, odd = 1, 0, 0
+        for sym in reversed(tuple(word)):
+            if not ivec:
+                break
+            if sym.kind == "CL":
+                scalar *= self.cL
+            elif sym.kind == "CLA":
+                scalar *= self.cLa
+            elif sym.kind == "CA":
+                return 0, {}, modes, odd
+            else:
+                ivec = self._apply_columns(sym.kind, sym.mode.twice_value, ivec)
+                modes += 1
+                odd += _MODE_PARITY[sym.kind]
+        return scalar, ivec, modes, odd
+
     def bracket_defect(self, sym_x: GeneratorSymbol, sym_y: GeneratorSymbol,
                        vec: FockVector) -> FockVector:
-        """[x, y]± applied via composition minus the bracket-table image."""
-        gx = lambda v: self.generator_mode(sym_x.kind, sym_x.mode.value, v)
-        gy = lambda v: self.generator_mode(sym_y.kind, sym_y.mode.value, v)
-        lhs = gx(gy(vec))
-        other = gy(gx(vec))
-        if symbol_parity(sym_x) and symbol_parity(sym_y):
-            lhs = lhs + other
-        else:
-            lhs = lhs - other
-        rhs = self.realize_element(super_bracket(sym_x, sym_y), vec)
-        return lhs - rhs
+        """[x, y]± applied via composition minus the bracket-table image.
+
+        Composed over the integers: vec is scaled to integers, every product
+        of columns is brought over one scale M * Q * D**modes per sector (Q
+        clears the table's coefficients), and only a nonzero defect is
+        turned back into Fractions."""
+        px, py = symbol_parity(sym_x), symbol_parity(sym_y)
+        products = [((sym_x, sym_y), 1), ((sym_y, sym_x), 1 if px and py else -1)]
+        products += [(word, -c) for word, c in super_bracket(sym_x, sym_y).terms.items()]
+        parity = (vec.parity + px + py) & 1
+        ivec, M = _integer_terms(vec)
+        by_sector: Dict[LatticePoint, Dict[FockBasisVector, int]] = {}
+        for b, n in ivec.items():
+            by_sector.setdefault(b.sector, {})[b] = n
+        out: Dict[FockBasisVector, Fraction] = {}
+        for sec, part in by_sector.items():
+            terms = []
+            for word, c in products:
+                scalar, img, modes, odd = self._word_columns(word, part)
+                if not (img and scalar):
+                    continue
+                twos, word_parity = divmod(vec.parity + odd, 2)
+                if word_parity != parity:
+                    raise ValueError("cannot add vectors of different sqrt(2)-parity")
+                # c * scalar * 2**twos as an unreduced numerator and denominator
+                terms.append((c.numerator * scalar.numerator << twos,
+                              c.denominator * scalar.denominator, img, modes))
+            if not terms:
+                continue
+            D = self._weights(sec)[0]
+            top = max(term[3] for term in terms)
+            Q = math.lcm(*[term[1] for term in terms])
+            total: Dict[FockBasisVector, int] = {}
+            for num, den, img, modes in terms:
+                w = num * (Q // den) * D ** (top - modes)
+                for b, n in img.items():
+                    total[b] = total.get(b, 0) + w * n
+            scale = M * Q * D ** top
+            out.update((b, Fraction(n, scale)) for b, n in total.items() if n)
+        return FockVector(out, parity)
 
     def realized_bracket_report(self, p, r, max_twice_mode: int = 6,
                                 max_degree=Fraction(3)) -> dict:
@@ -862,18 +985,19 @@ class FreeFieldRealization:
         src_basis = self.basis(*src)
         if Fraction(dst[2]) < 0:
             return Matrix.zero(0, len(src_basis))
-        dst_basis = self.basis(*dst)
-        index = {b: i for i, b in enumerate(dst_basis)}
-        cols = []
-        for b in src_basis:
-            img = op(FockVector({b: Fraction(1)}, 0))
-            col = [Fraction(0)] * len(dst_basis)
-            for b2, c in img.terms.items():
-                col[index[b2]] = c
-            cols.append(col)
+        cols = [self.coordinates(*dst, op(FockVector({b: Fraction(1)}, 0))) for b in src_basis]
         if not cols:
-            return Matrix.zero(len(dst_basis), 0)
+            return Matrix.zero(len(self.basis(*dst)), 0)
         return Matrix.from_columns(cols)
+
+    def coordinates(self, p, r, degree, vec: FockVector) -> List[Fraction]:
+        """vec's coefficients on basis(p, r, degree), as a dense column."""
+        basis = self.basis(p, r, degree)
+        index = {b: i for i, b in enumerate(basis)}
+        col = [_ZERO] * len(basis)
+        for b, c in vec.terms.items():
+            col[index[b]] = c
+        return col
 
     def kernel_intersection_dims(self, p, r, max_degree) -> List[Tuple[Fraction, int]]:
         """Graded dimensions of Ker(odd screening) ∩ Ker(long screening)."""

@@ -204,6 +204,49 @@ class TestFaultInjection:
         assert check["details"]["failures"] == ["diagram --p -2 --r 3/4: embedding-diagram"]
 
 
+class TestPinnedRuns:
+    CRITERIA = [f"_criterion_{n:02d}" for n in range(1, 12)]
+
+    def stub_battery(self, monkeypatch, calls):
+        """Every criterion runs `singular --p 2`, a counting stand-in."""
+        passing = [{"name": "stub", "paper_ref": "stub", "status": "pass", "details": {}}]
+        monkeypatch.setitem(cli._COMMANDS, "singular", lambda cfg: calls.append(cfg) or passing)
+
+        def criterion(*_):
+            runs = cli._pinned_runs("singular", [RunConfig(p=F(2))])
+            return cli._fold("stub", "stub", runs)
+
+        for name in self.CRITERIA:
+            monkeypatch.setattr(cli, name, criterion)
+        return criterion
+
+    def test_one_acceptance_call_runs_each_command_line_once(self, monkeypatch):
+        calls = []
+        criterion = self.stub_battery(monkeypatch, calls)
+        checks = cli.cmd_acceptance(RunConfig())
+        assert len(checks) == 11 and all(c["status"] == "pass" for c in checks)
+        assert len(calls) == 1
+        # outside acceptance, a criterion runs fresh
+        criterion()
+        criterion()
+        assert len(calls) == 3
+        assert cli._shared_runs is None
+
+    def test_shared_runs_cleared_when_acceptance_raises(self, monkeypatch):
+        calls = []
+        self.stub_battery(monkeypatch, calls)
+
+        def broken():
+            raise RuntimeError("criterion failed to run")
+
+        monkeypatch.setattr(cli, "_criterion_07", broken)
+        with pytest.raises(RuntimeError):
+            cli.cmd_acceptance(RunConfig())
+        assert cli._shared_runs is None
+        cli._criterion_01()
+        assert len(calls) == 2
+
+
 class TestCache:
     def test_cache_round_trip(self, capsys, tmp_path):
         cache = tmp_path / "cache"

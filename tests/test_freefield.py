@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shvkernel import freefield
 from shvkernel.exact_linalg import Matrix, in_span, kernel_basis
 from shvkernel.freefield import (
     CosetError,
@@ -21,7 +22,8 @@ from shvkernel.freefield import (
     sector_for,
 )
 from shvkernel.qchar import char_verma, schur_expand
-from shvkernel.shv_algebra import A, G, L, P
+from shvkernel.shv_algebra import CLA, A, Element, G, L, P, super_bracket
+from shvkernel.shv_algebra import parity as symbol_parity
 from shvkernel.verma import pr_to_hw, verma_basis
 
 
@@ -596,3 +598,170 @@ class TestKernelIntersection:
             (F(1), 1),
             (F(3, 2), 3),
         ]
+
+
+# ---------------------------------------------------------------------------
+# integer columns and the integer commutator check
+
+
+def oracle_bracket_defect(R, x, y, vec):
+    """The Fraction composition the integer check replaced: both products
+    through generator_mode, the table's image through realize_element."""
+    gx = lambda v: R.generator_mode(x.kind, x.mode.value, v)
+    gy = lambda v: R.generator_mode(y.kind, y.mode.value, v)
+    lhs = gx(gy(vec))
+    other = gy(gx(vec))
+    lhs = lhs + other if symbol_parity(x) and symbol_parity(y) else lhs - other
+    return lhs - R.realize_element(freefield.super_bracket(x, y), vec)
+
+
+def oracle_bracket_report(R, p, r, max_twice_mode, max_degree):
+    """realized_bracket_report's sweep, on the oracle defect."""
+    symbols = []
+    for t in range(-max_twice_mode, max_twice_mode + 1):
+        symbols += [L(t // 2), A(t // 2)] if t % 2 == 0 else [G(F(t, 2)), P(F(t, 2))]
+    vectors = [
+        (F(t, 2), FockVector({b: F(1)}, 0))
+        for t in range(int(2 * max_degree) + 1)
+        for b in R.basis(p, r, F(t, 2))
+    ]
+    mismatches, checked = [], 0
+    for i, x in enumerate(symbols):
+        for y in symbols[i:]:
+            for deg, vec in vectors:
+                checked += 1
+                if not oracle_bracket_defect(R, x, y, vec).is_zero():
+                    mismatches.append((str(x), str(y), str(deg)))
+                    break
+    return checked, sorted(set(mismatches))
+
+
+def mode_symbol(kind_pick, twice):
+    if twice % 2 == 0:
+        return (L, A)[kind_pick](twice // 2)
+    return (G, P)[kind_pick](F(twice, 2))
+
+
+BRACKET_LABELS = [F(1, 2), F(1), F(2), F(-1), F(-2)]
+BRACKET_SHIFTS = [F(1, 3), F(2, 3), F(4, 3), F(5, 3)]
+
+
+@st.composite
+def bracket_inputs(draw, R):
+    """Two generator modes with twice-mode in -6..6 (half the time summing to
+    zero, where the central terms sit) and a combination of one to three basis
+    vectors of degree at most 2, over one or two sectors, of either parity."""
+    tx = draw(st.integers(-6, 6))
+    ty = -tx if draw(st.booleans()) else draw(st.integers(-6, 6))
+    x = mode_symbol(draw(st.integers(0, 1)), tx)
+    y = mode_symbol(draw(st.integers(0, 1)), ty)
+    p = draw(st.sampled_from(BRACKET_LABELS))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.sampled_from(BRACKET_SHIFTS))
+        basis = R.basis(p, r, F(draw(st.integers(0, 4)), 2))
+        terms[basis[draw(st.integers(0, 50)) % len(basis)]] = draw(small_fractions.filter(bool))
+    return x, y, FockVector(terms, draw(st.integers(0, 1)))
+
+
+def assert_same_defect(got, want):
+    assert got == want
+    assert all(type(c) is F for c in got.terms.values())
+    if not want.is_zero():
+        assert got.parity == want.parity
+
+
+def corruption(x, y, pick):
+    """One extra term of the bracket's parity and weight: a mode, a central
+    letter (when the bracket is even) or a two-letter word."""
+    t = x.mode.twice_value + y.mode.twice_value
+    mode = L(t // 2) if t % 2 == 0 else G(F(t, 2))
+    if pick == 1 and t % 2 == 0:
+        return (CLA,), F(1, 5)
+    if pick == 2:
+        return (A(0), mode), F(-2, 7)
+    return (mode,), F(1, 3)
+
+
+def corrupted_table(pick):
+    def bracket(x, y):
+        word, c = corruption(x, y, pick)
+        return super_bracket(x, y) + Element({word: c})
+
+    return bracket
+
+
+class TestIntegerBracketDefect:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_defect_matches_fraction_composition(self, R, data):
+        x, y, vec = data.draw(bracket_inputs(R))
+        want = oracle_bracket_defect(R, x, y, vec)
+        assert want.is_zero()
+        assert_same_defect(R.bracket_defect(x, y, vec), want)
+
+    @given(data=st.data(), pick=st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_table_defect_matches_oracle(self, R, data, pick):
+        x, y, vec = data.draw(bracket_inputs(R))
+        word, c = corruption(x, y, pick)
+        acted = R.realize_word(word, vec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(freefield, "super_bracket", corrupted_table(pick))
+            want = oracle_bracket_defect(R, x, y, vec)
+            got = R.bracket_defect(x, y, vec)
+        assert_same_defect(got, want)
+        # the table is right but for the extra term, so the defect is its image
+        assert got == acted.scale(-c)
+        assert got.is_zero() == acted.is_zero()
+
+    @pytest.mark.parametrize("pick", [0, 1, 2])
+    def test_corrupted_table_report_matches_oracle_report(self, pick, monkeypatch):
+        monkeypatch.setattr(freefield, "super_bracket", corrupted_table(pick))
+        R = FreeFieldRealization()
+        rep = R.realized_bracket_report(F(1, 2), F(1, 3), max_twice_mode=3, max_degree=1)
+        assert not rep["ok"]
+        want = oracle_bracket_report(FreeFieldRealization(), F(1, 2), F(1, 3), 3, 1)
+        assert (rep["checked"], rep["mismatches"]) == want
+
+
+class TestIntegerColumns:
+    def test_cached_columns_hold_plain_ints(self):
+        R = FreeFieldRealization()
+        rep = R.realized_bracket_report(F(1, 2), F(1, 3), max_twice_mode=3, max_degree=1)
+        assert rep["ok"]
+        for p, r in ((2, F(1, 2)), (-1, F(0))):
+            for b in R.basis(p, r, 1):
+                for kind, mode in (("L", 0), ("A", -1), ("G", F(-1, 2)), ("P", F(1, 2))):
+                    R.generator_mode(kind, mode, FockVector({b: F(1)}, 1))
+        hits = [
+            c for store in R._mode_cache.values() for column in store.values() for _, c in column
+        ]
+        assert hits and all(type(c) is int for c in hits)
+
+    @pytest.mark.parametrize(
+        "p, r",
+        [
+            (1, F(1, 3)),  # D/2 does not clear (cL-3)/24
+            (F(1, 2), F(1, 3)),  # it clears the weights but not (1/2)(2 x_c)(2 x_d)
+        ],
+        ids=["weight-not-cleared", "pairing-not-cleared"],
+    )
+    def test_halved_sector_denominator_raises(self, p, r):
+        R = FreeFieldRealization()
+        sec = R.sector(p, r)
+        D = R._denominator(sec)
+        assert D % 2 == 0
+        R._denominator = lambda s: D // 2
+        with pytest.raises(ArithmeticError):
+            R.generator_mode("L", 0, R.vacuum_vector(p, r))
+        assert not R._mode_cache.get(("L", 0))
+
+    def test_coordinates_on_the_graded_basis(self, R):
+        basis = R.basis(1, F(1, 3), F(3, 2))
+        vec = FockVector({basis[0]: F(2, 3), basis[-1]: F(-1)}, 0)
+        col = R.coordinates(1, F(1, 3), F(3, 2), vec)
+        assert col == [F(2, 3)] + [F(0)] * (len(basis) - 2) + [F(-1)]
+        assert all(type(c) is F for c in col)
+        with pytest.raises(KeyError):
+            R.coordinates(1, F(1, 3), 1, vec)
