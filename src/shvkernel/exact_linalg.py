@@ -1,13 +1,19 @@
 """Dense exact linear algebra over rationals and parameter polynomials.
 
-Everything here is fraction-free where it matters: rank and determinant use
-Bareiss elimination, so integer matrices stay integer and polynomial matrices
-stay polynomial (every intermediate entry is a minor of the input, hence the
-divisions are exact).  Kernels of rational matrices are back-substituted over
-the integers too: one integer vector per free column, rescaled at each pivot
-just enough for the solved entry to be an integer, so no ``Fraction`` is
-formed before the result.  Kernels of polynomial matrices are
-back-substituted over rational functions.
+Rank, kernels and span membership run one fraction-free (Bareiss)
+elimination.  Rational rows are first scaled to primitive integer rows, so
+the elimination stays in plain integers and every division in it is checked
+to be exact.  Kernels of rational matrices are back-substituted over the
+integers too: one integer vector per free column, rescaled at each pivot just
+enough for the solved entry to be an integer, so no ``Fraction`` is formed
+before the result.  Matrices with polynomial entries are eliminated over
+polynomials, and their kernels back-substituted over rational functions.
+
+Determinants are integer Bareiss eliminations.  A determinant with
+polynomial entries is interpolated, one parameter at a time: its degree in
+the parameter is at most D (the Leibniz bound from the entry degrees), so its
+values at 0, 1, ..., D fix it exactly, and each value is the determinant of
+a matrix with one parameter fewer.
 
 Matrices are small (a few hundred rows at most) and dense, so plain lists of
 lists beat any sparse cleverness.
@@ -21,7 +27,7 @@ import operator
 from fractions import Fraction
 from typing import List, Sequence
 
-from .scalars import ParamPolynomial, RatFunc, is_zero
+from .scalars import PARAMETERS, ParamPolynomial, RatFunc, is_zero
 
 
 def _exact_div(a, b):
@@ -129,11 +135,10 @@ def _int_rows(data):
 
 def _echelon(work: List[list]):
     """In-place fraction-free row echelon over parameter polynomials (any
-    matrix with a non-rational entry).  Returns (pivot_cols, sign, last_pivot)."""
+    matrix with a non-rational entry).  Returns the pivot columns."""
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots: List[int] = []
-    sign = 1
     prev = 1
     r = 0
     for col in range(cols):
@@ -146,7 +151,6 @@ def _echelon(work: List[list]):
             continue
         if pivot_row != r:
             work[r], work[pivot_row] = work[pivot_row], work[r]
-            sign = -sign
         piv = work[r][col]
         for i in range(r + 1, rows):
             head = work[i][col]
@@ -168,8 +172,7 @@ def _echelon(work: List[list]):
         r += 1
         if r == rows:
             break
-    last = work[r - 1][pivots[-1]] if pivots else 1
-    return pivots, sign, last
+    return pivots
 
 
 def _int_echelon(work: List[List[int]]):
@@ -221,22 +224,21 @@ def _int_echelon(work: List[List[int]]):
 def _echelon_of(m: Matrix):
     """Echelonized copy of m, preferring the integer fast path.
 
-    Returns (work, pivots, sign, last_pivot, scales) where scales are the
-    (lcm, content) row scalings of _int_rows (none on the generic path).
+    Returns (work, pivots): the echelon rows, as primitive integer rows when
+    m is all-rational, and the pivot columns.
     """
     if _all_rational(m.data):
-        work, scales = _int_rows(m.data)
-        pivots, sign, last = _int_echelon(work)
-        return work, pivots, sign, last, scales
+        work, _ = _int_rows(m.data)
+        pivots, _, _ = _int_echelon(work)
+        return work, pivots
     work = [list(row) for row in m.data]
-    pivots, sign, last = _echelon(work)
-    return work, pivots, sign, last, []
+    return work, _echelon(work)
 
 
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots, _, _, _ = _echelon_of(m)
+    _, pivots = _echelon_of(m)
     return len(pivots)
 
 
@@ -247,19 +249,97 @@ rational_rank = rank
 
 
 def determinant(m: Matrix):
-    """Exact determinant of a square matrix (Bareiss; last pivot is the det)."""
+    """Exact determinant of a square matrix: a Fraction for rational entries,
+    a ParamPolynomial for polynomial ones (interpolated, see _det)."""
     if not m.is_square():
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
     if m.rows == 0:
         return Fraction(1)
-    work, pivots, sign, last, scales = _echelon_of(m)
-    if len(pivots) < m.rows:
+    if _all_rational(m.data):
+        return _rational_det(m.data)
+    for row in m.data:
+        for x in row:
+            if not isinstance(x, (int, Fraction, ParamPolynomial)):
+                raise TypeError(f"determinant of a matrix with entry {x!r}")
+    return ParamPolynomial._coerce(_det(m.data))
+
+
+def _rational_det(rows) -> Fraction:
+    """Integer Bareiss on the primitive integer rows; the last pivot, times
+    each row's content over its lcm, is the determinant."""
+    work, scales = _int_rows(rows)
+    pivots, sign, last = _int_echelon(work)
+    if len(pivots) < len(work):
         return Fraction(0)
-    if isinstance(last, int) and not isinstance(last, bool):
-        # undo the row scalings: times each content, over each lcm
-        contents = math.prod(g for _, g in scales)
-        return Fraction(sign * last * contents, math.prod(L for L, _ in scales))
-    return last if sign == 1 else -last
+    contents = math.prod(g for _, g in scales)
+    return Fraction(sign * last * contents, math.prod(L for L, _ in scales))
+
+
+def _specialized(rows, name: str, value: int):
+    """rows with the parameter name set to value; constants become Fractions."""
+    out = []
+    for row in rows:
+        new = []
+        for x in row:
+            if isinstance(x, ParamPolynomial):
+                x = x.substitute({name: value})
+                if x.is_constant():
+                    x = x.constant_value()
+            new.append(x)
+        out.append(new)
+    return out
+
+
+def _det(rows):
+    """Determinant of a square matrix of ints, Fractions and ParamPolynomials,
+    by evaluation and interpolation in the first parameter that occurs.
+
+    Every Leibniz term takes one entry from each row and from each column, so
+    the determinant's degree in the parameter is at most D, the smaller of the
+    sums of the largest entry degrees over the rows and over the columns.  Its
+    values at 0, 1, ..., D are determinants with one parameter fewer, and a
+    polynomial of degree at most D is fixed by D + 1 values: Newton's divided
+    differences recover it exactly.
+    """
+    used = {
+        i
+        for row in rows
+        for x in row
+        if isinstance(x, ParamPolynomial)
+        for exp in x.terms
+        for i, e in enumerate(exp)
+        if e
+    }
+    if not used:
+        return _rational_det(
+            [[x.constant_value() if isinstance(x, ParamPolynomial) else x for x in row]
+             for row in rows]
+        )
+    idx = min(used)
+    name = PARAMETERS[idx]
+    degrees = [
+        [x.degree_in(name) if isinstance(x, ParamPolynomial) else 0 for x in row]
+        for row in rows
+    ]
+    bound = min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
+    c = [_det(_specialized(rows, name, k)) for k in range(bound + 1)]
+    # divided differences at the nodes 0, 1, ..., bound: c[j] = f[0, ..., j]
+    for j in range(1, bound + 1):
+        for i in range(bound, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * Fraction(1, j)
+    # expand c[0] + x (c[1] + (x - 1) (c[2] + ...)) into the coefficients of x^k
+    coeffs = [c[bound]]
+    for k in range(bound - 1, -1, -1):
+        coeffs = (
+            [c[k] - k * coeffs[0]]
+            + [a - k * b for a, b in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    terms = {}
+    for k, a in enumerate(coeffs):
+        for exp, v in ParamPolynomial._coerce(a).terms.items():
+            terms[exp[:idx] + (k,) + exp[idx + 1:]] = v
+    return ParamPolynomial(terms)
 
 
 def _int_kernel_vector(work: List[List[int]], pivots: List[int], free: int) -> list:
@@ -308,7 +388,7 @@ def kernel_basis(m: Matrix) -> List[list]:
             basis.append(v)
         return basis
     rational = _all_rational(m.data)
-    work, pivots, _, _, _ = _echelon_of(m)
+    work, pivots = _echelon_of(m)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
     if rational:
@@ -346,5 +426,5 @@ def in_span(v: Sequence, m: Matrix) -> bool:
     if m.cols == 0:
         return all(is_zero(x) for x in v)
     aug = m.augment(Matrix.from_columns([list(v)]))
-    _, pivots, _, _, _ = _echelon_of(aug)
+    _, pivots = _echelon_of(aug)
     return not pivots or pivots[-1] != m.cols

@@ -713,7 +713,12 @@ class FreeFieldRealization:
 
     def bracket_defect(self, sym_x: GeneratorSymbol, sym_y: GeneratorSymbol,
                        vec: FockVector) -> FockVector:
-        """[x, y]± applied via composition minus the bracket-table image.
+        """[x, y]± applied via composition minus the bracket-table image."""
+        return self._defect(sym_x, sym_y, super_bracket(sym_x, sym_y), vec)
+
+    def _defect(self, sym_x: GeneratorSymbol, sym_y: GeneratorSymbol,
+                bracket: Element, vec: FockVector) -> FockVector:
+        """bracket_defect with the table's image of [x, y]± given.
 
         Composed over the integers: vec is scaled to integers, every product
         of columns is brought over one scale M * Q * D**modes per sector (Q
@@ -721,7 +726,7 @@ class FreeFieldRealization:
         turned back into Fractions."""
         px, py = symbol_parity(sym_x), symbol_parity(sym_y)
         products = [((sym_x, sym_y), 1), ((sym_y, sym_x), 1 if px and py else -1)]
-        products += [(word, -c) for word, c in super_bracket(sym_x, sym_y).terms.items()]
+        products += [(word, -c) for word, c in bracket.terms.items()]
         parity = (vec.parity + px + py) & 1
         ivec, M = _integer_terms(vec)
         by_sector: Dict[LatticePoint, Dict[FockBasisVector, int]] = {}
@@ -778,9 +783,10 @@ class FreeFieldRealization:
         checked = 0
         for i, x in enumerate(symbols):
             for y in symbols[i:]:
+                bracket = super_bracket(x, y)
                 for deg, vec in vectors:
                     checked += 1
-                    defect = self.bracket_defect(x, y, vec)
+                    defect = self._defect(x, y, bracket, vec)
                     if not defect.is_zero():
                         mismatches.append((str(x), str(y), str(deg)))
                         break

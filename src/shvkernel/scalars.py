@@ -478,6 +478,10 @@ def rational_roots_in(value: Scalar, name: str) -> frozenset:
         return frozenset(roots)  # monomial: only the stripped root
     scale = math.lcm(*(c.denominator for c in coeffs.values()))
     ints = {k: int(c * scale) for k, c in coeffs.items()}
+    # dividing out the content changes no root, and shrinks the numbers
+    # whose divisors _divisors finds by trial division
+    content = math.gcd(*ints.values())
+    ints = {k: c // content for k, c in ints.items()}
     deg = max(ints)
     # highest coefficient first, for Horner
     desc = [ints.get(k, 0) for k in range(deg, -1, -1)]

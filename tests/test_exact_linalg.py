@@ -235,13 +235,97 @@ def test_symbolic_determinant_evaluates_to_integer_determinant(m_entry, k):
 
 
 # ---------------------------------------------------------------------------
+# oracle: Bareiss elimination over polynomials
+
+
+def bareiss_determinant(m):
+    """The determinant by fraction-free elimination over polynomials: every
+    entry stays a minor of m, each division is exact, and the last pivot is
+    the determinant up to the sign of the row swaps."""
+    n = m.rows
+    work = [[P._coerce(x) for x in row] for row in m.data]
+    sign, prev = 1, P.const(1)
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
+        if pivot_row is None:
+            return P()
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign = -sign
+        piv = work[col][col]
+        for i in range(col + 1, n):
+            head = work[i][col]
+            for j in range(col + 1, n):
+                work[i][j] = (work[i][j] * piv - head * work[col][j]).divexact(prev)
+        prev = piv
+    return prev if sign == 1 else -prev
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def polys_in(*names):
+    # up to three terms, each of total degree at most 3
+    monomial = st.tuples(
+        small_fractions.filter(bool),
+        st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)).filter(
+            lambda exps: sum(exps) <= 3
+        ),
+    )
+
+    def build(terms):
+        out = P()
+        for c, exps in terms:
+            mono = P.const(c)
+            for name, e in zip(names, exps):
+                mono = mono * P.variable(name) ** e
+            out = out + mono
+        return out
+
+    return st.lists(monomial, min_size=1, max_size=3).map(build)
+
+
+symbolic_entries = st.one_of(
+    st.just(F(0)), small_fractions, polys_in("p"), polys_in("cL", "p")
+)
+
+
+def _all_constant(rows):
+    return all(not isinstance(x, P) or x.is_constant() for row in rows for x in row)
+
+
+@st.composite
+def symbolic_matrices(draw):
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(symbolic_entries, min_size=n, max_size=n)) for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        rows[i] = [F(0)] * n
+    if _all_constant(rows):
+        rows[0][0] = P.variable("p")
+    return Matrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symbolic_matrices())
+def test_interpolated_determinant_matches_polynomial_bareiss(m):
+    d = determinant(m)
+    assert isinstance(d, P)
+    assert d == bareiss_determinant(m)
+
+
+def test_determinant_rejects_rational_function_entries():
+    with pytest.raises(TypeError):
+        determinant(Matrix([[RatFunc(P.const(1), P.variable("p"))]]))
+
+
+# ---------------------------------------------------------------------------
 # oracle: back substitution over the field
 
 
 def _fraction_kernel_basis(m):
     """The rational kernel by back substitution in Fraction after the same
     fraction-free forward pass, then scaled to primitive integer vectors."""
-    work, pivots, _, _, _ = _echelon_of(m)
+    work, pivots = _echelon_of(m)
     work = [[F(x) for x in row] for row in work]
     pivot_set = set(pivots)
     basis = []

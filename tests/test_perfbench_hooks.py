@@ -110,3 +110,36 @@ def test_tracer_counts_schur_expand_inside_screening_templates():
     calls = json.loads(proc.stdout.splitlines()[-1])
     assert calls["freefield.screening"] == 1
     assert calls["qchar.schur_expand"] >= 1
+
+
+DET_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from fractions import Fraction
+import shvkernel, shvkernel.cli
+import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer, shvkernel)
+report = shvkernel.verma.det_vanishing_check(Fraction(2))
+calls = {name: row["calls"] for name, row in tracer.layer_totals().items()}
+spans = sum(tracer.names[n] == "exact_linalg.det" for n in tracer.name_of)
+print(json.dumps({"match": report["match"], "calls": calls, "det_spans": spans}))
+"""
+
+
+def test_traced_symbolic_determinant_is_one_call():
+    # the interpolated determinant takes its point values on the private
+    # integer path; through the traced determinant each would open a span
+    # (nested spans of one layer count no call, so the spans are counted too)
+    proc = subprocess.run(
+        [sys.executable, "-c", DET_SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["match"]
+    assert out["calls"]["exact_linalg.det"] == 1
+    assert out["det_spans"] == 1

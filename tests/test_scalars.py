@@ -195,3 +195,21 @@ def test_rational_roots_of_linear_factor_products(roots, lead, irreducible):
     if irreducible:
         f = f * (p * p + 2)
     assert rational_roots_in(f, "p") == frozenset(roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_rational_roots_ignore_a_large_content(roots, irreducible):
+    # c * f has the roots of f; with the content c left in, the candidate
+    # numerators would be found by trial division up to about 2**46
+    p = var("p")
+    f = P.const(1)
+    for root in roots:
+        f = f * (p - root)
+    if irreducible:
+        f = f * (p * p + 2)
+    c = 2**60 * 3**20
+    assert rational_roots_in(c * f, "p") == rational_roots_in(f, "p") == frozenset(roots)
