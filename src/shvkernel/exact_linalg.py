@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over rationals and parameter polynomials.
+"""Exact linear algebra over rationals and parameter polynomials.
 
 Rank, kernels and span membership run one fraction-free (Bareiss)
 elimination.  Rational rows are first scaled to primitive integer rows, so
@@ -9,21 +9,28 @@ enough for the solved entry to be an integer, so no ``Fraction`` is formed
 before the result.  Matrices with polynomial entries are eliminated over
 polynomials, and their kernels back-substituted over rational functions.
 
+Matrices are lists of lists of at most a few hundred rows, but the kernel
+matrices of the Verma layer are sparse (about 5% nonzero), so the integer
+path works on nonzero entries only: a row with nothing to eliminate at a
+pivot is not touched until it has (_int_echelon keeps the Bareiss factors it
+skipped as one pending division), an elimination subtracts only on the pivot
+row's nonzero columns, and back substitution sums over each pivot row's
+nonzero entries.  The rows, pivots and determinants are those of dense
+Bareiss elimination, bit for bit.
+
 Determinants are integer Bareiss eliminations.  A determinant with
 polynomial entries is interpolated, one parameter at a time: its degree in
 the parameter is at most D (the Leibniz bound from the entry degrees), so its
 values at 0, 1, ..., D fix it exactly, and each value is the determinant of
-a matrix with one parameter fewer.
-
-Matrices are small (a few hundred rows at most) and dense, so plain lists of
-lists beat any sparse cleverness.
+a matrix with one parameter fewer.  Each entry is split once into its
+coefficients in that parameter and evaluated at the D + 1 nodes by Horner's
+rule.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -125,10 +132,10 @@ def _int_rows(data):
     scales[i] = (lcm, content) of row i."""
     out, scales = [], []
     for row in data:
-        L = math.lcm(*(x.denominator for x in row)) if row else 1
-        ints = [x.numerator * (L // x.denominator) for x in row]
-        g = math.gcd(*ints) or 1
-        out.append([x // g for x in ints] if g > 1 else ints)
+        L = math.lcm(*(x.denominator for x in row if x))
+        ints = [x.numerator * (L // x.denominator) if x else 0 for x in row]
+        g = math.gcd(*(x for x in ints if x)) or 1
+        out.append([x // g if x else 0 for x in ints] if g > 1 else ints)
         scales.append((L, g))
     return out, scales
 
@@ -176,42 +183,71 @@ def _echelon(work: List[list]):
 
 
 def _int_echelon(work: List[List[int]]):
-    """_echelon on integer rows: plain truthiness for zero tests, and every
-    Bareiss division checked to leave no remainder."""
+    """_echelon on integer rows, in place, touching only nonzero entries.
+    Returns (pivots, sign of the row swaps, last pivot).
+
+    Bareiss rescales every row below the pivot at every step, by piv / prev,
+    even a row with nothing to eliminate.  Here such a row is left alone, and
+    at[i] records the pivot row i was last divided by (1 at the start).  The
+    invariant, for every row not yet a pivot row: the Bareiss row equals
+    work[i] * prev / at[i], where prev is the last pivot.  It holds because
+    the skipped factors telescope, piv_{s+1}/piv_s * ... * piv_t/piv_{t-1} =
+    piv_t / piv_s, so
+
+    * a row eliminated at pivot piv becomes (row * piv - head * pivot_row)
+      / at[i], the Bareiss row of that step, and at[i] becomes piv;
+    * a row chosen as the pivot row is first scaled by prev / at[r].
+
+    Both divisions are exact because their quotients are Bareiss entries,
+    minors of the input, and both are still checked to leave no remainder.
+    Scaling by nonzero pivots keeps the zero pattern, so pivot choice, swaps,
+    sign and every returned row are those of the dense elimination.  Each
+    step subtracts only on the pivot row's nonzero columns and rescales only
+    nonzero entries.
+    """
     rows = len(work)
     cols = len(work[0]) if rows else 0
     pivots: List[int] = []
     sign = 1
     prev = 1
+    at = [1] * rows
     r = 0
     for col in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][col]), None)
-        if pivot_row is None:
+        heads = [i for i in range(r, rows) if work[i][col]]
+        if not heads:
             continue
+        pivot_row = heads[0]
         if pivot_row != r:
+            # the row moving down has a zero head, so heads[1:] stays valid
             work[r], work[pivot_row] = work[pivot_row], work[r]
+            at[r], at[pivot_row] = at[pivot_row], at[r]
             sign = -sign
         row_r = work[r]
+        support = [j for j in range(col, cols) if row_r[j]]
+        if at[r] != prev:
+            for j in support:
+                q, rem = divmod(row_r[j] * prev, at[r])
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
+                row_r[j] = q
         piv = row_r[col]
-        for i in range(r + 1, rows):
+        del support[0]
+        for i in heads[1:]:
             row_i = work[i]
             head = row_i[col]
-            if head:
-                for j in range(col + 1, cols):
-                    q, rem = divmod(row_i[j] * piv - head * row_r[j], prev)
-                    if rem:
-                        raise ArithmeticError("inexact Bareiss division")
-                    row_i[j] = q
-                row_i[col] = 0
-            else:
-                # the Bareiss rescale a*piv/prev, as in _echelon
-                for j in range(col + 1, cols):
-                    a = row_i[j]
-                    if a:
-                        q, rem = divmod(a * piv, prev)
-                        if rem:
-                            raise ArithmeticError("inexact Bareiss division")
-                        row_i[j] = q
+            row_i[col] = 0
+            d = at[i]
+            for j in [j for j in range(col + 1, cols) if row_i[j] and not row_r[j]]:
+                q, rem = divmod(row_i[j] * piv, d)
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
+                row_i[j] = q
+            for j in support:
+                q, rem = divmod(row_i[j] * piv - head * row_r[j], d)
+                if rem:
+                    raise ArithmeticError("inexact Bareiss division")
+                row_i[j] = q
+            at[i] = piv
         prev = piv
         pivots.append(col)
         r += 1
@@ -275,19 +311,42 @@ def _rational_det(rows) -> Fraction:
     return Fraction(sign * last * contents, math.prod(L for L, _ in scales))
 
 
-def _specialized(rows, name: str, value: int):
-    """rows with the parameter name set to value; constants become Fractions."""
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            if isinstance(x, ParamPolynomial):
-                x = x.substitute({name: value})
-                if x.is_constant():
-                    x = x.constant_value()
-            new.append(x)
-        out.append(new)
-    return out
+def _coefficients(x, idx: int):
+    """An entry as its coefficient list in parameter idx, lowest degree first,
+    for Horner evaluation by _at.
+
+    A polynomial in that parameter alone becomes (numerators, denominator),
+    integers over one denominator; a polynomial in other parameters too, a
+    list of ParamPolynomials in them.  Constants are returned as they are.
+    """
+    if not isinstance(x, ParamPolynomial):
+        return x
+    coeffs = [{} for _ in range(x.degree_in(PARAMETERS[idx]) + 1)]
+    for exp, c in x.terms.items():
+        coeffs[exp[idx]][exp[:idx] + (0,) + exp[idx + 1:]] = c
+    if any(any(exp) for terms in coeffs for exp in terms):
+        return [ParamPolynomial(terms) for terms in coeffs]
+    values = [sum(terms.values(), Fraction(0)) for terms in coeffs]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _at(entry, value: int):
+    """A _coefficients entry at the given parameter value; constants come
+    out as Fractions (or as they went in), as ParamPolynomial.substitute
+    followed by constant_value would give them."""
+    if isinstance(entry, tuple):
+        nums, den = entry
+        v = 0
+        for a in reversed(nums):
+            v = v * value + a
+        return Fraction(v, den)
+    if isinstance(entry, list):
+        v = ParamPolynomial()
+        for a in reversed(entry):
+            v = v * value + a
+        return v.constant_value() if v.is_constant() else v
+    return entry
 
 
 def _det(rows):
@@ -322,7 +381,8 @@ def _det(rows):
         for row in rows
     ]
     bound = min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
-    c = [_det(_specialized(rows, name, k)) for k in range(bound + 1)]
+    split = [[_coefficients(x, idx) for x in row] for row in rows]
+    c = [_det([[_at(x, k) for x in row] for row in split]) for k in range(bound + 1)]
     # divided differences at the nodes 0, 1, ..., bound: c[j] = f[0, ..., j]
     for j in range(1, bound + 1):
         for i in range(bound, j - 1, -1):
@@ -342,22 +402,25 @@ def _det(rows):
     return ParamPolynomial(terms)
 
 
-def _int_kernel_vector(work: List[List[int]], pivots: List[int], free: int) -> list:
+def _int_kernel_vector(work: List[List[int]], pivots: List[int], supports: List[list],
+                       free: int) -> list:
     """The kernel vector of integer echelon rows for one free column.
 
     Back substitution keeps one integer vector: before solving for pivot
     column pc with x[pc] * piv = -acc, the vector is rescaled by piv // g
-    (g = gcd(acc, piv)), which makes x[pc] = -acc // g an integer.  Returns
-    the primitive multiple with first nonzero entry positive, as Fractions.
+    (g = gcd(acc, piv)), which makes x[pc] = -acc // g an integer.  acc sums
+    over the pivot row's nonzero entries only: supports[k] lists the nonzero
+    columns of row k right of its pivot.  Returns the primitive multiple with
+    first nonzero entry positive, as Fractions.
     """
     x = [0] * len(work[0])
     x[free] = 1
     # pivots right of the free column see only zeros and solve to zero
     for k in range(bisect.bisect_left(pivots, free) - 1, -1, -1):
-        pc = pivots[k]
         row = work[k]
-        acc = sum(map(operator.mul, row[pc + 1:], x[pc + 1:]))
+        acc = sum([row[j] * x[j] for j in supports[k]])
         if acc:
+            pc = pivots[k]
             piv = row[pc]
             g = math.gcd(acc, piv)
             s = piv // g
@@ -392,7 +455,11 @@ def kernel_basis(m: Matrix) -> List[list]:
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
     if rational:
-        return [_int_kernel_vector(work, pivots, f) for f in free_cols]
+        supports = [
+            [j for j in range(pc + 1, m.cols) if row[j]]
+            for row, pc in zip(work, pivots)
+        ]
+        return [_int_kernel_vector(work, pivots, supports, f) for f in free_cols]
     div = lambda a, b: RatFunc._coerce(a) / RatFunc._coerce(b)
     basis = []
     for f in free_cols:

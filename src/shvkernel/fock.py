@@ -1,0 +1,268 @@
+"""Fock states and vectors of the free field realization.
+
+States live in Fock modules indexed by a lattice point gamma = x_c*c + x_d*d,
+where the two boson fields c, d pair as <c,d> = 2, <c,c> = <d,d> = 0, and the
+fermion pair psi^+/psi^- carries half-odd modes.  A Fock basis vector is a word
+
+    psi^+ block | psi^- block | d block | c block
+
+acting on the sector vacuum; fermion letters are strictly decreasing (stored as
+positive twice-values, most negative mode first), boson letters are partitions.
+
+States are hashed on every coefficient update, so they are built for cheap
+hashing: a FockBasisVector is a named tuple (sector, psip, psim, d_part,
+c_part) whose hash and equality run in C, and its sector, a LatticePoint of
+two Fractions, computes its hash once at construction and compares by
+identity first.  The hot paths build new states straight from the five fields.
+
+The free modes c(n), d(n), psi^+(s) and psi^-(s) act on one basis vector at a
+time and return (state, coefficient) hits; freefield composes them into the
+realized generators, the lattice operators and the screenings.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+
+class CosetError(ValueError):
+    """A mode index incompatible with the sector's momentum coset."""
+
+
+class LatticePoint:
+    """A lattice point x_c*c + x_d*d.  Immutable; its hash is computed once,
+    because every Fock state carries one and states are hashed constantly."""
+
+    __slots__ = ("x_c", "x_d", "_hash")
+
+    def __init__(self, x_c: Fraction, x_d: Fraction):
+        object.__setattr__(self, "x_c", x_c)
+        object.__setattr__(self, "x_d", x_d)
+        object.__setattr__(self, "_hash", hash((x_c, x_d)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LatticePoint is immutable: cannot set {name}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, LatticePoint):
+            return NotImplemented
+        return self._hash == other._hash and self.x_c == other.x_c and self.x_d == other.x_d
+
+    def __repr__(self):
+        return f"LatticePoint(x_c={self.x_c!r}, x_d={self.x_d!r})"
+
+    def shifted_c(self, amount) -> "LatticePoint":
+        return LatticePoint(self.x_c + Fraction(amount), self.x_d)
+
+    def __str__(self):
+        return f"({self.x_c})c + ({self.x_d})d"
+
+
+class FockBasisVector(NamedTuple):
+    """A letter word over a sector vacuum, as the plain tuple
+    (sector, psip, psim, d_part, c_part), so hashing and equality run in C."""
+
+    sector: LatticePoint
+    psip: Tuple[int, ...] = ()   # twice-values, strictly decreasing
+    psim: Tuple[int, ...] = ()
+    d_part: Tuple[int, ...] = ()  # weakly decreasing positive modes
+    c_part: Tuple[int, ...] = ()
+
+    def letter_degree(self) -> Fraction:
+        return (
+            Fraction(sum(self.psip) + sum(self.psim), 2)
+            + sum(self.d_part)
+            + sum(self.c_part)
+        )
+
+    def to_text(self) -> str:
+        bits = []
+        for tv in self.psip:
+            bits.append(f"psi+(-{Fraction(tv,2)})")
+        for tv in self.psim:
+            bits.append(f"psi-(-{Fraction(tv,2)})")
+        for m in self.d_part:
+            bits.append(f"d(-{m})")
+        for m in self.c_part:
+            bits.append(f"c(-{m})")
+        word = "".join(bits) if bits else "1"
+        return f"{word}|{self.sector}>"
+
+
+#: builds a state from its five fields in one C call, for the hot paths
+_state = partial(tuple.__new__, FockBasisVector)
+
+_ZERO = Fraction(0)
+
+
+def _insert_sorted_desc(parts: Tuple[int, ...], value: int) -> Tuple[int, ...]:
+    i = 0
+    while i < len(parts) and parts[i] >= value:
+        i += 1
+    return parts[:i] + (value,) + parts[i:]
+
+
+# Free modes return (state, coefficient) hits.  Coefficients are small ints
+# (fermion signs, boson pairings) or a zero mode's Fraction pairing 2*x_c or
+# 2*x_d.  The free-mode methods multiply them into Fraction coefficients and
+# accumulate onto _ZERO, so results stay Fractions; the realized columns
+# multiply them into integer weights and check that the product is an int.
+Hit = Tuple[FockBasisVector, Union[Fraction, int]]
+
+
+def _psi_plus(b: FockBasisVector, s_twice: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
+    if s_twice < 0:
+        tv = -s_twice
+        if tv in psip:
+            return []
+        k = 0
+        while k < len(psip) and psip[k] > tv:
+            k += 1
+        return [(_state((sec, psip[:k] + (tv,) + psip[k:], psim, dp, cp)), -1 if k & 1 else 1)]
+    if s_twice in psim:
+        j = psim.index(s_twice)
+        sign = -1 if (len(psip) + j) & 1 else 1
+        return [(_state((sec, psip, psim[:j] + psim[j + 1:], dp, cp)), sign)]
+    return []
+
+
+def _psi_minus(b: FockBasisVector, s_twice: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
+    if s_twice < 0:
+        tv = -s_twice
+        if tv in psim:
+            return []
+        k = 0
+        while k < len(psim) and psim[k] > tv:
+            k += 1
+        sign = -1 if (len(psip) + k) & 1 else 1
+        return [(_state((sec, psip, psim[:k] + (tv,) + psim[k:], dp, cp)), sign)]
+    if s_twice in psip:
+        j = psip.index(s_twice)
+        return [(_state((sec, psip[:j] + psip[j + 1:], psim, dp, cp)), -1 if j & 1 else 1)]
+    return []
+
+
+def _c_free(b: FockBasisVector, n: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
+    if n < 0:
+        return [(_state((sec, psip, psim, dp, _insert_sorted_desc(cp, -n))), 1)]
+    if n == 0:
+        return [(b, 2 * sec.x_d)]
+    count = dp.count(n)
+    if not count:
+        return []
+    j = dp.index(n)
+    return [(_state((sec, psip, psim, dp[:j] + dp[j + 1:], cp)), 2 * n * count)]
+
+
+def _d_free(b: FockBasisVector, n: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
+    if n < 0:
+        return [(_state((sec, psip, psim, _insert_sorted_desc(dp, -n), cp)), 1)]
+    if n == 0:
+        return [(b, 2 * sec.x_c)]
+    count = cp.count(n)
+    if not count:
+        return []
+    j = cp.index(n)
+    return [(_state((sec, psip, psim, dp, cp[:j] + cp[j + 1:])), 2 * n * count)]
+
+
+class FockVector:
+    """Rational combination of Fock basis vectors times (sqrt 2)^parity."""
+
+    __slots__ = ("terms", "parity")
+
+    def __init__(self, terms: Optional[Dict[FockBasisVector, Fraction]] = None, parity: int = 0):
+        t: Dict[FockBasisVector, Fraction] = {}
+        if terms:
+            for b, c in terms.items():
+                if c:
+                    t[b] = c
+        self.terms = t
+        self.parity = parity & 1
+
+    @classmethod
+    def zero(cls) -> "FockVector":
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def scale(self, c) -> "FockVector":
+        c = Fraction(c)
+        if not c:
+            return FockVector()
+        return FockVector({b: v * c for b, v in self.terms.items()}, self.parity)
+
+    def scale_sqrt2(self) -> "FockVector":
+        if self.is_zero():
+            return self
+        if self.parity:
+            return FockVector({b: 2 * v for b, v in self.terms.items()}, 0)
+        return FockVector(dict(self.terms), 1)
+
+    def __add__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, False)
+
+    def __sub__(self, other: "FockVector") -> "FockVector":
+        return self._combine(other, True)
+
+    def _combine(self, other: "FockVector", subtract: bool) -> "FockVector":
+        if self.is_zero():
+            return other.scale(-1) if subtract else other
+        if other.is_zero():
+            return self
+        if self.parity != other.parity:
+            raise ValueError("cannot add vectors of different sqrt(2)-parity")
+        out = dict(self.terms)
+        for b, c in other.terms.items():
+            nv = out.get(b, _ZERO) - c if subtract else out.get(b, _ZERO) + c
+            if nv:
+                out[b] = nv
+            else:
+                out.pop(b, None)
+        return FockVector(out, self.parity)
+
+    def __eq__(self, other):
+        if not isinstance(other, FockVector):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
+        return self.parity == other.parity and self.terms == other.terms
+
+    __hash__ = None
+
+    def coefficient(self, b: FockBasisVector) -> Fraction:
+        return self.terms.get(b, _ZERO)
+
+    def sectors(self) -> set:
+        return {b.sector for b in self.terms}
+
+    def to_text(self) -> str:
+        if self.is_zero():
+            return "0"
+        root = "sqrt2*" if self.parity else ""
+        bits = [
+            f"({c})*{b.to_text()}"
+            for b, c in sorted(self.terms.items(), key=lambda kv: kv[0].to_text())
+        ]
+        return root + " + ".join(bits)
+
+
+def sector_for(p, r, cL) -> LatticePoint:
+    p = Fraction(p)
+    r = Fraction(r)
+    return LatticePoint(
+        x_c=r + (p + 1) * (cL - 3) * Fraction(1, 24),
+        x_d=-(p + 1) * Fraction(1, 2),
+    )

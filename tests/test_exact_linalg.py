@@ -9,6 +9,8 @@ from shvkernel.exact_linalg import (
     determinant,
     in_span,
     _echelon_of,
+    _int_echelon,
+    _int_rows,
     kernel_basis,
     rank,
 )
@@ -371,8 +373,50 @@ rational_matrices = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(rational_matrices)
+@st.composite
+def sparse_rows(draw, entry, max_rows=12, max_cols=12):
+    """Rows at a density from 5% to 100%, with zero rows, zero columns,
+    repeated rows and low rank mixed in: the shapes of the kernel matrices
+    the Verma layer eliminates."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    # 0 * entry(rnd) is a zero of the entry type, as in the library's matrices
+    data = [
+        [entry(rnd) if rnd.random() < density else 0 * entry(rnd) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for feature in draw(
+        st.lists(st.sampled_from(["zero row", "zero column", "repeat", "low rank"]), max_size=3)
+    ):
+        i, j = rnd.randrange(rows), rnd.randrange(cols)
+        if feature == "zero row":
+            data[i] = [0 * x for x in data[i]]
+        elif feature == "zero column":
+            for row in data:
+                row[j] = 0 * row[j]
+        elif feature == "repeat":
+            k = rnd.choice([1, -1, 2, 3])
+            data[i] = [k * x for x in data[rnd.randrange(rows)]]
+        else:
+            # each row a combination of a few others: rank at most that many
+            basis = data[: rnd.randint(1, rows)]
+            data = [
+                [sum(rnd.choice([0, 0, 1, -2]) * b[c] for b in basis) for c in range(cols)]
+                for _ in range(rows)
+            ]
+    return data
+
+
+sparse_int_rows = sparse_rows(lambda rnd: rnd.randint(-9, 9))
+sparse_rational_matrices = sparse_rows(
+    lambda rnd: F(rnd.randint(-9, 9), rnd.randint(1, 6)), max_rows=8, max_cols=9
+).map(Matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rational_matrices, sparse_rational_matrices))
 def test_integer_kernel_matches_fraction_back_substitution(m):
     ker = kernel_basis(m)
     expected = _fraction_kernel_basis(m)
@@ -380,3 +424,84 @@ def test_integer_kernel_matches_fraction_back_substitution(m):
     assert [[type(c) for c in v] for v in ker] == [[type(c) for c in v] for v in expected]
     for v in ker:
         assert all(x == 0 for x in matvec(m, v))
+
+
+# ---------------------------------------------------------------------------
+# oracle: dense integer Bareiss
+
+
+def dense_int_echelon(work):
+    """Integer Bareiss as textbooks write it: every row below the pivot is
+    rescaled by piv / prev at every step, whether or not it is eliminated."""
+    rows = len(work)
+    cols = len(work[0]) if rows else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for col in range(cols):
+        pivot_row = next((i for i in range(r, rows) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
+        row_r = work[r]
+        piv = row_r[col]
+        for i in range(r + 1, rows):
+            row_i = work[i]
+            head = row_i[col]
+            for j in range(col + 1, cols):
+                q, rem = divmod(row_i[j] * piv - head * row_r[j], prev)
+                assert not rem
+                row_i[j] = q
+            row_i[col] = 0
+        prev = piv
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    last = work[r - 1][pivots[-1]] if pivots else 1
+    return pivots, sign, last
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_rows)
+def test_int_echelon_matches_dense_bareiss(data):
+    work = [list(row) for row in data]
+    expected_work = [list(row) for row in data]
+    assert _int_echelon(work) == dense_int_echelon(expected_work)
+    assert work == expected_work
+
+
+def test_row_skipping_pivots_before_it_becomes_the_pivot_row():
+    # row 2 has zero heads at the first two pivots, so it is left alone twice
+    # and then scaled by prev / at[2] = 8 / 1 when it becomes the pivot row;
+    # row 3 skips the first pivot and is eliminated at the second, dividing
+    # by at[3] = 1 rather than by the previous pivot 2
+    data = [
+        [2, 1, 1, 1],
+        [4, 6, 1, 2],
+        [0, 0, 5, 1],
+        [0, 1, 2, 7],
+    ]
+    work = [list(row) for row in data]
+    expected_work = [list(row) for row in data]
+    pivots, sign, last = _int_echelon(work)
+    expected = dense_int_echelon(expected_work)
+    assert (pivots, sign, last) == expected
+    assert work == expected_work
+    assert pivots == [0, 1, 2, 3]
+    assert work[1][1] == 8
+    assert sign == 1
+    assert determinant(Matrix(data)) == last == 262
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational_matrices)
+def test_integer_rows_are_primitive_row_multiples(m):
+    rows, scales = _int_rows(m.data)
+    for row, ints, (L, g) in zip(m.data, rows, scales):
+        assert [F(x) * g for x in ints] == [x * L for x in row]
+        assert all(type(x) is int for x in ints)
+        assert math.gcd(*ints) in (0, 1)
