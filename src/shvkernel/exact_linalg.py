@@ -1,30 +1,30 @@
-"""Exact linear algebra over rationals and parameter polynomials.
+"""Exact linear algebra over the rationals, and determinants over parameter
+polynomials.
 
-Rank, kernels and span membership run one fraction-free (Bareiss)
-elimination.  Rational rows are first scaled to primitive integer rows, so
-the elimination stays in plain integers and every division in it is checked
-to be exact.  Kernels of rational matrices are back-substituted over the
-integers too: one integer vector per free column, rescaled at each pivot just
-enough for the solved entry to be an integer, so no ``Fraction`` is formed
-before the result.  Matrices with polynomial entries are eliminated over
-polynomials, and their kernels back-substituted over rational functions.
+Rank, kernels and span membership take int and Fraction entries only, and
+run one fraction-free (Bareiss) elimination.  Rational rows are first scaled
+to primitive integer rows, so the elimination stays in plain integers and
+every division in it is checked to be exact.  Kernels are back-substituted
+over the integers too: one integer vector per free column, rescaled at each
+pivot just enough for the solved entry to be an integer, so no ``Fraction``
+is formed before the result.
 
 Matrices are lists of lists of at most a few hundred rows, but the kernel
-matrices of the Verma layer are sparse (about 5% nonzero), so the integer
-path works on nonzero entries only: a row with nothing to eliminate at a
-pivot is not touched until it has (_int_echelon keeps the Bareiss factors it
-skipped as one pending division), an elimination subtracts only on the pivot
-row's nonzero columns, and back substitution sums over each pivot row's
-nonzero entries.  The rows, pivots and determinants are those of dense
-Bareiss elimination, bit for bit.
+matrices of the Verma layer are sparse (about 5% nonzero), so elimination
+works on nonzero entries only: a row with nothing to eliminate at a pivot is
+not touched until it has (_int_echelon keeps the Bareiss factors it skipped
+as one pending division), an elimination subtracts only on the pivot row's
+nonzero columns, and back substitution sums over each pivot row's nonzero
+entries.  The rows, pivots and determinants are those of dense Bareiss
+elimination, bit for bit.
 
-Determinants are integer Bareiss eliminations.  A determinant with
-polynomial entries is interpolated, one parameter at a time: its degree in
-the parameter is at most D (the Leibniz bound from the entry degrees), so its
-values at 0, 1, ..., D fix it exactly, and each value is the determinant of
-a matrix with one parameter fewer.  Each entry is split once into its
-coefficients in that parameter and evaluated at the D + 1 nodes by Horner's
-rule.
+Determinants are integer Bareiss eliminations, and ``determinant`` is the
+one function that also takes polynomial entries.  Such a determinant is
+interpolated, one parameter at a time: its degree in the parameter is at
+most D (the Leibniz bound from the entry degrees), so its values at 0, 1,
+..., D fix it exactly, and each value is the determinant of a matrix with
+one parameter fewer.  Each entry is split once into its coefficients in that
+parameter and evaluated at the D + 1 nodes by Horner's rule.
 """
 
 from __future__ import annotations
@@ -34,34 +34,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence
 
-from .scalars import PARAMETERS, ParamPolynomial, RatFunc, is_zero
-
-
-def _exact_div(a, b):
-    """a / b when the division is known to be exact in the ambient ring."""
-    if isinstance(b, (int, Fraction)):
-        if isinstance(a, ParamPolynomial):
-            return ParamPolynomial({e: c / b for e, c in a.terms.items()})
-        if isinstance(a, int) and isinstance(b, int):
-            # a / b would be a float; divide exactly, as _int_echelon does
-            q, rem = divmod(a, b)
-            if rem:
-                raise ArithmeticError("inexact Bareiss division")
-            return q
-        return a / b
-    if isinstance(b, ParamPolynomial):
-        if b.is_constant():
-            c = b.constant_value()
-            return _exact_div(a, c)
-        if isinstance(a, (int, Fraction)):
-            if a == 0:
-                return Fraction(0)
-            raise ValueError("inexact division of a constant by a polynomial")
-        if isinstance(a, ParamPolynomial):
-            return a.divexact(b)
-    if isinstance(b, RatFunc):
-        return RatFunc._coerce(a) / b
-    raise TypeError(f"cannot divide {a!r} by {b!r}")
+from .scalars import PARAMETERS, ParamPolynomial
 
 
 class Matrix:
@@ -140,51 +113,9 @@ def _int_rows(data):
     return out, scales
 
 
-def _echelon(work: List[list]):
-    """In-place fraction-free row echelon over parameter polynomials (any
-    matrix with a non-rational entry).  Returns the pivot columns."""
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    pivots: List[int] = []
-    prev = 1
-    r = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not is_zero(work[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][col]
-        for i in range(r + 1, rows):
-            head = work[i][col]
-            if is_zero(head):
-                # Bareiss rescale a*piv/prev keeps every entry a minor; it is
-                # required even when nothing is being eliminated from this row
-                row_i = work[i]
-                for j in range(col + 1, cols):
-                    if not is_zero(row_i[j]):
-                        row_i[j] = _exact_div(row_i[j] * piv, prev)
-                continue
-            row_i = work[i]
-            row_r = work[r]
-            for j in range(col + 1, cols):
-                row_i[j] = _exact_div(row_i[j] * piv - head * row_r[j], prev)
-            row_i[col] = Fraction(0)
-        prev = piv
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
 def _int_echelon(work: List[List[int]]):
-    """_echelon on integer rows, in place, touching only nonzero entries.
-    Returns (pivots, sign of the row swaps, last pivot).
+    """Fraction-free row echelon of integer rows, in place, touching only
+    nonzero entries.  Returns (pivots, sign of the row swaps, last pivot).
 
     Bareiss rescales every row below the pivot at every step, by piv / prev,
     even a row with nothing to eliminate.  Here such a row is left alone, and
@@ -258,17 +189,16 @@ def _int_echelon(work: List[List[int]]):
 
 
 def _echelon_of(m: Matrix):
-    """Echelonized copy of m, preferring the integer fast path.
-
-    Returns (work, pivots): the echelon rows, as primitive integer rows when
-    m is all-rational, and the pivot columns.
-    """
-    if _all_rational(m.data):
-        work, _ = _int_rows(m.data)
-        pivots, _, _ = _int_echelon(work)
-        return work, pivots
-    work = [list(row) for row in m.data]
-    return work, _echelon(work)
+    """Echelon rows of a rational matrix, as primitive integer rows, and its
+    pivot columns.  Raises TypeError naming the first entry that is not an
+    int or a Fraction."""
+    for row in m.data:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction entries, got {x!r}")
+    work, _ = _int_rows(m.data)
+    pivots, _, _ = _int_echelon(work)
+    return work, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -332,9 +262,9 @@ def _coefficients(x, idx: int):
 
 
 def _at(entry, value: int):
-    """A _coefficients entry at the given parameter value; constants come
-    out as Fractions (or as they went in), as ParamPolynomial.substitute
-    followed by constant_value would give them."""
+    """A _coefficients entry at the given parameter value: a Fraction when no
+    parameter is left, else a ParamPolynomial in the others; constant entries
+    come out as they went in."""
     if isinstance(entry, tuple):
         nums, den = entry
         v = 0
@@ -434,12 +364,11 @@ def _int_kernel_vector(work: List[List[int]], pivots: List[int], supports: List[
 
 
 def kernel_basis(m: Matrix) -> List[list]:
-    """Basis of the right kernel {x : m x = 0}.
+    """Basis of the right kernel {x : m x = 0} of a rational matrix.
 
-    One vector per free column.  All-rational input is back-substituted over
-    the integers and yields primitive integer vectors (as Fractions, first
-    nonzero entry positive); symbolic input is back-substituted over the
-    field and yields RatFunc entries.
+    One vector per free column, back-substituted over the integers: each is
+    a primitive integer vector, as Fractions, with first nonzero entry
+    positive.  Raises TypeError on an entry that is not an int or a Fraction.
     """
     if m.cols == 0:
         return []
@@ -450,48 +379,28 @@ def kernel_basis(m: Matrix) -> List[list]:
             v[j] = Fraction(1)
             basis.append(v)
         return basis
-    rational = _all_rational(m.data)
     work, pivots = _echelon_of(m)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    if rational:
-        supports = [
-            [j for j in range(pc + 1, m.cols) if row[j]]
-            for row, pc in zip(work, pivots)
-        ]
-        return [_int_kernel_vector(work, pivots, supports, f) for f in free_cols]
-    div = lambda a, b: RatFunc._coerce(a) / RatFunc._coerce(b)
-    basis = []
-    for f in free_cols:
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            acc = Fraction(0)
-            row = work[k]
-            for j in range(pc + 1, m.cols):
-                if not is_zero(row[j]) and not is_zero(x[j]):
-                    acc = acc + row[j] * x[j]
-            if is_zero(acc):
-                x[pc] = Fraction(0)
-            else:
-                x[pc] = -div(acc, row[pc])
-        basis.append(x)
-    return basis
+    supports = [
+        [j for j in range(pc + 1, m.cols) if row[j]]
+        for row, pc in zip(work, pivots)
+    ]
+    return [
+        _int_kernel_vector(work, pivots, supports, f)
+        for f in range(m.cols)
+        if f not in pivot_set
+    ]
 
 
 def in_span(v: Sequence, m: Matrix) -> bool:
-    """Is the vector v in the column span of m?
+    """Is the rational vector v in the column span of the rational matrix m?
 
     One elimination of [m | v]: pivots are found left to right, so v is in
-    the span exactly when its column is not a pivot column.
+    the span exactly when its column is not a pivot column.  A matrix with
+    no columns spans only the zero vector, of any length.
     """
-    if len(v) != m.rows and not (m.rows == 0 and m.cols == 0):
-        if m.cols == 0:
-            return all(is_zero(x) for x in v)
+    if m.cols and len(v) != m.rows:
         raise ValueError("dimension mismatch")
-    if m.cols == 0:
-        return all(is_zero(x) for x in v)
-    aug = m.augment(Matrix.from_columns([list(v)]))
-    _, pivots = _echelon_of(aug)
+    column = Matrix.from_columns([list(v)])
+    _, pivots = _echelon_of(m.augment(column) if m.cols else column)
     return not pivots or pivots[-1] != m.cols

@@ -1,7 +1,7 @@
-"""Exact scalar arithmetic: rationals and rational functions in the structure parameters.
+"""Exact scalar arithmetic: rationals and polynomials in the structure parameters.
 
 Every quantity in the kernel is either a plain rational number (specialized mode)
-or a polynomial / ratio of polynomials in the five structure parameters
+or a polynomial in the five structure parameters
 
     cL   -- central charge of the Virasoro part
     cA   -- central charge of the Heisenberg part (zero at level zero)
@@ -228,25 +228,6 @@ class ParamPolynomial:
             total += v
         return total
 
-    def substitute(self, assignment: Mapping[str, Fraction]) -> "ParamPolynomial":
-        """Partially evaluate: substitute the given parameters, keep the rest."""
-        out: Dict[Expvec, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            v = coeff
-            new_exp = list(exp)
-            for name, val in assignment.items():
-                i = _PARAM_INDEX[name]
-                if exp[i]:
-                    v *= _as_fraction(val) ** exp[i]
-                    new_exp[i] = 0
-            key = tuple(new_exp)
-            nv = out.get(key, Fraction(0)) + v
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return ParamPolynomial(out)
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -276,137 +257,8 @@ class ParamPolynomial:
         return f"ParamPolynomial({self})"
 
 
-class RatFunc:
-    """Ratio of two ParamPolynomials.  Collapses to denominator 1 when exact."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        n = ParamPolynomial._coerce(num)
-        if n is None:
-            raise TypeError(f"bad numerator {num!r}")
-        d = ParamPolynomial.const(1) if den is None else ParamPolynomial._coerce(den)
-        if d is None:
-            raise TypeError(f"bad denominator {den!r}")
-        if d.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if n.is_zero():
-            d = ParamPolynomial.const(1)
-        else:
-            try:
-                n = n.divexact(d)
-                d = ParamPolynomial.const(1)
-            except ValueError:
-                lc = d.terms[max(d.terms)]
-                if lc != 1:
-                    n = ParamPolynomial({e: c / lc for e, c in n.terms.items()})
-                    d = ParamPolynomial({e: c / lc for e, c in d.terms.items()})
-        self.num = n
-        self.den = d
-
-    @classmethod
-    def variable(cls, name: str) -> "RatFunc":
-        return cls(ParamPolynomial.variable(name))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
-
-    @staticmethod
-    def _coerce(other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, ParamPolynomial)):
-            return RatFunc(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
-
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        d = self.den.evaluate(assignment)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at this specialization")
-        return self.num.evaluate(assignment) / d
-
-    def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self})"
-
-
 #: Anything the kernel treats as an exact scalar.
-Scalar = Union[Fraction, ParamPolynomial, RatFunc]
+Scalar = Union[Fraction, ParamPolynomial]
 
 
 def is_zero(x) -> bool:
@@ -420,7 +272,7 @@ def evaluate(value: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:
     """Evaluate any scalar at an exact parameter assignment."""
     if isinstance(value, (int, Fraction)):
         return _as_fraction(value)
-    if isinstance(value, (ParamPolynomial, RatFunc)):
+    if isinstance(value, ParamPolynomial):
         return value.evaluate(assignment)
     raise TypeError(f"not a scalar: {value!r}")
 
@@ -450,10 +302,6 @@ def rational_roots_in(value: Scalar, name: str) -> frozenset:
     """
     if name not in _PARAM_INDEX:
         raise KeyError(f"unknown parameter {name!r}")
-    if isinstance(value, RatFunc):
-        value = value.num if value.den.is_constant() else None
-        if value is None:
-            raise ValueError("rational function with nontrivial denominator")
     if isinstance(value, (int, Fraction)):
         if value == 0:
             raise ValueError("the zero polynomial has every rational as a root")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .scalars import ParamPolynomial, RatFunc, is_zero
+from .scalars import ParamPolynomial, is_zero
 
 
 class Mode(NamedTuple):
@@ -188,8 +188,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
+        _add_scaled(out, other.terms, 1)
         return Element(out)
 
     def __sub__(self, other):
@@ -206,22 +205,19 @@ class Element:
         return Element({w: v * c for w, v in self.terms.items()})
 
     def __rmul__(self, c):
-        if isinstance(c, (int, Fraction, ParamPolynomial, RatFunc)):
+        if isinstance(c, (int, Fraction, ParamPolynomial)):
             return self.scale(c)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPolynomial, RatFunc)):
+        if isinstance(other, (int, Fraction, ParamPolynomial)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         out: Dict[Word, object] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                nf = _normal_form(w1 + w2)
-                c12 = c1 * c2
-                for w, c in nf.items():
-                    _accumulate(out, w, c * c12)
+                _add_scaled(out, _normal_form(w1 + w2), c1 * c2)
         return Element(out)
 
     def __eq__(self, other):
@@ -269,13 +265,15 @@ class Element:
         return f"Element({self.to_text()})"
 
 
-def _accumulate(d: Dict[Word, object], w: Word, c) -> None:
-    nv = d.get(w)
-    nv = c if nv is None else nv + c
-    if is_zero(nv):
-        d.pop(w, None)
-    else:
-        d[w] = nv
+def _add_scaled(out: Dict[Word, object], vec: Dict[Word, object], scale) -> None:
+    """out += scale * vec, dropping the coefficients that cancel to zero."""
+    for w, c in vec.items():
+        prev = out.get(w)
+        nv = scale * c if prev is None else prev + scale * c
+        if is_zero(nv):
+            out.pop(w, None)
+        else:
+            out[w] = nv
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +390,7 @@ def _normal_form(word: Word) -> Dict[Word, Fraction]:
             continue
         out: Dict[Word, Fraction] = {}
         for dw, dc in deps:
-            for cw, cc in _NF_CACHE[dw].items():
-                _accumulate(out, cw, dc * cc)
+            _add_scaled(out, _NF_CACHE[dw], dc)
         _NF_CACHE[w] = out
         stack.pop()
     return _NF_CACHE[word]

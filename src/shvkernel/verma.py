@@ -36,14 +36,13 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_linalg import Matrix, determinant, kernel_basis, rank
 from .qchar import char_verma, schur_expand
 from .scalars import (
     DEFAULT_SPECIALIZATION,
     ParamPolynomial,
-    RatFunc,
     is_zero,
     rational_roots_in,
 )
@@ -58,6 +57,7 @@ from .shv_algebra import (
     SuperPartition,
     Word,
     _CENTRAL_KINDS,
+    _add_scaled,
     pair_sort_key,
     parity,
     partitions_of,
@@ -75,11 +75,6 @@ from .exact_linalg import rational_rank  # noqa: F401
 from .shv_algebra import _normal_form  # noqa: F401
 
 
-class DegenerateFamilyError(ValueError):
-    """Raised when (h, hA) sits on the hA = cLa line (p = 0), where the
-    (p, r) coordinates are not defined."""
-
-
 @dataclass(frozen=True, eq=True)
 class HighestWeightData:
     cL: object
@@ -87,11 +82,6 @@ class HighestWeightData:
     cLa: object
     h: object
     hA: object
-
-
-class PRLabel(NamedTuple):
-    p: object
-    r: object
 
 
 def pr_to_hw(p, r, cL=None, cLa=None, cA=None) -> HighestWeightData:
@@ -102,30 +92,6 @@ def pr_to_hw(p, r, cL=None, cLa=None, cA=None) -> HighestWeightData:
     h = (1 - p * p) * (cL - 3) * Fraction(1, 24) - r * p
     hA = (1 + p) * cLa
     return HighestWeightData(cL=cL, cA=cA, cLa=cLa, h=h, hA=hA)
-
-
-def _scalar_div(a, b):
-    if isinstance(b, (int, Fraction)):
-        if b == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        if isinstance(a, (int, Fraction)):
-            return Fraction(a) / b
-        return a * (Fraction(1) / Fraction(b))
-    return RatFunc._coerce(a) / RatFunc._coerce(b)
-
-
-def hw_to_pr(hw: HighestWeightData) -> PRLabel:
-    """Invert the family parametrization.  Errors on the degenerate hA = cLa line."""
-    if is_zero(hw.cLa):
-        raise ZeroDivisionError("cLa = 0 has no (p, r) coordinates")
-    diff = hw.hA - hw.cLa
-    if is_zero(diff):
-        raise DegenerateFamilyError(
-            "hA = cLa corresponds to p = 0, where r is not determined"
-        )
-    p = _scalar_div(hw.hA, hw.cLa) - 1
-    r = _scalar_div((1 - p * p) * (hw.cL - 3) * Fraction(1, 24) - hw.h, p)
-    return PRLabel(p=p, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +233,6 @@ class ModuleVector:
 
 # ---------------------------------------------------------------------------
 # the action
-
-
-def _add_scaled(out: Dict[Word, object], vec: Dict[Word, object], scale) -> None:
-    """out += scale * vec, dropping the coefficients that cancel to zero."""
-    for w, c in vec.items():
-        prev = out.get(w)
-        nv = scale * c if prev is None else prev + scale * c
-        if is_zero(nv):
-            out.pop(w, None)
-        else:
-            out[w] = nv
 
 
 class VermaAction:
@@ -530,11 +485,7 @@ def _normalize_leading(vec: Dict[Word, object]) -> Dict[Word, object]:
     if not vec:
         return vec
     lead = max(vec, key=leading_word_key)
-    c = vec[lead]
-    if isinstance(c, Fraction):
-        inv = Fraction(1) / c
-    else:
-        inv = RatFunc._coerce(c).inv()
+    inv = Fraction(1) / vec[lead]
     return {w: v * inv for w, v in vec.items()}
 
 
@@ -657,12 +608,6 @@ class Submodule:
             col[basis.index[w]] = c
         return col
 
-    def _echelon(self, twice_degree: int) -> _EchelonSpan:
-        e = self._echelons.get(twice_degree)
-        if e is None:
-            e = self._echelons[twice_degree] = _EchelonSpan()
-        return e
-
     def graded_dim(self, degree) -> int:
         return len(self._spans.get(int(Fraction(degree) * 2), []))
 
@@ -680,7 +625,10 @@ class Submodule:
     def _try_add(self, vec: Dict[Word, object], twice_degree: int) -> bool:
         if not vec or twice_degree > self.max_twice:
             return False
-        if not self._echelon(twice_degree).insert(self._coords(vec, twice_degree)):
+        span = self._echelons.get(twice_degree)
+        if span is None:
+            span = self._echelons[twice_degree] = _EchelonSpan()
+        if not span.insert(self._coords(vec, twice_degree)):
             return False
         self._spans.setdefault(twice_degree, []).append(dict(vec))
         return True
@@ -799,7 +747,7 @@ def det_formula_phi(k: int, l: int, hw: HighestWeightData):
         raise ValueError("k and l must have equal parity")
     if is_zero(hw.cLa):
         raise ZeroDivisionError("cLa = 0: determinant factor undefined")
-    x = _scalar_div(hw.hA, hw.cLa)
+    x = hw.hA * (1 / Fraction(hw.cLa))
     quartic = (1 + k - x) * (-1 + k + x) * (1 + l - x) * (-1 + l + x)
     return hw.cLa**4 * Fraction(1, 4) * quartic
 

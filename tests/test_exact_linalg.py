@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from shvkernel.exact_linalg import (
     kernel_basis,
     rank,
 )
-from shvkernel.scalars import ParamPolynomial, RatFunc, evaluate, is_zero
+from shvkernel.scalars import ParamPolynomial, evaluate, is_zero
 
 P = ParamPolynomial
 
@@ -94,15 +95,6 @@ def test_kernel_examples():
     assert len(kernel_basis(Matrix.zero(2, 3))) == 3
 
 
-def test_kernel_symbolic():
-    p = P.variable("p")
-    ker = kernel_basis(Matrix([[p, p]]))
-    assert len(ker) == 1
-    v = ker[0]
-    combo = p * v[0] + p * v[1]
-    assert RatFunc._coerce(combo).is_zero()
-
-
 def test_in_span():
     m = Matrix([[1, 0], [0, 1], [1, 1]])
     assert in_span([2, 3, 5], m)
@@ -110,6 +102,9 @@ def test_in_span():
     empty = Matrix([[], [], []])
     assert in_span([0, 0, 0], empty)
     assert not in_span([1, 0, 0], empty)
+    # no rows either: a vector of any length, zero or not
+    assert in_span([0, 0], Matrix([]))
+    assert not in_span([0, 1], Matrix([]))
 
 
 def test_matmul_and_matvec():
@@ -204,13 +199,15 @@ def test_row_scaling(m_row, k):
 
 
 def test_polynomial_bareiss_on_int_entries():
-    # plain int entries beside one polynomial go down the polynomial path,
-    # whose divisions by int pivots have to stay exact integers
+    # plain int entries beside one polynomial: the determinant interpolates,
+    # while rank and kernels are for rational matrices only
     p = P.variable("p")
     m = Matrix([[2, 1, 0], [1, 1, 1], [0, 1, p]])
     assert determinant(m) == p - 2
-    assert rank(m) == 3
-    assert kernel_basis(m) == []
+    with pytest.raises(TypeError):
+        rank(m)
+    with pytest.raises(TypeError):
+        kernel_basis(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,9 +312,25 @@ def test_interpolated_determinant_matches_polynomial_bareiss(m):
     assert d == bareiss_determinant(m)
 
 
-def test_determinant_rejects_rational_function_entries():
-    with pytest.raises(TypeError):
-        determinant(Matrix([[RatFunc(P.const(1), P.variable("p"))]]))
+NON_RATIONAL_CALLS = {
+    "rank": lambda x: rank(Matrix([[1, 0], [0, x]])),
+    "kernel_basis": lambda x: kernel_basis(Matrix([[1, 0], [0, x]])),
+    "in_span": lambda x: in_span([1, 0], Matrix([[1, 0], [0, x]])),
+    "in_span-vector": lambda x: in_span([1, x], Matrix([[1, 0], [0, 1]])),
+    "determinant": lambda x: determinant(Matrix([[1, 0], [0, x]])),
+}
+
+
+@pytest.mark.parametrize(
+    "call, entry",
+    [(call, 1.5) for call in NON_RATIONAL_CALLS]
+    + [(call, P.variable("p")) for call in NON_RATIONAL_CALLS if call != "determinant"],
+    ids=str,
+)
+def test_non_rational_entry_is_a_type_error_naming_it(call, entry):
+    # only determinant takes polynomial entries; no function takes a float
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        NON_RATIONAL_CALLS[call](entry)
 
 
 # ---------------------------------------------------------------------------

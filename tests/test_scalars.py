@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from shvkernel.scalars import (
     DEFAULT_SPECIALIZATION,
     ParamPolynomial,
-    RatFunc,
     evaluate,
     format_rational,
     parse_rational,
@@ -75,15 +74,6 @@ def test_evaluate_missing_parameter_reports_names():
     assert "cL" in msg and "r" in msg
 
 
-def test_substitute_partial():
-    h = hw_weight_poly()
-    hs = h.substitute({"cL": F(11, 2), "r": F(1, 3)})
-    assert hs.degree_in("cL") == 0
-    assert hs.evaluate({"p": F(2)}) == h.evaluate(
-        {"cL": F(11, 2), "r": F(1, 3), "p": F(2)}
-    )
-
-
 def test_divexact():
     x, y = var("cL"), var("r")
     q = ((x * x - y * y)).divexact(x - y)
@@ -92,21 +82,6 @@ def test_divexact():
         (x * x + 1).divexact(x - y)
     with pytest.raises(ZeroDivisionError):
         x.divexact(P())
-
-
-def test_ratfunc_arithmetic():
-    p = RatFunc.variable("p")
-    s = 1 / (p - 1) + 1 / (p + 1)
-    expect = (2 * p) / (p * p - 1)
-    assert s == expect
-    assert (s - expect).is_zero()
-    assert s.evaluate({"p": F(3)}) == F(3, 4)
-    with pytest.raises(ZeroDivisionError):
-        s.evaluate({"p": F(1)})
-    # exact cancellation collapses the denominator
-    collapsed = (p * p - 1) / (p - 1)
-    assert collapsed.den.is_constant()
-    assert collapsed == p + 1
 
 
 def test_rational_roots_simple():

@@ -16,8 +16,6 @@ from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial
 from shvkernel import shv_algebra
 from shvkernel.shv_algebra import A, G, L, P, _normal_form, sym_key
 from shvkernel.verma import (
-    DegenerateFamilyError,
-    HighestWeightData,
     ModuleVector,
     Submodule,
     VermaAction,
@@ -27,7 +25,6 @@ from shvkernel.verma import (
     det_vanishing_check,
     embedding_diagram,
     highest_weight_vector,
-    hw_to_pr,
     kostant_p2,
     maximal_submodule_dim,
     phi_operator,
@@ -68,14 +65,10 @@ class TestWeightFamily:
 
     def test_roundtrip(self):
         hw = hw_for(Fraction(5, 7), Fraction(2, 3))
-        lab = hw_to_pr(hw)
-        assert lab.p == Fraction(5, 7)
-        assert lab.r == Fraction(2, 3)
-
-    def test_degenerate_line(self):
-        hw = HighestWeightData(cL=CL, cA=Fraction(0), cLa=CLA, h=Fraction(1), hA=CLA)
-        with pytest.raises(DegenerateFamilyError):
-            hw_to_pr(hw)
+        # invert hA = (1 + p) cLa, then h = (1 - p^2)(cL - 3)/24 - r p
+        p = hw.hA / hw.cLa - 1
+        r = ((1 - p * p) * (hw.cL - 3) / 24 - hw.h) / p
+        assert (p, r) == (Fraction(5, 7), Fraction(2, 3))
 
     def test_symbolic_p(self):
         p = ParamPolynomial.variable("p")
