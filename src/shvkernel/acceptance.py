@@ -1,0 +1,309 @@
+"""The acceptance battery: one check per criterion of the paper, each a fold
+over pinned runs of the subcommands' own check functions.
+
+A criterion passes when every check of its pinned runs passes, and names each
+failing check with the command line that ran it.  Within one ``acceptance``
+call, a command line that an earlier criterion ran is reused, not run again.
+Criteria 08, 09 and 11 add the checks that no subcommand runs: the
+screening algebra, the closure of the subsingular vector at p = 1, and the
+kernel-intersection dimensions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence
+
+from .cli import (
+    _COMMANDS,
+    _HALF,
+    RunConfig,
+    UsageError,
+    _check,
+    _clip,
+    _detected_subsingular,
+    _half_degrees,
+)
+from .exact_linalg import kernel_basis
+from .freefield import FockVector, FreeFieldRealization
+from .scalars import format_rational
+from .verma import Submodule, maximal_submodule_dim, pr_to_hw
+
+
+def _moved_flags(cfg: RunConfig) -> List[str]:
+    """The flags, with their values, that set cfg apart from the defaults."""
+    default = RunConfig().params()
+    return [f"--{k.replace('_', '-')} {v}" for k, v in cfg.params().items() if v != default[k]]
+
+
+#: within one acceptance call, the checks of each pinned run by command line
+_shared_runs: Optional[Dict[str, List[dict]]] = None
+
+
+def _pinned_runs(command: str, configs: Sequence[RunConfig]) -> List[tuple]:
+    """(command line, checks) for each pinned configuration of a subcommand;
+    inside acceptance, a command line run by an earlier criterion is reused."""
+    runs = []
+    for cfg in configs:
+        line = " ".join([command] + _moved_flags(cfg))
+        if _shared_runs is None:
+            checks = _COMMANDS[command](cfg)
+        elif line in _shared_runs:
+            checks = _shared_runs[line]
+        else:
+            checks = _shared_runs[line] = _COMMANDS[command](cfg)
+        runs.append((line, checks))
+    return runs
+
+
+def _fold(name: str, ref: str, runs: List[tuple], **details) -> dict:
+    """One criterion check from the checks of its pinned runs: it passes when
+    every one of them passes, and names each failing check with its run."""
+    failures = [
+        f"{line}: {c['name']}"
+        for line, checks in runs
+        for c in checks
+        if c["status"] == "fail"
+    ]
+    return _check(name, ref, not failures, **details, failures=_clip(failures))
+
+
+def _criterion_01() -> dict:
+    runs = _pinned_runs("relations", [RunConfig()])
+    antisymmetry = runs[0][1][0]
+    return _fold(
+        "criterion-01", "bracket-table", runs, symbols=antisymmetry["details"]["symbols"]
+    )
+
+
+def _criterion_02(deepen) -> dict:
+    labels = [("-1", "0"), ("1", "1/3"), ("2", "1/2"), ("-2", "3/4"), ("1/2", "1/3")]
+    runs = _pinned_runs(
+        "realize",
+        [RunConfig(p=Fraction(p), r=Fraction(r), max_degree=3 + deepen) for p, r in labels],
+    )
+    rows = [
+        {
+            "label": f"({p}, {r})",
+            "checked": checks[0]["details"]["checked"],
+            "ok": checks[0]["status"] == "pass",
+        }
+        for (p, r), (_, checks) in zip(labels, runs)
+    ]
+    return _fold("criterion-02", "fock-realization", runs, labels=rows)
+
+
+#: checks that certify one explicit vector each
+_VECTOR_CHECKS = ("singular-odd-annihilation", "singular-even-annihilation", "descent-operator")
+
+
+def _criterion_03() -> dict:
+    runs = _pinned_runs(
+        "singular", [RunConfig(p=Fraction(p)) for p in (1, 3, 5, 2, 4, -1, -2, -3)]
+    )
+    vectors = sum(
+        c["name"] in _VECTOR_CHECKS or c["name"].startswith("singular-family-")
+        for _, checks in runs
+        for c in checks
+    )
+    return _fold("criterion-03", "singular-family", runs, vectors=vectors)
+
+
+def _criterion_04() -> dict:
+    runs = _pinned_runs("subsingular", [RunConfig(p=Fraction(p)) for p in (1, 3)])
+    return _fold("criterion-04", "subsingular-witness", runs)
+
+
+def _criterion_05(deepen) -> dict:
+    r = Fraction(5, 7)
+    labels = (1, -1, 2, -2, 3, -3)
+    runs = _pinned_runs(
+        "char", [RunConfig(p=Fraction(p), r=r, max_degree=4 + deepen) for p in labels]
+    )
+    rows = [
+        {
+            "p": p,
+            "dims": [e["expected"] for e in checks[0]["details"]["entries"]],
+            "ok": all(c["status"] == "pass" for c in checks),
+        }
+        for p, (_, checks) in zip(labels, runs)
+    ]
+    ok = all(row["ok"] for row in rows)
+    return _check("criterion-05", "character-match", ok, generic_r=format_rational(r), rows=rows)
+
+
+def _criterion_06(deepen) -> dict:
+    runs = _pinned_runs(
+        "char", [RunConfig(p=Fraction(p), max_degree=3 + deepen) for p in (1, 2, 3)]
+    )
+    return _fold("criterion-06", "contragredient-duality", runs)
+
+
+def _criterion_07() -> dict:
+    runs = _pinned_runs("det", [RunConfig(max_degree=Fraction(2))])
+    return _fold("criterion-07", "determinant-locus", runs)
+
+
+#: the generator modes the long screening is checked to commute with
+_SCREENING_GEN_MODES = (
+    ("L", Fraction(-1)), ("L", Fraction(1)), ("A", Fraction(-1)),
+    ("G", Fraction(-1, 2)), ("G", Fraction(1, 2)), ("P", Fraction(-1, 2)),
+)
+
+
+def _criterion_08(deepen) -> dict:
+    R = FreeFieldRealization()
+    cap = Fraction(3) + deepen
+    failures = []
+
+    def graded_vectors(p, r):
+        for d in _half_degrees(cap):
+            for b in R.basis(p, r, d):
+                yield FockVector({b: Fraction(1)}, int(2 * d) % 2)
+
+    def anticommutator_failures(modes, p, r, prefix):
+        """Charge modes a(m), a(n) anticommute on every graded basis vector."""
+        return [
+            f"{prefix}anticommutator a({m}), a({n})"
+            for i, m in enumerate(modes)
+            for n in modes[i:]
+            if any(
+                not (R.a_mode(m, R.a_mode(n, v)) + R.a_mode(n, R.a_mode(m, v))).is_zero()
+                for v in graded_vectors(p, r)
+            )
+        ]
+
+    p, r = Fraction(1), Fraction(1, 3)
+    for v in graded_vectors(p, r):
+        if not R.screening_q(R.screening_q(v)).is_zero():
+            failures.append("charge-square")
+            break
+    failures.extend(anticommutator_failures([Fraction(k) for k in range(-3, 4)], p, r, ""))
+    for v in graded_vectors(p, r):
+        if not (R.screening_q(R.screening_g(v)) - R.screening_g(R.screening_q(v))).is_zero():
+            failures.append("charge-screening commutator")
+            break
+    failures.extend(_kernel_commutation_failures(R, p, r, cap))
+    pt, rt = Fraction(2), Fraction(1, 2)
+    twisted_modes = [Fraction(t, 2) for t in range(-5, 6, 2)]
+    failures.extend(anticommutator_failures(twisted_modes, pt, rt, "twisted "))
+    for v in graded_vectors(pt, rt):
+        for kind, m in _SCREENING_GEN_MODES:
+            d = R.screening_g(R.generator_mode(kind, m, v), twisted=True) - R.generator_mode(
+                kind, m, R.screening_g(v, twisted=True)
+            )
+            if not d.is_zero():
+                failures.append(f"twisted screening vs {kind}({m})")
+    return _check("criterion-08", "screening-algebra", not failures, failures=_clip(failures))
+
+
+def _kernel_commutation_failures(R: FreeFieldRealization, p, r, cap) -> List[str]:
+    """The untwisted screening commutes with the action on the charge kernel."""
+    failures = []
+    for d in _half_degrees(cap):
+        charge = R.operator_matrix(R.screening_q, (p, r, d), (p, r + _HALF, d + _HALF))
+        for kv in kernel_basis(charge):
+            v = FockVector(R.piece(p, r, d).vector(kv), int(2 * d) % 2)
+            for kind, m in _SCREENING_GEN_MODES:
+                defect = R.screening_g(R.generator_mode(kind, m, v)) - R.generator_mode(
+                    kind, m, R.screening_g(v)
+                )
+                if not defect.is_zero():
+                    failures.append(f"kernel screening vs {kind}({m}) at degree {d}")
+    return failures
+
+
+def _criterion_09() -> dict:
+    runs = (
+        _pinned_runs("singular", [RunConfig(p=Fraction(2))])
+        + _pinned_runs("char", [RunConfig(p=Fraction(2), max_degree=Fraction(3))])
+        + _pinned_runs("subsingular", [RunConfig()])
+    )
+    # the one check no subcommand runs: the subsingular vector at p = 1
+    # generates the whole maximal submodule through degree 3
+    hw = pr_to_hw(1, Fraction(1, 3))
+    reps = _detected_subsingular(hw, 1)
+    closure = Submodule(hw, Fraction(3))
+    if len(reps) == 1:
+        closure.add_generator(reps[0].to_dict(), Fraction(1))
+    ok = len(reps) == 1 and all(
+        closure.graded_dim(d) == maximal_submodule_dim(hw, d) for d in _half_degrees(3)
+    )
+    own = _check("subsingular-closure", "module-embedding", ok)
+    return _fold("criterion-09", "module-embedding", runs + [("criterion-09", [own])])
+
+
+def _chain(pattern: str, *path: str) -> dict:
+    """The details of a diagram run whose covering arrows form the chain
+    v -> path[0] -> path[1] -> ..., in the report's own JSON form."""
+    kinds = {"sing": "singular", "sub": "subsingular"}
+    nodes = [{"id": "v", "degree": "0", "kind": "highest"}]
+    for node in sorted(path, key=lambda i: Fraction(i.partition("@")[2])):
+        kind, _, degree = node.partition("@")
+        nodes.append({"id": node, "degree": degree, "kind": kinds[kind]})
+    ids = ("v",) + path
+    edges = [{"from": a, "to": b} for a, b in sorted(zip(ids, ids[1:]))]
+    return {"pattern": pattern, "nodes": nodes, "edges": edges}
+
+
+#: criterion 10: pinned diagram runs and the shapes they must report
+_DIAGRAMS = (
+    (
+        RunConfig(p=Fraction(-1)),
+        _chain("singular-chain", *(f"sing@{format_rational(Fraction(t, 2))}" for t in range(1, 9))),
+    ),
+    (RunConfig(p=Fraction(-2), r=Fraction(3, 4)), _chain("singular-chain", "sing@2", "sing@4")),
+    (
+        RunConfig(max_degree=Fraction(2)),
+        _chain("interleaved-chain", "sub@1", "sing@1/2", "sing@3/2"),
+    ),
+)
+
+
+def _criterion_10() -> dict:
+    runs = _pinned_runs("diagram", [cfg for cfg, _ in _DIAGRAMS])
+    judged = [
+        (line, [dict(c, status=c["status"] if c["details"] == shape else "fail") for c in checks])
+        for (line, checks), (_, shape) in zip(runs, _DIAGRAMS)
+    ]
+    return _fold("criterion-10", "embedding-diagram", judged)
+
+
+def _criterion_11() -> dict:
+    R = FreeFieldRealization()
+    dims = R.kernel_intersection_dims(-1, Fraction(0), Fraction(3, 2))
+    want = [(Fraction(0), 1), (_HALF, 1), (Fraction(1), 1), (Fraction(3, 2), 3)]
+    ok = [(d, n) for d, n in dims] == want
+    return _check(
+        "criterion-11",
+        "kernel-intersection",
+        "pass" if ok else "warn",
+        dims=[[format_rational(d), n] for d, n in dims],
+        note="reported only; the underlying claim is outside this battery's scope",
+    )
+
+
+def cmd_acceptance(cfg: RunConfig) -> List[dict]:
+    """The pinned acceptance battery; deeper --max-degree widens some sweeps."""
+    moved = [flag for flag in _moved_flags(cfg) if not flag.startswith("--max-degree")]
+    if moved:
+        raise UsageError(f"acceptance pins its own labels; {', '.join(moved)} would be ignored")
+    deepen = max(Fraction(0), cfg.max_degree - 4)
+    global _shared_runs
+    _shared_runs = {}
+    try:
+        return [
+            _criterion_01(),
+            _criterion_02(deepen),
+            _criterion_03(),
+            _criterion_04(),
+            _criterion_05(deepen),
+            _criterion_06(deepen),
+            _criterion_07(),
+            _criterion_08(deepen),
+            _criterion_09(),
+            _criterion_10(),
+            _criterion_11(),
+        ]
+    finally:
+        _shared_runs = None

@@ -22,11 +22,13 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from . import __version__
 from . import shv_algebra as alg
-from .exact_linalg import Matrix, in_span, kernel_basis, rational_rank
+from .exact_linalg import Matrix, in_span, rational_rank
 from .freefield import FockVector, FreeFieldRealization
 from .qchar import char_simple, compare_dims
 from .scalars import format_rational, parse_rational
@@ -35,7 +37,6 @@ from .verma import (
     act,
     det_vanishing_check,
     embedding_diagram,
-    maximal_submodule_dim,
     pr_to_hw,
     raising_symbols,
     simple_graded_dim,
@@ -152,12 +153,10 @@ def _require_level_zero(cfg: RunConfig, command: str, reason: str) -> None:
         raise UsageError(f"{command}: {reason} (level zero), got --cA {cfg.cA}")
 
 
-def _realize_module_vector(R: FreeFieldRealization, coords, p, r) -> FockVector:
-    vac = R.vacuum_vector(p, r)
-    out = FockVector.zero()
-    for word, c in coords.items():
-        out = out + R.realize_word(word, vac).scale(Fraction(c))
-    return out
+def _realized_span(R: FreeFieldRealization, p, r, degree, vec: FockVector, words) -> Matrix:
+    """The columns of the lowering words applied to vec, in the coordinates
+    of the (p, r) Fock piece of the given degree."""
+    return R.piece(p, r, degree).matrix(R.realize_word(w, vec).terms for w in words)
 
 
 def _proportional(a: FockVector, b: FockVector) -> bool:
@@ -280,9 +279,7 @@ def _module_span_rows(R: FreeFieldRealization, p, r, max_degree):
     negative_integer = p.denominator == 1 and p < 0
     rows = []
     for d in _half_degrees(max_degree):
-        words = verma_basis(hw, d).words
-        cols = [R.coordinates(p, r, d, R.realize_word(w, vac)) for w in words]
-        rk = rational_rank(Matrix.from_columns(cols)) if cols else 0
+        rk = rational_rank(_realized_span(R, p, r, d, vac, verma_basis(hw, d).words))
         want = simple_graded_dim(hw, d) if negative_integer else len(R.basis(p, r, d))
         rows.append({"degree": str(d), "rank": rk, "expected": want, "ok": rk == want})
     return rows
@@ -394,7 +391,7 @@ def _kernel_cross_check(R: FreeFieldRealization, cfg: RunConfig, p: int, build) 
     hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
     kern = singular_vectors(hw, degree)
     ok = len(kern) == 1 and _proportional(
-        _realize_module_vector(R, kern[0].to_dict(), cfg.p, cfg.r), build
+        R.realize_element(alg.Element(kern[0].to_dict()), R.vacuum_vector(cfg.p, cfg.r)), build
     )
     return _check(
         "kernel-cross-check",
@@ -430,7 +427,7 @@ def _descent_checks(cfg: RunConfig, p: int) -> List[dict]:
         )
     )
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
-    realized = _realize_module_vector(R, vec.to_dict(), cfg.p, cfg.r)
+    realized = R.realize_element(alg.Element(vec.to_dict()), R.vacuum_vector(cfg.p, cfg.r))
     checks.append(
         _check(
             "realized-image-vanishes",
@@ -450,10 +447,7 @@ def _even_injectivity_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
     rows = []
     for d in _half_degrees(cap):
         words = verma_basis(hw, d).words
-        cols = [
-            R.coordinates(cfg.p, cfg.r, p + d, R.realize_word(w, u1)) for w in words
-        ]
-        rk = rational_rank(Matrix.from_columns(cols)) if cols else 0
+        rk = rational_rank(_realized_span(R, cfg.p, cfg.r, p + d, u1, words))
         rows.append({"degree": str(d), "rank": rk, "words": len(words), "ok": rk == len(words)})
     return _check(
         "free-action-on-singular",
@@ -480,13 +474,9 @@ def _subsingular_span_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
         if delta < 0:
             failures.append(str(x))
             continue
-        words = verma_basis(hw, delta).words
-        span = [
-            R.coordinates(cfg.p, cfg.r, Fraction(p) - m, R.realize_word(w, u0))
-            for w in words
-        ]
-        target = R.coordinates(cfg.p, cfg.r, Fraction(p) - m, img)
-        if not in_span(target, Matrix.from_columns(span)):
+        span = _realized_span(R, cfg.p, cfg.r, Fraction(p) - m, u0, verma_basis(hw, delta).words)
+        target = R.piece(cfg.p, cfg.r, Fraction(p) - m).column(img.terms)
+        if not in_span(target, span):
             failures.append(str(x))
     return _check(
         "raising-into-singular-submodule",
@@ -675,294 +665,12 @@ def cmd_diagram(cfg: RunConfig) -> List[dict]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# acceptance battery
+def _acceptance(cfg: RunConfig) -> List[dict]:
+    """The pinned battery of shvkernel.acceptance, which imports this module
+    and so is imported only when it runs."""
+    from .acceptance import cmd_acceptance
 
-
-def _moved_flags(cfg: RunConfig) -> List[str]:
-    """The flags, with their values, that set cfg apart from the defaults."""
-    default = RunConfig().params()
-    return [f"--{k.replace('_', '-')} {v}" for k, v in cfg.params().items() if v != default[k]]
-
-
-#: within one acceptance call, the checks of each pinned run by command line
-_shared_runs: Optional[Dict[str, List[dict]]] = None
-
-
-def _pinned_runs(command: str, configs: Sequence[RunConfig]) -> List[tuple]:
-    """(command line, checks) for each pinned configuration of a subcommand;
-    inside acceptance, a command line run by an earlier criterion is reused."""
-    runs = []
-    for cfg in configs:
-        line = " ".join([command] + _moved_flags(cfg))
-        if _shared_runs is None:
-            checks = _COMMANDS[command](cfg)
-        elif line in _shared_runs:
-            checks = _shared_runs[line]
-        else:
-            checks = _shared_runs[line] = _COMMANDS[command](cfg)
-        runs.append((line, checks))
-    return runs
-
-
-def _fold(name: str, ref: str, runs: List[tuple], **details) -> dict:
-    """One criterion check from the checks of its pinned runs: it passes when
-    every one of them passes, and names each failing check with its run."""
-    failures = [
-        f"{line}: {c['name']}"
-        for line, checks in runs
-        for c in checks
-        if c["status"] == "fail"
-    ]
-    return _check(name, ref, not failures, **details, failures=_clip(failures))
-
-
-def _criterion_01() -> dict:
-    runs = _pinned_runs("relations", [RunConfig()])
-    antisymmetry = runs[0][1][0]
-    return _fold(
-        "criterion-01", "bracket-table", runs, symbols=antisymmetry["details"]["symbols"]
-    )
-
-
-def _criterion_02(deepen) -> dict:
-    labels = [("-1", "0"), ("1", "1/3"), ("2", "1/2"), ("-2", "3/4"), ("1/2", "1/3")]
-    runs = _pinned_runs(
-        "realize",
-        [RunConfig(p=Fraction(p), r=Fraction(r), max_degree=3 + deepen) for p, r in labels],
-    )
-    rows = [
-        {
-            "label": f"({p}, {r})",
-            "checked": checks[0]["details"]["checked"],
-            "ok": checks[0]["status"] == "pass",
-        }
-        for (p, r), (_, checks) in zip(labels, runs)
-    ]
-    return _fold("criterion-02", "fock-realization", runs, labels=rows)
-
-
-#: checks that certify one explicit vector each
-_VECTOR_CHECKS = ("singular-odd-annihilation", "singular-even-annihilation", "descent-operator")
-
-
-def _criterion_03() -> dict:
-    runs = _pinned_runs(
-        "singular", [RunConfig(p=Fraction(p)) for p in (1, 3, 5, 2, 4, -1, -2, -3)]
-    )
-    vectors = sum(
-        c["name"] in _VECTOR_CHECKS or c["name"].startswith("singular-family-")
-        for _, checks in runs
-        for c in checks
-    )
-    return _fold("criterion-03", "singular-family", runs, vectors=vectors)
-
-
-def _criterion_04() -> dict:
-    runs = _pinned_runs("subsingular", [RunConfig(p=Fraction(p)) for p in (1, 3)])
-    return _fold("criterion-04", "subsingular-witness", runs)
-
-
-def _criterion_05(deepen) -> dict:
-    r = Fraction(5, 7)
-    labels = (1, -1, 2, -2, 3, -3)
-    runs = _pinned_runs(
-        "char", [RunConfig(p=Fraction(p), r=r, max_degree=4 + deepen) for p in labels]
-    )
-    rows = [
-        {
-            "p": p,
-            "dims": [e["expected"] for e in checks[0]["details"]["entries"]],
-            "ok": all(c["status"] == "pass" for c in checks),
-        }
-        for p, (_, checks) in zip(labels, runs)
-    ]
-    ok = all(row["ok"] for row in rows)
-    return _check("criterion-05", "character-match", ok, generic_r=format_rational(r), rows=rows)
-
-
-def _criterion_06(deepen) -> dict:
-    runs = _pinned_runs(
-        "char", [RunConfig(p=Fraction(p), max_degree=3 + deepen) for p in (1, 2, 3)]
-    )
-    return _fold("criterion-06", "contragredient-duality", runs)
-
-
-def _criterion_07() -> dict:
-    runs = _pinned_runs("det", [RunConfig(max_degree=Fraction(2))])
-    return _fold("criterion-07", "determinant-locus", runs)
-
-
-#: the generator modes the long screening is checked to commute with
-_SCREENING_GEN_MODES = (
-    ("L", Fraction(-1)), ("L", Fraction(1)), ("A", Fraction(-1)),
-    ("G", Fraction(-1, 2)), ("G", Fraction(1, 2)), ("P", Fraction(-1, 2)),
-)
-
-
-def _criterion_08(deepen) -> dict:
-    R = FreeFieldRealization()
-    cap = Fraction(3) + deepen
-    failures = []
-
-    def graded_vectors(p, r):
-        for d in _half_degrees(cap):
-            for b in R.basis(p, r, d):
-                yield FockVector({b: Fraction(1)}, int(2 * d) % 2)
-
-    def anticommutator_failures(modes, p, r, prefix):
-        """Charge modes a(m), a(n) anticommute on every graded basis vector."""
-        return [
-            f"{prefix}anticommutator a({m}), a({n})"
-            for i, m in enumerate(modes)
-            for n in modes[i:]
-            if any(
-                not (R.a_mode(m, R.a_mode(n, v)) + R.a_mode(n, R.a_mode(m, v))).is_zero()
-                for v in graded_vectors(p, r)
-            )
-        ]
-
-    p, r = Fraction(1), Fraction(1, 3)
-    for v in graded_vectors(p, r):
-        if not R.screening_q(R.screening_q(v)).is_zero():
-            failures.append("charge-square")
-            break
-    failures.extend(anticommutator_failures([Fraction(k) for k in range(-3, 4)], p, r, ""))
-    for v in graded_vectors(p, r):
-        if not (R.screening_q(R.screening_g(v)) - R.screening_g(R.screening_q(v))).is_zero():
-            failures.append("charge-screening commutator")
-            break
-    failures.extend(_kernel_commutation_failures(R, p, r, cap))
-    pt, rt = Fraction(2), Fraction(1, 2)
-    twisted_modes = [Fraction(t, 2) for t in range(-5, 6, 2)]
-    failures.extend(anticommutator_failures(twisted_modes, pt, rt, "twisted "))
-    for v in graded_vectors(pt, rt):
-        for kind, m in _SCREENING_GEN_MODES:
-            d = R.screening_g(R.generator_mode(kind, m, v), twisted=True) - R.generator_mode(
-                kind, m, R.screening_g(v, twisted=True)
-            )
-            if not d.is_zero():
-                failures.append(f"twisted screening vs {kind}({m})")
-    return _check("criterion-08", "screening-algebra", not failures, failures=_clip(failures))
-
-
-def _kernel_commutation_failures(R: FreeFieldRealization, p, r, cap) -> List[str]:
-    """The untwisted screening commutes with the action on the charge kernel."""
-    failures = []
-    for d in _half_degrees(cap):
-        basis = R.basis(p, r, d)
-        if not basis:
-            continue
-        cols = [
-            R.coordinates(p, r + _HALF, d + _HALF, R.screening_q(FockVector({b: Fraction(1)})))
-            for b in basis
-        ]
-        for kv in kernel_basis(Matrix.from_columns(cols)):
-            terms = {b: Fraction(c) for b, c in zip(basis, kv) if c}
-            v = FockVector(terms, int(2 * d) % 2)
-            for kind, m in _SCREENING_GEN_MODES:
-                defect = R.screening_g(R.generator_mode(kind, m, v)) - R.generator_mode(
-                    kind, m, R.screening_g(v)
-                )
-                if not defect.is_zero():
-                    failures.append(f"kernel screening vs {kind}({m}) at degree {d}")
-    return failures
-
-
-def _criterion_09() -> dict:
-    runs = (
-        _pinned_runs("singular", [RunConfig(p=Fraction(2))])
-        + _pinned_runs("char", [RunConfig(p=Fraction(2), max_degree=Fraction(3))])
-        + _pinned_runs("subsingular", [RunConfig()])
-    )
-    # the one check no subcommand runs: the subsingular vector at p = 1
-    # generates the whole maximal submodule through degree 3
-    hw = pr_to_hw(1, Fraction(1, 3))
-    reps = _detected_subsingular(hw, 1)
-    closure = Submodule(hw, Fraction(3))
-    if len(reps) == 1:
-        closure.add_generator(reps[0].to_dict(), Fraction(1))
-    ok = len(reps) == 1 and all(
-        closure.graded_dim(d) == maximal_submodule_dim(hw, d) for d in _half_degrees(3)
-    )
-    own = _check("subsingular-closure", "module-embedding", ok)
-    return _fold("criterion-09", "module-embedding", runs + [("criterion-09", [own])])
-
-
-def _chain(pattern: str, *path: str) -> dict:
-    """The details of a diagram run whose covering arrows form the chain
-    v -> path[0] -> path[1] -> ..., in the report's own JSON form."""
-    kinds = {"sing": "singular", "sub": "subsingular"}
-    nodes = [{"id": "v", "degree": "0", "kind": "highest"}]
-    for node in sorted(path, key=lambda i: Fraction(i.partition("@")[2])):
-        kind, _, degree = node.partition("@")
-        nodes.append({"id": node, "degree": degree, "kind": kinds[kind]})
-    ids = ("v",) + path
-    edges = [{"from": a, "to": b} for a, b in sorted(zip(ids, ids[1:]))]
-    return {"pattern": pattern, "nodes": nodes, "edges": edges}
-
-
-#: criterion 10: pinned diagram runs and the shapes they must report
-_DIAGRAMS = (
-    (
-        RunConfig(p=Fraction(-1)),
-        _chain("singular-chain", *(f"sing@{format_rational(Fraction(t, 2))}" for t in range(1, 9))),
-    ),
-    (RunConfig(p=Fraction(-2), r=Fraction(3, 4)), _chain("singular-chain", "sing@2", "sing@4")),
-    (
-        RunConfig(max_degree=Fraction(2)),
-        _chain("interleaved-chain", "sub@1", "sing@1/2", "sing@3/2"),
-    ),
-)
-
-
-def _criterion_10() -> dict:
-    runs = _pinned_runs("diagram", [cfg for cfg, _ in _DIAGRAMS])
-    judged = [
-        (line, [dict(c, status=c["status"] if c["details"] == shape else "fail") for c in checks])
-        for (line, checks), (_, shape) in zip(runs, _DIAGRAMS)
-    ]
-    return _fold("criterion-10", "embedding-diagram", judged)
-
-
-def _criterion_11() -> dict:
-    R = FreeFieldRealization()
-    dims = R.kernel_intersection_dims(-1, Fraction(0), Fraction(3, 2))
-    want = [(Fraction(0), 1), (_HALF, 1), (Fraction(1), 1), (Fraction(3, 2), 3)]
-    ok = [(d, n) for d, n in dims] == want
-    return _check(
-        "criterion-11",
-        "kernel-intersection",
-        "pass" if ok else "warn",
-        dims=[[format_rational(d), n] for d, n in dims],
-        note="reported only; the underlying claim is outside this battery's scope",
-    )
-
-
-def cmd_acceptance(cfg: RunConfig) -> List[dict]:
-    """The pinned acceptance battery; deeper --max-degree widens some sweeps."""
-    moved = [flag for flag in _moved_flags(cfg) if not flag.startswith("--max-degree")]
-    if moved:
-        raise UsageError(f"acceptance pins its own labels; {', '.join(moved)} would be ignored")
-    deepen = max(Fraction(0), cfg.max_degree - 4)
-    global _shared_runs
-    _shared_runs = {}
-    try:
-        return [
-            _criterion_01(),
-            _criterion_02(deepen),
-            _criterion_03(),
-            _criterion_04(),
-            _criterion_05(deepen),
-            _criterion_06(deepen),
-            _criterion_07(),
-            _criterion_08(deepen),
-            _criterion_09(),
-            _criterion_10(),
-            _criterion_11(),
-        ]
-    finally:
-        _shared_runs = None
+    return cmd_acceptance(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +684,7 @@ _COMMANDS: Dict[str, Callable[[RunConfig], List[dict]]] = {
     "char": cmd_char,
     "det": cmd_det,
     "diagram": cmd_diagram,
-    "acceptance": cmd_acceptance,
+    "acceptance": _acceptance,
 }
 
 
@@ -1011,8 +719,26 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+@cache
+def _source_hash() -> str:
+    """A hash of the package's sources, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, cfg: RunConfig) -> str:
-    payload = {"command": command, "params": cfg.params(), "version": _CACHE_VERSION}
+    """The entry name of a configuration: it changes with the command, the
+    parameters, the cache format, the package version and its sources, so
+    an entry does not outlive the code that wrote it."""
+    payload = {
+        "command": command,
+        "params": cfg.params(),
+        "version": _CACHE_VERSION,
+        "package": __version__,
+        "sources": _source_hash(),
+    }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
@@ -1059,7 +785,7 @@ def _read_cache_entry(path: Path) -> Optional[List[dict]]:
 
 def _write_atomically(path: Path, text: str) -> None:
     """Write text to a temporary file beside path, then rename it over path,
-    so a reader never sees a half-written entry."""
+    so a reader never sees a half-written file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)
@@ -1111,16 +837,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _config_from_args(ns)
         checks = _cached_checks(ns.command, cfg)
+        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        report = build_report(ns.command, cfg, checks, elapsed_ms)
+        rendered = render_json(report) if cfg.fmt == "json" else render_text(report)
+        if cfg.out:
+            try:
+                _write_atomically(Path(cfg.out), rendered)
+            except OSError as exc:
+                raise UsageError(f"--out {cfg.out}: {exc.strerror or exc}") from None
+        else:
+            sys.stdout.write(rendered)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    report = build_report(ns.command, cfg, checks, elapsed_ms)
-    rendered = render_json(report) if cfg.fmt == "json" else render_text(report)
-    if cfg.out:
-        Path(cfg.out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
     return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 

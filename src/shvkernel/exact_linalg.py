@@ -1,6 +1,16 @@
 """Exact linear algebra over the rationals, and determinants over parameter
 polynomials.
 
+Both module layers reduce their checks to one graded piece at a time, and
+CoordinateMap is the one bridge between their sparse vectors and these
+matrices.  It holds the basis of a piece in a fixed order with the index of
+each element, and turns a {basis element: coefficient} dict into a dense
+column (Fraction(0) off the support, KeyError on an element outside the
+piece), a list of such dicts into the Matrix of their columns (n x 0 and 0 x n
+included), and a dense column, such as a kernel vector, back into a dict
+without zeros.  verma.GradedBasis is a CoordinateMap of PBW words, and
+FreeFieldRealization.piece gives the one of a Fock piece.
+
 Rank, kernels and span membership take int and Fraction entries only, and
 run one fraction-free (Bareiss) elimination.  Rational rows are first scaled
 to primitive integer rows, so the elimination stays in plain integers and
@@ -32,9 +42,9 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
-from .scalars import PARAMETERS, ParamPolynomial
+from .scalars import PARAMETERS, ParamPolynomial, is_zero
 
 
 class Matrix:
@@ -42,14 +52,12 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence]):
+    def __init__(self, data: Sequence[Sequence], cols: int = 0):
+        """Rows of equal length; cols is the width of a matrix with no rows."""
         rows = [tuple(r) for r in data]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        width = len(rows[0]) if rows else cols
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
         self.data = tuple(rows)
         self.rows = len(rows)
         self.cols = width
@@ -63,10 +71,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
+        return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
 
     def row(self, i: int):
         return self.data[i]
@@ -74,12 +79,12 @@ class Matrix:
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        return Matrix([a + b for a, b in zip(self.data, other.data)])
+        return Matrix([a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.rows and other.rows and self.cols != other.cols:
             raise ValueError("column counts differ")
-        return Matrix(list(self.data) + list(other.data))
+        return Matrix(list(self.data) + list(other.data), self.cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -89,6 +94,37 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
+
+
+class CoordinateMap:
+    """The coordinates of one graded piece: its basis in a fixed order and the
+    index of each element (see the module docstring)."""
+
+    __slots__ = ("elements", "index")
+
+    def __init__(self, elements: Sequence):
+        self.elements = tuple(elements)
+        self.index = {b: i for i, b in enumerate(self.elements)}
+
+    def __len__(self):
+        return len(self.elements)
+
+    def column(self, vec: Mapping) -> list:
+        """vec as a dense column, with Fraction(0) off its support; an
+        element outside the piece raises KeyError."""
+        col = [Fraction(0)] * len(self.elements)
+        for b, c in vec.items():
+            col[self.index[b]] = c
+        return col
+
+    def matrix(self, vecs: Iterable[Mapping]) -> Matrix:
+        """The matrix whose columns are the vectors, len(self) x len(vecs)."""
+        cols = [self.column(v) for v in vecs]
+        return Matrix(list(zip(*cols)) if cols else [()] * len(self.elements), len(cols))
+
+    def vector(self, coords: Sequence) -> dict:
+        """A dense column, such as a kernel vector, as a dict without zeros."""
+        return {b: c for b, c in zip(self.elements, coords) if not is_zero(c)}
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,6 @@ class FockBasisVector(NamedTuple):
     d_part: Tuple[int, ...] = ()  # weakly decreasing positive modes
     c_part: Tuple[int, ...] = ()
 
-    def letter_degree(self) -> Fraction:
-        return (
-            Fraction(sum(self.psip) + sum(self.psim), 2)
-            + sum(self.d_part)
-            + sum(self.c_part)
-        )
-
     def to_text(self) -> str:
         bits = []
         for tv in self.psip:

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exact_linalg import Matrix, rank
+from .exact_linalg import CoordinateMap, Matrix, rank
 from .fock import (
     CosetError,
     FockBasisVector,
@@ -190,7 +190,7 @@ class FreeFieldRealization:
     def __init__(self, cL=None, cLa=None):
         self.cL = DEFAULT_SPECIALIZATION["cL"] if cL is None else Fraction(cL)
         self.cLa = DEFAULT_SPECIALIZATION["cLa"] if cLa is None else Fraction(cLa)
-        self._basis_cache: Dict[Tuple[LatticePoint, int], Tuple[FockBasisVector, ...]] = {}
+        self._basis_cache: Dict[Tuple[LatticePoint, int], CoordinateMap] = {}
         self._mode_cache: Dict[Tuple[str, int], Dict[FockBasisVector, Tuple[IntHit, ...]]] = {}
         self._sector_weights: Dict[LatticePoint, Tuple[int, int, int, int]] = {}
         self._sectors: Dict[LatticePoint, LatticePoint] = {}
@@ -214,17 +214,14 @@ class FreeFieldRealization:
     def sector(self, p, r) -> LatticePoint:
         return self._shared(sector_for(p, r, self.cL))
 
-    def sector_weight(self, sec: LatticePoint) -> Fraction:
-        return (
-            2 * sec.x_c * sec.x_d
-            - (self.cL - 3) * Fraction(1, 12) * sec.x_d
-            + sec.x_c
-        )
-
     def vacuum_vector(self, p, r) -> FockVector:
         return FockVector({FockBasisVector(sector=self.sector(p, r)): Fraction(1)}, 0)
 
     def basis(self, p, r, degree) -> Tuple[FockBasisVector, ...]:
+        return self.piece(p, r, degree).elements
+
+    def piece(self, p, r, degree) -> CoordinateMap:
+        """The coordinate map of the (p, r) Fock module's degree piece."""
         sec = self.sector(p, r)
         t = Fraction(degree) * 2
         if t.denominator != 1 or t < 0:
@@ -254,8 +251,8 @@ class FreeFieldRealization:
                                             c_part=cp.parts,
                                         )
                                     )
-        self._basis_cache[key] = tuple(out)
-        return self._basis_cache[key]
+        hit = self._basis_cache[key] = CoordinateMap(out)
+        return hit
 
     # -- raw free modes ----------------------------------------------------
 
@@ -755,19 +752,7 @@ class FreeFieldRealization:
         src_basis = self.basis(*src)
         if Fraction(dst[2]) < 0:
             return Matrix.zero(0, len(src_basis))
-        cols = [self.coordinates(*dst, op(FockVector({b: Fraction(1)}, 0))) for b in src_basis]
-        if not cols:
-            return Matrix.zero(len(self.basis(*dst)), 0)
-        return Matrix.from_columns(cols)
-
-    def coordinates(self, p, r, degree, vec: FockVector) -> List[Fraction]:
-        """vec's coefficients on basis(p, r, degree), as a dense column."""
-        basis = self.basis(p, r, degree)
-        index = {b: i for i, b in enumerate(basis)}
-        col = [_ZERO] * len(basis)
-        for b, c in vec.terms.items():
-            col[index[b]] = c
-        return col
+        return self.piece(*dst).matrix(op(FockVector({b: Fraction(1)}, 0)).terms for b in src_basis)
 
     def kernel_intersection_dims(self, p, r, max_degree) -> List[Tuple[Fraction, int]]:
         """Graded dimensions of Ker(odd screening) ∩ Ker(long screening)."""
@@ -786,10 +771,7 @@ class FreeFieldRealization:
                 (p, r, d),
                 (p, Fraction(r) + 1, d + p),
             )
-            stacked = mq.stack(mg)
-            n = len(self.basis(p, r, d))
-            dim = n - rank(stacked) if stacked.rows else n
-            out.append((d, dim))
+            out.append((d, len(self.basis(p, r, d)) - rank(mq.stack(mg))))
             t += 1
         return out
 

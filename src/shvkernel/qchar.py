@@ -92,10 +92,6 @@ class QSeries:
                     out[t] = out.get(t, 0) + c1 * c2
         return QSeries(out, self.truncation, self.offset)
 
-    def shifted(self, delta) -> "QSeries":
-        off = delta if self.offset is None else self.offset + delta
-        return QSeries(self.coeffs, self.truncation, off)
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -120,16 +116,6 @@ class QSeries:
         if self.offset == 0:
             return body
         return f"q^{self.offset} * ({body})"
-
-    def to_json(self) -> dict:
-        return {
-            "offset": None if self.offset is None else str(self.offset),
-            "truncation": format_rational(self.truncation),
-            "coeffs": {
-                format_rational(Fraction(t, 2)): self.coeffs[t]
-                for t in sorted(self.coeffs)
-            },
-        }
 
     def __repr__(self):
         return f"QSeries({self.to_text()})"

@@ -248,19 +248,6 @@ class Element:
                 bits.append(f"({c})*{word_txt}")
         return " + ".join(bits)
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coeff": str(c),
-                    "factors": [
-                        {"kind": s.kind, "mode": str(s.mode)} for s in w
-                    ],
-                }
-                for w, c in self.sorted_terms()
-            ]
-        }
-
     def __repr__(self):
         return f"Element({self.to_text()})"
 

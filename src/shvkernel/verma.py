@@ -32,13 +32,12 @@ be symmetric; its right kernel is the maximal submodule, which is all we use.)
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_linalg import Matrix, determinant, kernel_basis, rank
+from .exact_linalg import CoordinateMap, Matrix, determinant, kernel_basis, rank
 from .qchar import char_verma, schur_expand
 from .scalars import (
     DEFAULT_SPECIALIZATION,
@@ -98,28 +97,23 @@ def pr_to_hw(p, r, cL=None, cLa=None, cA=None) -> HighestWeightData:
 # graded bases
 
 
-class GradedBasis:
-    """PBW basis words of one graded component, in a fixed deterministic order."""
+class GradedBasis(CoordinateMap):
+    """PBW basis words of one graded component, in a fixed deterministic
+    order, and the coordinate map they define."""
 
-    __slots__ = ("twice_degree", "words", "index")
+    __slots__ = ("twice_degree",)
 
     def __init__(self, twice_degree: int, words: Tuple[Word, ...]):
+        super().__init__(words)
         self.twice_degree = twice_degree
-        self.words = words
-        self.index = {w: i for i, w in enumerate(words)}
+
+    @property
+    def words(self) -> Tuple[Word, ...]:
+        return self.elements
 
     @property
     def degree(self) -> Fraction:
         return Fraction(self.twice_degree, 2)
-
-    def __len__(self):
-        return len(self.words)
-
-    def content_hash(self) -> str:
-        payload = ";".join(
-            ",".join(f"{s.kind}{s.mode.twice_value}" for s in w) for w in self.words
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 _BASIS_CACHE: Dict[int, GradedBasis] = {}
@@ -196,29 +190,14 @@ class ModuleVector:
         return verma_basis(None, self.degree)
 
     def to_dict(self) -> Dict[Word, object]:
-        basis = self.basis()
-        return {
-            w: c for w, c in zip(basis.words, self.coords) if not is_zero(c)
-        }
+        return self.basis().vector(self.coords)
 
     @classmethod
     def from_dict(cls, vec: Dict[Word, object], degree) -> "ModuleVector":
-        basis = verma_basis(None, degree)
-        coords = [Fraction(0)] * len(basis)
-        for w, c in vec.items():
-            coords[basis.index[w]] = c
-        return cls(degree=Fraction(degree), coords=tuple(coords))
+        return cls(degree=Fraction(degree), coords=tuple(verma_basis(None, degree).column(vec)))
 
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.coords)
-
-    def to_json(self) -> dict:
-        basis = self.basis()
-        return {
-            "degree": str(basis.degree),
-            "basis_hash": basis.content_hash(),
-            "coords": [str(c) for c in self.coords],
-        }
 
     def to_text(self) -> str:
         basis = self.basis()
@@ -321,22 +300,6 @@ class VermaAction:
             _add_scaled(out, self.apply_word(opword, vec), coeff)
         return out
 
-    def matrix_of(self, opword: Sequence[GeneratorSymbol], degree) -> Matrix:
-        """Matrix of a homogeneous operator word from degree to degree + weight."""
-        src = verma_basis(self.hw, degree)
-        target_degree = Fraction(degree) + word_weight(tuple(opword))
-        dst = verma_basis(self.hw, target_degree)
-        cols = []
-        for w in src.words:
-            img = self.apply_word(opword, {w: Fraction(1)})
-            col = [Fraction(0)] * len(dst)
-            for w2, c in img.items():
-                col[dst.index[w2]] = c
-            cols.append(col)
-        if not cols:
-            return Matrix([])
-        return Matrix.from_columns(cols)
-
 
 _ACTIONS: List[Tuple[HighestWeightData, VermaAction]] = []
 
@@ -386,17 +349,6 @@ _THETA = {
     "G": lambda t: (G(Fraction(-t, 2)), 1),
     "P": lambda t: (P(Fraction(-t, 2)), -1),
 }
-
-
-def theta_word(word: Word) -> Tuple[Word, int]:
-    """Antipode of a lowering word: reversed raising word plus a global sign."""
-    sign = 1
-    out = []
-    for s in reversed(word):
-        img, sg = _THETA[s.kind](s.mode.twice_value)
-        sign *= sg
-        out.append(img)
-    return tuple(out), sign
 
 
 def shapovalov_gram(hw: HighestWeightData, degree) -> Matrix:
@@ -489,31 +441,38 @@ def _normalize_leading(vec: Dict[Word, object]) -> Dict[Word, object]:
     return {w: v * inv for w, v in vec.items()}
 
 
+def _raised(hw: HighestWeightData, basis: GradedBasis):
+    """The raising symbols of the basis degree, the coordinate map of their
+    stacked targets (the pairs (k, u), u a word of the k-th symbol's target;
+    none at degree 0) and the image of each basis word in it."""
+    action = get_action(hw)
+    symbols = raising_symbols(basis.degree)
+    rows = CoordinateMap([
+        (k, u) for k, g in enumerate(symbols)
+        for u in verma_basis(hw, basis.degree - g.mode.value).words
+    ])
+    images = [
+        {
+            (k, u): c
+            for k, g in enumerate(symbols)
+            for u, c in action.apply_word((g,), {w: Fraction(1)}).items()
+        }
+        for w in basis.words
+    ]
+    return symbols, rows, images
+
+
 def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
     """Basis of the space of degree-d vectors killed by every raising generator,
     each normalized so its leading basis word has coefficient 1."""
-    action = get_action(hw)
     basis = verma_basis(hw, degree)
-    if len(basis) == 0:
+    symbols, rows, images = _raised(hw, basis)
+    if not symbols:
         return []
-    blocks = []
-    for g in raising_symbols(degree):
-        m = action.matrix_of((g,), degree)
-        if m.rows:
-            blocks.append(m)
-    if not blocks:
-        return []
-    stacked = blocks[0]
-    for b in blocks[1:]:
-        stacked = stacked.stack(b)
-    out = []
-    for coords in kernel_basis(stacked):
-        vec = {
-            w: c for w, c in zip(basis.words, coords) if not is_zero(c)
-        }
-        vec = _normalize_leading(vec)
-        out.append(ModuleVector.from_dict(vec, Fraction(degree)))
-    return out
+    return [
+        ModuleVector.from_dict(_normalize_leading(basis.vector(k)), degree)
+        for k in kernel_basis(rows.matrix(images))
+    ]
 
 
 class _EchelonSpan:
@@ -601,13 +560,6 @@ class Submodule:
     def max_degree(self) -> Fraction:
         return Fraction(self.max_twice, 2)
 
-    def _coords(self, vec: Dict[Word, object], twice_degree: int):
-        basis = verma_basis(self.hw, Fraction(twice_degree, 2))
-        col = [Fraction(0)] * len(basis)
-        for w, c in vec.items():
-            col[basis.index[w]] = c
-        return col
-
     def graded_dim(self, degree) -> int:
         return len(self._spans.get(int(Fraction(degree) * 2), []))
 
@@ -620,7 +572,7 @@ class Submodule:
         t = int(Fraction(degree) * 2)
         if t not in self._echelons:
             return False
-        return self._echelons[t].contains(self._coords(vec, t))
+        return self._echelons[t].contains(verma_basis(self.hw, Fraction(t, 2)).column(vec))
 
     def _try_add(self, vec: Dict[Word, object], twice_degree: int) -> bool:
         if not vec or twice_degree > self.max_twice:
@@ -628,7 +580,7 @@ class Submodule:
         span = self._echelons.get(twice_degree)
         if span is None:
             span = self._echelons[twice_degree] = _EchelonSpan()
-        if not span.insert(self._coords(vec, twice_degree)):
+        if not span.insert(verma_basis(self.hw, Fraction(twice_degree, 2)).column(vec)):
             return False
         self._spans.setdefault(twice_degree, []).append(dict(vec))
         return True
@@ -673,57 +625,32 @@ def subsingular_vectors(
     """Vectors singular modulo a submodule S: every raising image lands in S,
     and the vector itself is reduced modulo S plus the genuine singular space.
     Returns normalized representatives of the new directions."""
-    action = get_action(hw)
     basis = verma_basis(hw, degree)
     n = len(basis)
-    if n == 0:
+    symbols, rows, images = _raised(hw, basis)
+    if not symbols:
         return []
-    blocks: List[Tuple[Matrix, Matrix]] = []
-    for g in raising_symbols(degree):
-        tgt = Fraction(degree) - g.mode.value
-        m = action.matrix_of((g,), degree)
-        if not m.rows:
-            continue
-        span = submodule.graded_span(tgt)
-        scols = [submodule._coords(v, int(tgt * 2)) for v in span]
-        smat = Matrix.from_columns(scols) if scols else Matrix.zero(m.rows, 0)
-        blocks.append((m, smat))
-    if not blocks:
-        return []
-    total_aux = sum(s.cols for _, s in blocks)
-    rows: List[List] = []
-    aux_offset = 0
-    for m, s in blocks:
-        for i in range(m.rows):
-            row = list(m.row(i))
-            row += [Fraction(0)] * aux_offset
-            row += [-x for x in s.row(i)] if s.cols else []
-            row += [Fraction(0)] * (total_aux - aux_offset - s.cols)
-            rows.append(row)
-        aux_offset += s.cols
-    kernel = kernel_basis(Matrix(rows))
-    candidates = []
-    for k in kernel:
-        x = k[:n]
-        if any(not is_zero(c) for c in x):
-            candidates.append(x)
+    # [raising images | -(the spans of S at the targets)]: a kernel vector
+    # is a vector whose raising images lie in S, with their coordinates in S
+    spans = [
+        {(k, u): -c for u, c in v.items()}
+        for k, g in enumerate(symbols)
+        for v in submodule.graded_span(basis.degree - g.mode.value)
+    ]
+    candidates = [x[:n] for x in kernel_basis(rows.matrix(images + spans)) if any(x[:n])]
     if not candidates:
         return []
     # quotient by S_d + genuine singular vectors
     span = _EchelonSpan()
     for v in submodule.graded_span(degree):
-        span.insert(submodule._coords(v, int(Fraction(degree) * 2)))
+        span.insert(basis.column(v))
     for sv in singular_vectors(hw, degree):
         span.insert(list(sv.coords))
-    out = []
-    for x in candidates:
-        if not span.insert(list(x)):
-            continue
-        vec = {w: c for w, c in zip(basis.words, x) if not is_zero(c)}
-        out.append(
-            ModuleVector.from_dict(_normalize_leading(vec), Fraction(degree))
-        )
-    return out
+    return [
+        ModuleVector.from_dict(_normalize_leading(basis.vector(x)), degree)
+        for x in candidates
+        if span.insert(list(x))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +801,6 @@ class Diagram:
     pattern: str
     nodes: List[DiagramNode]
     edges: List[Tuple[str, str]]
-
-    def node_kinds(self) -> List[Tuple[Fraction, str]]:
-        return [(n.degree, n.kind) for n in self.nodes]
 
     def to_json(self) -> dict:
         return {

@@ -9,7 +9,7 @@ here.
 
 from fractions import Fraction as F
 
-import shvkernel.cli as cli
+import shvkernel.acceptance as acceptance
 
 ZERO = F(0)
 
@@ -19,29 +19,29 @@ def details(check):
 
 
 def test_criterion_01_bracket_identities():
-    check = cli._criterion_01()
+    check = acceptance._criterion_01()
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_02_realized_commutators():
-    check = cli._criterion_02(ZERO)
+    check = acceptance._criterion_02(ZERO)
     assert check["status"] == "pass", details(check)
     assert all(row["checked"] > 0 for row in check["details"]["labels"])
 
 
 def test_criterion_03_singular_certification():
-    check = cli._criterion_03()
+    check = acceptance._criterion_03()
     assert check["status"] == "pass", details(check)
     assert check["details"]["vectors"] == 21
 
 
 def test_criterion_04_subsingular_certification():
-    check = cli._criterion_04()
+    check = acceptance._criterion_04()
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_05_character_rank_match():
-    check = cli._criterion_05(ZERO)
+    check = acceptance._criterion_05(ZERO)
     assert check["status"] == "pass", details(check)
     dims = {row["p"]: row["dims"] for row in check["details"]["rows"]}
     assert dims[1] == [1, 1, 1, 3, 5, 7, 10, 16, 25]
@@ -50,32 +50,32 @@ def test_criterion_05_character_rank_match():
 
 
 def test_criterion_06_contragredient_duality():
-    check = cli._criterion_06(ZERO)
+    check = acceptance._criterion_06(ZERO)
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_07_determinant_locus():
-    check = cli._criterion_07()
+    check = acceptance._criterion_07()
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_08_screening_algebra():
-    check = cli._criterion_08(ZERO)
+    check = acceptance._criterion_08(ZERO)
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_09_structure_truncations():
-    check = cli._criterion_09()
+    check = acceptance._criterion_09()
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_10_embedding_diagrams():
-    check = cli._criterion_10()
+    check = acceptance._criterion_10()
     assert check["status"] == "pass", details(check)
 
 
 def test_criterion_11_kernel_intersection_spot_check():
-    check = cli._criterion_11()
+    check = acceptance._criterion_11()
     assert check["status"] in ("pass", "warn")
     assert check["details"]["dims"] == [["0", 1], ["1/2", 1], ["1", 1], ["3/2", 3]]
     # the computation itself succeeds today; keep that pinned

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import shvkernel.acceptance as acceptance
 import shvkernel.cli as cli
 from shvkernel.cli import RunConfig, UsageError
 
@@ -126,6 +127,15 @@ class TestReportShape:
         assert code == 0
         assert json.loads(target.read_text())["command"] == "diagram"
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        # a missing parent directory, and a directory where the file should go
+        for target in (tmp_path / "missing" / "report.txt", tmp_path):
+            code = cli.main(["relations", "--max-degree", "0", "--out", str(target)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --out {target}: ") and err.count("\n") == 1
+        assert list(tmp_path.parent.glob(f".{tmp_path.name}.*")) == []
+
 
 class TestFaultInjection:
     def test_corrupted_bracket_is_named(self, capsys, monkeypatch):
@@ -161,7 +171,7 @@ class TestFaultInjection:
         code, report = run_json(capsys, "det", "--max-degree", "2")
         assert code == 1
         assert [c["status"] for c in report["checks"]] == ["pass", "fail", "pass", "pass"]
-        check = cli._criterion_07()
+        check = acceptance._criterion_07()
         assert check["status"] == "fail"
         assert check["details"]["failures"] == ["det --max-degree 2: determinant-locus-1"]
 
@@ -178,7 +188,7 @@ class TestFaultInjection:
         code, report = run_json(capsys, "realize", "--p", "2", "--r", "1/2", "--max-degree", "3")
         assert code == 1
         assert [c["status"] for c in report["checks"]] == ["fail", "pass"]
-        check = cli._criterion_02(F(0))
+        check = acceptance._criterion_02(F(0))
         assert check["status"] == "fail"
         assert [row["ok"] for row in check["details"]["labels"]] == [True, True, False, True, True]
         assert check["details"]["failures"] == [
@@ -199,7 +209,7 @@ class TestFaultInjection:
         code, report = run_json(capsys, "diagram", "--p", "-2", "--r", "3/4")
         assert code == 1
         assert report["checks"][0]["details"]["pattern"] == "single-node"
-        check = cli._criterion_10()
+        check = acceptance._criterion_10()
         assert check["status"] == "fail"
         assert check["details"]["failures"] == ["diagram --p -2 --r 3/4: embedding-diagram"]
 
@@ -213,24 +223,24 @@ class TestPinnedRuns:
         monkeypatch.setitem(cli._COMMANDS, "singular", lambda cfg: calls.append(cfg) or passing)
 
         def criterion(*_):
-            runs = cli._pinned_runs("singular", [RunConfig(p=F(2))])
-            return cli._fold("stub", "stub", runs)
+            runs = acceptance._pinned_runs("singular", [RunConfig(p=F(2))])
+            return acceptance._fold("stub", "stub", runs)
 
         for name in self.CRITERIA:
-            monkeypatch.setattr(cli, name, criterion)
+            monkeypatch.setattr(acceptance, name, criterion)
         return criterion
 
     def test_one_acceptance_call_runs_each_command_line_once(self, monkeypatch):
         calls = []
         criterion = self.stub_battery(monkeypatch, calls)
-        checks = cli.cmd_acceptance(RunConfig())
+        checks = acceptance.cmd_acceptance(RunConfig())
         assert len(checks) == 11 and all(c["status"] == "pass" for c in checks)
         assert len(calls) == 1
         # outside acceptance, a criterion runs fresh
         criterion()
         criterion()
         assert len(calls) == 3
-        assert cli._shared_runs is None
+        assert acceptance._shared_runs is None
 
     def test_shared_runs_cleared_when_acceptance_raises(self, monkeypatch):
         calls = []
@@ -239,11 +249,11 @@ class TestPinnedRuns:
         def broken():
             raise RuntimeError("criterion failed to run")
 
-        monkeypatch.setattr(cli, "_criterion_07", broken)
+        monkeypatch.setattr(acceptance, "_criterion_07", broken)
         with pytest.raises(RuntimeError):
-            cli.cmd_acceptance(RunConfig())
-        assert cli._shared_runs is None
-        cli._criterion_01()
+            acceptance.cmd_acceptance(RunConfig())
+        assert acceptance._shared_runs is None
+        acceptance._criterion_01()
         assert len(calls) == 2
 
 
@@ -301,6 +311,16 @@ class TestCache:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --cache-dir")
         assert list(cache.iterdir()) == [entry]
+
+    def test_changed_sources_miss_the_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        args = ["relations", "--max-degree", "0", "--cache-dir", str(cache)]
+        run_json(capsys, *args)
+        run_json(capsys, *args)
+        assert len(list(cache.iterdir())) == 1
+        monkeypatch.setattr(cli, "_source_hash", lambda: "0" * 64)
+        assert run_json(capsys, *args)[0] == 0
+        assert len(list(cache.iterdir())) == 2
 
     def test_cache_key_separates_configs(self, tmp_path):
         a = cli._cache_key("char", RunConfig(p=F(1)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shvkernel.exact_linalg import (
+    CoordinateMap,
     Matrix,
     determinant,
     in_span,
@@ -15,7 +16,9 @@ from shvkernel.exact_linalg import (
     kernel_basis,
     rank,
 )
+from shvkernel.freefield import FreeFieldRealization
 from shvkernel.scalars import ParamPolynomial, evaluate, is_zero
+from shvkernel.verma import verma_basis
 
 P = ParamPolynomial
 
@@ -51,11 +54,14 @@ def test_matrix_shape_checks():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
     m = Matrix([[1, 2], [3, 4]])
-    assert m.entry(1, 0) == 3
+    assert m.row(1)[0] == 3
     assert column(m, 1) == (2, 4)
     assert transpose(m).row(0) == (1, 3)
     with pytest.raises(ValueError):
         determinant(Matrix([[1, 2]]))
+    # a matrix with no rows keeps its width through stack and augment
+    assert Matrix.zero(0, 3).stack(Matrix.zero(0, 3)).cols == 3
+    assert Matrix.zero(0, 3).augment(Matrix.zero(0, 2)).cols == 5
 
 
 def test_rank_examples():
@@ -518,3 +524,50 @@ def test_integer_rows_are_primitive_row_multiples(m):
         assert [F(x) * g for x in ints] == [x * L for x in row]
         assert all(type(x) is int for x in ints)
         assert math.gcd(*ints) in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate map, on a Verma piece and on a Fock piece
+
+
+_REALIZATION = FreeFieldRealization()
+_PIECES = {
+    "verma": lambda t: verma_basis(None, F(t, 2)),
+    "fock": lambda t: _REALIZATION.piece(1, F(1, 3), F(t, 2)),
+}
+coefficients = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_PIECES)), st.integers(0, 5), st.data())
+def test_coordinate_map(kind, t, data):
+    piece = _PIECES[kind](t)
+    n = len(piece)
+    vecs = data.draw(
+        st.lists(st.dictionaries(st.sampled_from(piece.elements), coefficients), max_size=4)
+    )
+    m = piece.matrix(vecs)
+    assert (m.rows, m.cols) == (n, len(vecs))
+    for j, vec in enumerate(vecs):
+        col = piece.column(vec)
+        assert list(column(m, j)) == col
+        # column and back is the identity, and every entry keeps its type
+        back = piece.vector(col)
+        assert [(b, type(c), c) for b, c in back.items()] == sorted(
+            ((b, type(c), c) for b, c in vec.items()), key=lambda e: piece.index[e[0]]
+        )
+        assert all(type(c) is F and c == 0 for b, c in zip(piece.elements, col) if b not in vec)
+    # an element of the next piece is outside this one
+    with pytest.raises(KeyError):
+        piece.column({_PIECES[kind](t + 1).elements[-1]: 1})
+    # n x 0 and 0 x n: rank 0, kernels {0} and the whole space
+    for empty, shape, kernel_dim in (
+        (piece.matrix([]), (n, 0), 0),
+        (CoordinateMap(()).matrix([{}] * n), (0, n), n),
+    ):
+        assert (empty.rows, empty.cols) == shape
+        assert rank(empty) == 0
+        assert len(kernel_basis(empty)) == kernel_dim

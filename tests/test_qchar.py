@@ -118,9 +118,8 @@ def test_qseries_printing():
     assert ch.to_text() == "q^h * (1 + q^1/2 + q + 3*q^3/2)"
     shifted = QSeries({0: 1, 1: 2}, F(1, 2), offset=F(3, 2))
     assert shifted.to_text() == "q^3/2 * (1 + 2*q^1/2)"
-    js = ch.to_json()
-    assert js["offset"] is None
-    assert js["coeffs"]["3/2"] == 3
+    assert ch.offset is None
+    assert ch.coefficient(F(3, 2)) == 3
 
 
 def test_compare_dims_pass_and_fail():

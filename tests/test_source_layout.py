@@ -7,10 +7,8 @@ import shvkernel
 
 SOURCE = Path(shvkernel.__file__).parent
 
-#: over the parser-token step (8433 tokens) and the next module to split
-OVER_THE_STEP = ("cli.py",)
-#: every other module of the package is kept below the step
-MODULES = sorted(p.name for p in SOURCE.glob("*.py") if p.name not in OVER_THE_STEP)
+#: every module of the package is kept below the step
+MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
 
 
 def parser_tokens(path: Path) -> int:

@@ -35,7 +35,6 @@ from shvkernel.verma import (
     singular_vector_from_phi,
     singular_vectors,
     subsingular_vectors,
-    theta_word,
     verma_basis,
 )
 
@@ -161,9 +160,8 @@ class TestAction:
     def test_vector_serialization(self):
         hw = hw_for(1)
         v = act(L(-1), highest_weight_vector(), hw)
-        blob = v.to_json()
-        assert blob["degree"] == "1"
-        assert len(blob["coords"]) == 3
+        assert v.degree == 1
+        assert len(v.coords) == 3
         assert "L(-1)" in v.to_text()
 
 
@@ -376,12 +374,15 @@ class TestDiagram:
     def test_even_negative_chain_start(self):
         d = embedding_diagram(-2, R, 2)
         assert d.pattern == "singular-chain"
-        assert d.node_kinds() == [(Fraction(0), "highest"), (Fraction(2), "singular")]
+        assert [(n.degree, n.kind) for n in d.nodes] == [
+            (Fraction(0), "highest"),
+            (Fraction(2), "singular"),
+        ]
         assert d.edges == [("v", "sing@2")]
 
     def test_interleaved_start(self):
         d = embedding_diagram(1, R, 1)
-        kinds = d.node_kinds()
+        kinds = [(n.degree, n.kind) for n in d.nodes]
         assert (Fraction(1, 2), "singular") in kinds
         assert (Fraction(1), "subsingular") in kinds
         assert d.pattern == "interleaved-chain"
@@ -427,6 +428,19 @@ def _oracle_apply_symbol(hw, sym, word):
         else:
             out[lowered] = nv
     return out
+
+
+def theta_word(word):
+    """Antipode of a lowering word: the reversed raising word and a global
+    sign, from L(n) -> L(-n), A(n) -> -A(-n), G(s) -> G(-s), P(s) -> -P(-s)."""
+    images = {"L": (L, 1), "A": (A, -1), "G": (G, 1), "P": (P, -1)}
+    sign = 1
+    out = []
+    for s in reversed(word):
+        kind, sg = images[s.kind]
+        sign *= sg
+        out.append(kind(-s.mode.value))
+    return tuple(out), sign
 
 
 def _oracle_gram(hw, degree):
