@@ -15,6 +15,7 @@ Exit status: 0 when every check passes, 1 when a verification check fails,
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -785,7 +786,11 @@ def _read_cache_entry(path: Path) -> Optional[List[dict]]:
 
 def _write_atomically(path: Path, text: str) -> None:
     """Write text to a temporary file beside path, then rename it over path,
-    so a reader never sees a half-written file."""
+    so a reader never sees a half-written file.  A directory at path is
+    refused before anything is written, since the temporary file would land
+    in its parent."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)

@@ -26,7 +26,16 @@ not touched until it has (_int_echelon keeps the Bareiss factors it skipped
 as one pending division), an elimination subtracts only on the pivot row's
 nonzero columns, and back substitution sums over each pivot row's nonzero
 entries.  The rows, pivots and determinants are those of dense Bareiss
-elimination, bit for bit.
+elimination of the same rows in the same order, bit for bit.
+
+The order is sparsest first: the primitive integer rows are stably sorted by
+nonzero count (the fill-in rule of Markowitz, 1957), so the many dependent
+rows of a degenerate Gram block reach zero after few pivot steps.  No result
+depends on the order.  rank and determinants sort the columns too, and a
+determinant multiplies back the signs of both permutations.  Kernels and
+in_span keep the column order: their pivot columns are the leftmost
+independent ones whatever the row order, and each kernel vector is the one
+with 1 in its free column and 0 in the other free columns, made primitive.
 
 Determinants are integer Bareiss eliminations, and ``determinant`` is the
 one function that also takes polynomial entries.  Such a determinant is
@@ -224,15 +233,54 @@ def _int_echelon(work: List[List[int]]):
     return pivots, sign, last
 
 
-def _echelon_of(m: Matrix):
-    """Echelon rows of a rational matrix, as primitive integer rows, and its
-    pivot columns.  Raises TypeError naming the first entry that is not an
-    int or a Fraction."""
+def _permutation_sign(order: List[int]) -> int:
+    """The sign of a permutation given as the list of its images:
+    (-1)^(n - number of cycles)."""
+    seen = set()
+    cycles = 0
+    for start in order:
+        if start not in seen:
+            cycles += 1
+            j = start
+            while j not in seen:
+                seen.add(j)
+                j = order[j]
+    return -1 if (len(order) - cycles) % 2 else 1
+
+
+def _sparsest_first(work: List[List[int]], columns: bool):
+    """The rows of work, and with columns=True also its columns, in ascending
+    order of nonzero count (stable, so ties keep their order); see the module
+    docstring.  Returns the reordered rows and the sign of the reordering, the
+    product of the signs of the row and column permutations."""
+    counts = [len(row) - row.count(0) for row in work]
+    order = sorted(range(len(work)), key=counts.__getitem__)
+    work = [work[i] for i in order]
+    sign = _permutation_sign(order)
+    if columns:
+        counts = [len(col) - col.count(0) for col in zip(*work)]
+        order = sorted(range(len(counts)), key=counts.__getitem__)
+        work = [[row[j] for j in order] for row in work]
+        sign *= _permutation_sign(order)
+    return work, sign
+
+
+def _echelon_of(m: Matrix, columns: bool = False):
+    """Echelon rows of a rational matrix, as primitive integer rows taken
+    sparsest first, and its pivot columns.  Raises TypeError naming the first
+    entry that is not an int or a Fraction.
+
+    By default the columns keep their order, so the pivot columns are the
+    leftmost independent columns of m, whatever the row order.  columns=True
+    takes the columns sparsest first too, for rank, which needs only how
+    many pivots there are.
+    """
     for row in m.data:
         for x in row:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError(f"expected int or Fraction entries, got {x!r}")
     work, _ = _int_rows(m.data)
+    work, _ = _sparsest_first(work, columns)
     pivots, _, _ = _int_echelon(work)
     return work, pivots
 
@@ -240,7 +288,7 @@ def _echelon_of(m: Matrix):
 def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots = _echelon_of(m)
+    _, pivots = _echelon_of(m, columns=True)
     return len(pivots)
 
 
@@ -267,14 +315,17 @@ def determinant(m: Matrix):
 
 
 def _rational_det(rows) -> Fraction:
-    """Integer Bareiss on the primitive integer rows; the last pivot, times
-    each row's content over its lcm, is the determinant."""
+    """Integer Bareiss on the primitive integer rows, with rows and columns
+    taken sparsest first; the last pivot, times the signs of the row swaps
+    and of both orders and each row's content over its lcm, is the
+    determinant."""
     work, scales = _int_rows(rows)
+    work, order_sign = _sparsest_first(work, columns=True)
     pivots, sign, last = _int_echelon(work)
     if len(pivots) < len(work):
         return Fraction(0)
     contents = math.prod(g for _, g in scales)
-    return Fraction(sign * last * contents, math.prod(L for L, _ in scales))
+    return Fraction(order_sign * sign * last * contents, math.prod(L for L, _ in scales))
 
 
 def _coefficients(x, idx: int):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,27 @@ class TestReportShape:
             err = capsys.readouterr().err
             assert err.startswith(f"error: --out {target}: ") and err.count("\n") == 1
         assert list(tmp_path.parent.glob(f".{tmp_path.name}.*")) == []
+
+    def test_directory_target_is_refused_before_any_write(self, capsys, tmp_path, monkeypatch):
+        # a directory as --out or as the cache entry: nothing is written,
+        # not even a temporary file beside it
+        writes = []
+        real_write_text = Path.write_text
+
+        def spy(self, *args, **kwargs):
+            writes.append(self)
+            return real_write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", spy)
+        cache = tmp_path / "cache"
+        entry = cache / f"relations-{cli._cache_key('relations', RunConfig(max_degree=F(0)))}.json"
+        entry.mkdir(parents=True)
+        for flag, target in (("--out", tmp_path), ("--cache-dir", cache)):
+            code = cli.main(["relations", "--max-degree", "0", flag, str(target)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flag} {target}: ") and err.count("\n") == 1
+        assert writes == []
 
 
 class TestFaultInjection:

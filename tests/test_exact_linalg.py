@@ -10,7 +10,6 @@ from shvkernel.exact_linalg import (
     Matrix,
     determinant,
     in_span,
-    _echelon_of,
     _int_echelon,
     _int_rows,
     kernel_basis,
@@ -344,9 +343,11 @@ def test_non_rational_entry_is_a_type_error_naming_it(call, entry):
 
 
 def _fraction_kernel_basis(m):
-    """The rational kernel by back substitution in Fraction after the same
-    fraction-free forward pass, then scaled to primitive integer vectors."""
-    work, pivots = _echelon_of(m)
+    """The rational kernel by back substitution in Fraction after a dense
+    fraction-free forward pass in input order, then scaled to primitive
+    integer vectors."""
+    work, _ = _int_rows(m.data)
+    pivots, _, _ = dense_int_echelon(work)
     work = [[F(x) for x in row] for row in work]
     pivot_set = set(pivots)
     basis = []
@@ -491,6 +492,54 @@ def test_int_echelon_matches_dense_bareiss(data):
     expected_work = [list(row) for row in data]
     assert _int_echelon(work) == dense_int_echelon(expected_work)
     assert work == expected_work
+
+
+def _input_order_det(m):
+    """The determinant of a square rational matrix by dense integer Bareiss
+    on its rows in input order."""
+    work, scales = _int_rows(m.data)
+    pivots, sign, last = dense_int_echelon(work)
+    if len(pivots) < m.rows:
+        return F(0)
+    return F(sign * last * math.prod(g for _, g in scales), math.prod(L for L, _ in scales))
+
+
+def _input_order_in_span(v, m):
+    work, _ = _int_rows([list(row) + [x] for row, x in zip(m.data, v)])
+    pivots, _, _ = dense_int_echelon(work)
+    return not pivots or pivots[-1] != m.cols
+
+
+@st.composite
+def permuted(draw, matrices):
+    """A matrix with its rows and its columns in a random order."""
+    m = draw(matrices)
+    rows = draw(st.permutations(range(m.rows)))
+    cols = draw(st.permutations(range(m.cols)))
+    return Matrix([[m.data[i][j] for j in cols] for i in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    permuted(st.one_of(sparse_int_rows.map(Matrix), sparse_rational_matrices)),
+    st.data(),
+)
+def test_sparsest_first_matches_input_order_elimination(m, data):
+    # the library eliminates rows (and, for rank and determinants, columns)
+    # sparsest first; the oracle eliminates densely in input order
+    work, _ = _int_rows(m.data)
+    pivots, _, _ = dense_int_echelon(work)
+    assert rank(m) == len(pivots)
+    n = min(m.rows, m.cols)
+    square = Matrix([row[:n] for row in m.data[:n]])
+    assert determinant(square) == _input_order_det(square)
+    assert kernel_basis(m) == _fraction_kernel_basis(m)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=m.cols, max_size=m.cols))
+    combination = [sum(c * x for c, x in zip(coeffs, row)) for row in m.data]
+    other = data.draw(st.lists(rational_entries, min_size=m.rows, max_size=m.rows))
+    assert in_span(combination, m)
+    for v in (combination, other):
+        assert in_span(v, m) == _input_order_in_span(v, m)
 
 
 def test_row_skipping_pivots_before_it_becomes_the_pivot_row():

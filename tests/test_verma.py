@@ -213,6 +213,14 @@ class TestShapovalov:
             3,
         ]
 
+    def test_maximal_submodule_at_depth(self):
+        # the maximal submodule is most of the Verma module: 104 of 152 at
+        # degree 5 and 222 of 323 at degree 6, for the label and its dual
+        hw = hw_for(1, Fraction(1, 3))
+        dual = hw_for(-1, Fraction(-1, 3))
+        assert simple_graded_dim(hw, 5) == simple_graded_dim(dual, 5) == 48
+        assert maximal_submodule_dim(hw, 6) == 222
+
 
 class TestSingular:
     def test_odd_label_location(self):
