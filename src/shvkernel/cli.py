@@ -129,6 +129,10 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
 # report plumbing
 
 
+#: every status a check can carry
+_STATUSES = ("pass", "fail", "skip", "warn")
+
+
 def _check(name: str, ref: str, ok, **details) -> dict:
     status = ok if isinstance(ok, str) else ("pass" if ok else "fail")
     return {"name": name, "paper_ref": ref, "status": status, "details": details}
@@ -777,7 +781,12 @@ def _read_cache_entry(path: Path) -> Optional[List[dict]]:
         return None
     checks = stored.get("checks")
     if not isinstance(checks, list) or not all(
-        isinstance(c, dict) and list(c) == ["name", "paper_ref", "status", "details"]
+        isinstance(c, dict)
+        and list(c) == ["name", "paper_ref", "status", "details"]
+        and isinstance(c["name"], str)
+        and isinstance(c["paper_ref"], str)
+        and c["status"] in _STATUSES
+        and isinstance(c["details"], dict)
         for c in checks
     ):
         return None

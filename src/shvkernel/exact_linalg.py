@@ -53,7 +53,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence
 
-from .scalars import PARAMETERS, ParamPolynomial, is_zero
+from .scalars import PARAMETERS, ParamPolynomial
 
 
 class Matrix:
@@ -133,7 +133,7 @@ class CoordinateMap:
 
     def vector(self, coords: Sequence) -> dict:
         """A dense column, such as a kernel vector, as a dict without zeros."""
-        return {b: c for b, c in zip(self.elements, coords) if not is_zero(c)}
+        return {b: c for b, c in zip(self.elements, coords) if c}
 
 
 # ---------------------------------------------------------------------------

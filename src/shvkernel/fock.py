@@ -26,6 +26,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
+from .scalars import add_scaled
+
 
 class CosetError(ValueError):
     """A mode index incompatible with the sector's momentum coset."""
@@ -104,9 +106,9 @@ def _insert_sorted_desc(parts: Tuple[int, ...], value: int) -> Tuple[int, ...]:
 
 # Free modes return (state, coefficient) hits.  Coefficients are small ints
 # (fermion signs, boson pairings) or a zero mode's Fraction pairing 2*x_c or
-# 2*x_d.  The free-mode methods multiply them into Fraction coefficients and
-# accumulate onto _ZERO, so results stay Fractions; the realized columns
-# multiply them into integer weights and check that the product is an int.
+# 2*x_d.  Free-mode images are summed by scalars.add_scaled, and FockVector
+# stores every coefficient as a Fraction; the realized columns multiply the
+# hits into integer weights and check that the product is an int.
 Hit = Tuple[FockBasisVector, Union[Fraction, int]]
 
 
@@ -171,7 +173,8 @@ def _d_free(b: FockBasisVector, n: int) -> List[Hit]:
 
 
 class FockVector:
-    """Rational combination of Fock basis vectors times (sqrt 2)^parity."""
+    """Rational combination of Fock basis vectors times (sqrt 2)^parity.
+    Its coefficients are nonzero Fractions: an int is converted."""
 
     __slots__ = ("terms", "parity")
 
@@ -180,7 +183,7 @@ class FockVector:
         if terms:
             for b, c in terms.items():
                 if c:
-                    t[b] = c
+                    t[b] = c if type(c) is Fraction else Fraction(c)
         self.terms = t
         self.parity = parity & 1
 
@@ -218,12 +221,7 @@ class FockVector:
         if self.parity != other.parity:
             raise ValueError("cannot add vectors of different sqrt(2)-parity")
         out = dict(self.terms)
-        for b, c in other.terms.items():
-            nv = out.get(b, _ZERO) - c if subtract else out.get(b, _ZERO) + c
-            if nv:
-                out[b] = nv
-            else:
-                out.pop(b, None)
+        add_scaled(out, other.terms.items(), -1 if subtract else 1)
         return FockVector(out, self.parity)
 
     def __eq__(self, other):
@@ -237,9 +235,6 @@ class FockVector:
 
     def coefficient(self, b: FockBasisVector) -> Fraction:
         return self.terms.get(b, _ZERO)
-
-    def sectors(self) -> set:
-        return {b.sector for b in self.terms}
 
     def to_text(self) -> str:
         if self.is_zero():

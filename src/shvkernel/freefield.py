@@ -1,7 +1,10 @@
 """Free field realization on a rank-two boson pair with symplectic fermions.
 
 Fock states, vectors and the free modes c(n), d(n), psi^+(s), psi^-(s) live
-in shvkernel.fock and are re-exported here.
+in shvkernel.fock; the states and vectors are re-exported here, and of the
+free modes only psi^-(s) is lifted to vectors (psi_minus_mode), for the
+explicit singular vectors.  Every image is summed by scalars.add_scaled, but
+for bracket_defect's integer sum, which is filtered once at the end.
 
 The algebra generators are realized as
 
@@ -58,9 +61,7 @@ from .fock import (
     CosetError,
     FockBasisVector,
     FockVector,
-    Hit,
     LatticePoint,
-    _ZERO,
     _c_free,
     _d_free,
     _psi_minus,
@@ -69,7 +70,7 @@ from .fock import (
     sector_for,
 )
 from .qchar import schur_expand
-from .scalars import DEFAULT_SPECIALIZATION
+from .scalars import DEFAULT_SPECIALIZATION, add_scaled
 from .shv_algebra import (
     Element,
     GeneratorSymbol,
@@ -106,19 +107,12 @@ def _cleared(x) -> int:
     return x.numerator
 
 
-def _image(terms: Dict[FockBasisVector, object], fn: Callable[[FockBasisVector], Sequence],
-           zero) -> Dict[FockBasisVector, object]:
-    """The sum over terms of co * fn(b), whose hits are (state, coefficient);
-    entries that cancel are dropped, and sums start from zero, whose type
-    (Fraction or int) the result keeps."""
+def _image(terms: Dict[FockBasisVector, object],
+           fn: Callable[[FockBasisVector], Sequence]) -> Dict[FockBasisVector, object]:
+    """The sum over terms of co * fn(b), whose hits are (state, coefficient)."""
     out: Dict[FockBasisVector, object] = {}
     for b, co in terms.items():
-        for b2, c2 in fn(b):
-            nv = out.get(b2, zero) + co * c2
-            if nv:
-                out[b2] = nv
-            else:
-                out.pop(b2, None)
+        add_scaled(out, fn(b), co)
     return out
 
 
@@ -154,12 +148,10 @@ def _a_template(N: int, psip: Tuple[int, ...],
         # j = s - N - 1/2 + z_s turns negative, plus contractions on psi+
         for twice_s in itertools.chain(range(-1, 2 * (N - z_s), -2), psip):
             j = (twice_s - 1) // 2 - N + z_s
-            if j < 0:
-                continue
-            for mu, sc in schur_expand(j, _HALF).terms.items():
-                key = (kept, mu.parts, twice_s)
-                merged[key] = merged.get(key, _ZERO) + sign * sc
-    return tuple(key + (c,) for key, c in merged.items() if c)
+            if j >= 0:
+                terms = schur_expand(j, _HALF).terms.items()
+                add_scaled(merged, (((kept, mu.parts, twice_s), sc) for mu, sc in terms), sign)
+    return tuple(key + (c,) for key, c in merged.items())
 
 
 @lru_cache(maxsize=512)
@@ -171,13 +163,10 @@ def _lattice_template(k_half: int, N: int,
     merged: Dict[tuple, Fraction] = {}
     for kept, z_s, size in _d_subsets(d_part):
         j = z_s - N - 1
-        if j < 0:
-            continue
-        weight = (-k_half) ** size
-        for mu, sc in schur_expand(j, shift).terms.items():
-            key = (kept, mu.parts)
-            merged[key] = merged.get(key, _ZERO) + weight * sc
-    return tuple(key + (c,) for key, c in merged.items() if c)
+        if j >= 0:
+            terms = schur_expand(j, shift).terms.items()
+            add_scaled(merged, (((kept, mu.parts), sc) for mu, sc in terms), (-k_half) ** size)
+    return tuple(key + (c,) for key, c in merged.items())
 
 
 _MODE_PARITY = {"L": 0, "A": 0, "G": 1, "P": 1}
@@ -256,20 +245,9 @@ class FreeFieldRealization:
 
     # -- raw free modes ----------------------------------------------------
 
-    def _lift(self, vec: FockVector, fn: Callable[[FockBasisVector], List[Hit]]) -> FockVector:
-        return FockVector(_image(vec.terms, fn, _ZERO), vec.parity)
-
-    def c_mode(self, n: int, vec: FockVector) -> FockVector:
-        return self._lift(vec, lambda b: _c_free(b, n))
-
-    def d_mode(self, n: int, vec: FockVector) -> FockVector:
-        return self._lift(vec, lambda b: _d_free(b, n))
-
-    def psi_plus_mode(self, s, vec: FockVector) -> FockVector:
-        return self._lift(vec, lambda b: _psi_plus(b, _twice_half_odd(s)))
-
     def psi_minus_mode(self, s, vec: FockVector) -> FockVector:
-        return self._lift(vec, lambda b: _psi_minus(b, _twice_half_odd(s)))
+        s_twice = _twice_half_odd(s)
+        return FockVector(_image(vec.terms, lambda b: _psi_minus(b, s_twice)), vec.parity)
 
     # -- realized algebra modes: integer columns ----------------------------
 
@@ -403,12 +381,7 @@ class FreeFieldRealization:
         else:
             raise ValueError(f"not a realized generator: {kind}")
         merged: Dict[FockBasisVector, int] = {}
-        for b2, c2 in res:
-            nv = merged.get(b2, 0) + c2
-            if nv:
-                merged[b2] = nv
-            else:
-                merged.pop(b2, None)
+        add_scaled(merged, res, 1)
         out = tuple(merged.items())
         store[b] = out
         return out
@@ -417,7 +390,7 @@ class FreeFieldRealization:
                        ivec: Dict[FockBasisVector, int]) -> Dict[FockBasisVector, int]:
         """A realized mode on an integer vector; the image carries one more
         factor D of each state's sector."""
-        return _image(ivec, partial(self._realized_raw, kind, twice), 0)
+        return _image(ivec, partial(self._realized_raw, kind, twice))
 
     def generator_mode(self, kind: str, mode, vec: FockVector) -> FockVector:
         """Action of a realized algebra generator mode on a Fock vector."""
@@ -511,6 +484,8 @@ class FreeFieldRealization:
             D = self._weights(sec)[0]
             top = max(term[3] for term in terms)
             Q = math.lcm(*[term[1] for term in terms])
+            # summed, then filtered once: on a correct realization almost
+            # every sum cancels, so dropping zeros at each step churns the dict
             total: Dict[FockBasisVector, int] = {}
             for num, den, img, modes in terms:
                 w = num * (Q // den) * D ** (top - modes)
@@ -573,13 +548,10 @@ class FreeFieldRealization:
                     f"mode {n} is not admissible on sector {sec}"
                 )
             target = self._shifted(sec, k_half)
-            for kept, mu_parts, tc in _lattice_template(k_half, int(N), b.d_part):
-                b2 = _with_c_letters(b, mu_parts, target, kept)
-                nv = out.get(b2, _ZERO) + co * tc
-                if nv:
-                    out[b2] = nv
-                else:
-                    out.pop(b2, None)
+            add_scaled(out, [
+                (_with_c_letters(b, mu_parts, target, kept), tc)
+                for kept, mu_parts, tc in _lattice_template(k_half, int(N), b.d_part)
+            ], co)
         return FockVector(out, vec.parity)
 
     def a_mode(self, n, vec: FockVector) -> FockVector:
@@ -594,16 +566,12 @@ class FreeFieldRealization:
                     f"mode {n} is not admissible on sector {sec}"
                 )
             target = self._shifted(sec, 1)
-            for kept, mu_parts, twice_s, tc in _a_template(int(N), b.psip, b.d_part):
-                b2 = _with_c_letters(b, mu_parts, target, kept)
-                for b3, sg in _psi_minus(b2, twice_s):
-                    # sg is a fermion sign, +1 or -1
-                    ct = co * tc
-                    nv = out.get(b3, _ZERO) + ct if sg > 0 else out.get(b3, _ZERO) - ct
-                    if nv:
-                        out[b3] = nv
-                    else:
-                        out.pop(b3, None)
+            # sg is a fermion sign, +1 or -1
+            add_scaled(out, [
+                (b3, tc if sg > 0 else -tc)
+                for kept, mu_parts, twice_s, tc in _a_template(int(N), b.psip, b.d_part)
+                for b3, sg in _psi_minus(_with_c_letters(b, mu_parts, target, kept), twice_s)
+            ], co)
         return FockVector(out, vec.parity)
 
     def _a_mode_bound(self, vec: FockVector) -> Fraction:
@@ -643,13 +611,10 @@ class FreeFieldRealization:
             return FockVector.zero()
         out: Dict[FockBasisVector, Fraction] = {}
         for b, co in vec.terms.items():
-            for mu, sc in schur_expand(order, scale).terms.items():
-                b2 = _with_c_letters(b, mu.parts, b.sector, b.d_part)
-                nv = out.get(b2, _ZERO) + co * sc
-                if nv:
-                    out[b2] = nv
-                else:
-                    out.pop(b2, None)
+            add_scaled(out, [
+                (_with_c_letters(b, mu.parts, b.sector, b.d_part), sc)
+                for mu, sc in schur_expand(order, scale).terms.items()
+            ], co)
         return FockVector(out, vec.parity)
 
     def _psi_sum(self, offset: Fraction, scale, vec: FockVector, i_max: int) -> FockVector:

@@ -64,32 +64,9 @@ class QSeries:
             for t in range(self.truncation_twice + 1)
         ]
 
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        if self.offset is not None and other.offset is not None:
-            off = self.offset + other.offset
-        else:
-            off = self.offset if other.offset is None else other.offset
-        T = min(self.truncation_twice, other.truncation_twice)
-        out: Dict[int, int] = {}
-        for t1, c1 in self.coeffs.items():
-            if t1 > T:
-                continue
-            for t2, c2 in other.coeffs.items():
-                t = t1 + t2
-                if t <= T:
-                    out[t] = out.get(t, 0) + c1 * c2
-        return QSeries(out, Fraction(T, 2), off)
-
     def mul_polynomial(self, poly: Mapping[int, int]) -> "QSeries":
-        """Multiply by a finite polynomial {twice_exponent: int coefficient}."""
-        out: Dict[int, int] = {}
-        for t1, c1 in self.coeffs.items():
-            for t2, c2 in poly.items():
-                t = t1 + t2
-                if 0 <= t <= self.truncation_twice:
-                    out[t] = out.get(t, 0) + c1 * c2
+        """Multiply by a finite polynomial {twice_exponent >= 0: int coefficient}."""
+        out = _mul_dict(self.coeffs, poly, self.truncation_twice)
         return QSeries(out, self.truncation, self.offset)
 
     def __eq__(self, other):

@@ -11,11 +11,17 @@ or a polynomial in the five structure parameters
 
 No floats, ever.  Polynomials are sparse dicts mapping exponent tuples (one slot
 per parameter, in the fixed order above) to ``fractions.Fraction`` coefficients.
+
+Every sparse linear combination in the kernel (polynomial terms, PBW words,
+Fock states) is summed by one accumulator, ``add_scaled``, which never stores
+a zero.  Truthiness is the one zero test for every exact scalar: an int, a
+Fraction and a ParamPolynomial are false exactly when they are zero.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
@@ -27,6 +33,18 @@ _NPARAMS = len(PARAMETERS)
 _ZERO_EXP = (0,) * _NPARAMS
 
 Expvec = Tuple[int, ...]
+
+
+def add_scaled(out: dict, terms: Iterable[Tuple[object, object]], scale) -> None:
+    """out += scale * terms, over (key, coefficient) pairs: a new key is
+    stored as scale * c, and a key whose sum cancels is deleted."""
+    for key, c in terms:
+        prev = out.get(key)
+        nv = scale * c if prev is None else prev + scale * c
+        if nv:
+            out[key] = nv
+        else:
+            out.pop(key, None)
 
 
 def _as_fraction(value) -> Fraction:
@@ -68,8 +86,8 @@ class ParamPolynomial:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(e == _ZERO_EXP for e in self.terms)
@@ -98,12 +116,7 @@ class ParamPolynomial:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for exp, c in o.terms.items():
-            nv = out.get(exp, Fraction(0)) + c
-            if nv:
-                out[exp] = nv
-            else:
-                out.pop(exp, None)
+        add_scaled(out, o.terms.items(), 1)
         res = ParamPolynomial.__new__(ParamPolynomial)
         res.terms = out
         return res
@@ -133,13 +146,9 @@ class ParamPolynomial:
             return NotImplemented
         out: Dict[Expvec, Fraction] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                nv = out.get(exp, Fraction(0)) + c1 * c2
-                if nv:
-                    out[exp] = nv
-                else:
-                    out.pop(exp, None)
+            add_scaled(
+                out, ((tuple(a + b for a, b in zip(e1, e2)), c2) for e2, c2 in o.terms.items()), c1
+            )
         res = ParamPolynomial.__new__(ParamPolynomial)
         res.terms = out
         return res
@@ -169,64 +178,6 @@ class ParamPolynomial:
         return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable dict inside; never use as a key
-
-    # -- exact division -----------------------------------------------------
-
-    def divexact(self, other: "ParamPolynomial") -> "ParamPolynomial":
-        """Return self / other, raising ValueError unless the division is exact.
-
-        Greedy leading-term elimination in lex order.  When the division is
-        exact this terminates with zero remainder regardless of monomial order;
-        otherwise it hits a non-divisible leading monomial or a nonzero final
-        remainder and raises.
-        """
-        o = self._coerce(other)
-        if o is None or o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return ParamPolynomial()
-        if o.is_constant():
-            c = o.constant_value()
-            return ParamPolynomial({e: v / c for e, v in self.terms.items()})
-        rem = dict(self.terms)
-        out: Dict[Expvec, Fraction] = {}
-        lead_g = max(o.terms)
-        cg = o.terms[lead_g]
-        while rem:
-            lead_r = max(rem)
-            q = tuple(a - b for a, b in zip(lead_r, lead_g))
-            if any(e < 0 for e in q):
-                raise ValueError("inexact polynomial division")
-            cq = rem[lead_r] / cg
-            out[q] = out.get(q, Fraction(0)) + cq
-            for mono, c in o.terms.items():
-                m = tuple(a + b for a, b in zip(q, mono))
-                nv = rem.get(m, Fraction(0)) - cq * c
-                if nv:
-                    rem[m] = nv
-                else:
-                    rem.pop(m, None)
-        return ParamPolynomial(out)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        needed = set()
-        for exp in self.terms:
-            for name, e in zip(PARAMETERS, exp):
-                if e:
-                    needed.add(name)
-        missing = sorted(needed - set(assignment))
-        if missing:
-            raise KeyError(f"missing parameter values for {missing}")
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            v = coeff
-            for name, e in zip(PARAMETERS, exp):
-                if e:
-                    v *= _as_fraction(assignment[name]) ** e
-            total += v
-        return total
 
     # -- printing -----------------------------------------------------------
 
@@ -261,22 +212,6 @@ class ParamPolynomial:
 Scalar = Union[Fraction, ParamPolynomial]
 
 
-def is_zero(x) -> bool:
-    """The zero test for any exact scalar: int, Fraction or symbolic."""
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
-
-
-def evaluate(value: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate any scalar at an exact parameter assignment."""
-    if isinstance(value, (int, Fraction)):
-        return _as_fraction(value)
-    if isinstance(value, ParamPolynomial):
-        return value.evaluate(assignment)
-    raise TypeError(f"not a scalar: {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # rational root extraction
 
@@ -302,21 +237,18 @@ def rational_roots_in(value: Scalar, name: str) -> frozenset:
     """
     if name not in _PARAM_INDEX:
         raise KeyError(f"unknown parameter {name!r}")
-    if isinstance(value, (int, Fraction)):
-        if value == 0:
-            raise ValueError("the zero polynomial has every rational as a root")
-        return frozenset()
-    if not isinstance(value, ParamPolynomial):
+    if not isinstance(value, (int, Fraction, ParamPolynomial)):
         raise TypeError(f"not a scalar: {value!r}")
-    if value.is_zero():
+    if not value:
         raise ValueError("the zero polynomial has every rational as a root")
+    if not isinstance(value, ParamPolynomial):
+        return frozenset()
     idx = _PARAM_INDEX[name]
     coeffs: Dict[int, Fraction] = {}
     for exp, c in value.terms.items():
         if any(e for j, e in enumerate(exp) if j != idx and e):
             raise ValueError(f"polynomial is not univariate in {name}")
-        coeffs[exp[idx]] = coeffs.get(exp[idx], Fraction(0)) + c
-    coeffs = {k: v for k, v in coeffs.items() if v}
+        coeffs[exp[idx]] = c
     roots = set()
     low = min(coeffs)
     if low > 0:
@@ -367,10 +299,17 @@ DEFAULT_SPECIALIZATION: Dict[str, Fraction] = {
 }
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' into an exact Fraction.  Raises ValueError on junk."""
+    """Parse 'a' or 'a/b', with an optional sign and surrounding spaces, into
+    an exact Fraction.  Raises ValueError on any other text."""
+    m = _RATIONAL.fullmatch(text)
     try:
-        return Fraction(text.strip())
+        if m is None:
+            raise ValueError(text)
+        return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .scalars import ParamPolynomial, is_zero
+from .scalars import ParamPolynomial, add_scaled
 
 
 class Mode(NamedTuple):
@@ -96,10 +96,6 @@ CA = GeneratorSymbol("CA", Mode(0))
 CLA = GeneratorSymbol("CLA", Mode(0))
 
 
-def half(k: int) -> Fraction:
-    return Fraction(k, 2)
-
-
 def parity(sym: GeneratorSymbol) -> int:
     return 1 if sym.kind in _ODD_KINDS else 0
 
@@ -127,22 +123,6 @@ def word_key(word: Sequence[GeneratorSymbol]):
     return tuple(sym_key(s) for s in word)
 
 
-def weight(x) -> Fraction:
-    """Conformal weight added by x acting on a weight vector: -sum of modes.
-
-    Accepts a symbol, a word (tuple of symbols), or a weight-homogeneous
-    Element.
-    """
-    if isinstance(x, GeneratorSymbol):
-        return -x.mode.value
-    if isinstance(x, Element):
-        weights = {word_weight(w) for w in x.terms}
-        if len(weights) > 1:
-            raise ValueError(f"element is not weight-homogeneous: {sorted(weights)}")
-        return weights.pop() if weights else Fraction(0)
-    return word_weight(tuple(x))
-
-
 def word_weight(word: Sequence[GeneratorSymbol]) -> Fraction:
     return Fraction(-sum(s.mode.twice_value for s in word), 2)
 
@@ -159,7 +139,7 @@ class Element:
         t: Dict[Word, object] = {}
         if terms:
             for w, c in terms.items():
-                if not is_zero(c):
+                if c:
                     t[tuple(w)] = c
         self.terms = t
 
@@ -188,7 +168,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         out = dict(self.terms)
-        _add_scaled(out, other.terms, 1)
+        add_scaled(out, other.terms.items(), 1)
         return Element(out)
 
     def __sub__(self, other):
@@ -200,7 +180,7 @@ class Element:
         return Element({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
-        if is_zero(c):
+        if not c:
             return Element()
         return Element({w: v * c for w, v in self.terms.items()})
 
@@ -217,7 +197,7 @@ class Element:
         out: Dict[Word, object] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _add_scaled(out, _normal_form(w1 + w2), c1 * c2)
+                add_scaled(out, _normal_form(w1 + w2).items(), c1 * c2)
         return Element(out)
 
     def __eq__(self, other):
@@ -252,24 +232,13 @@ class Element:
         return f"Element({self.to_text()})"
 
 
-def _add_scaled(out: Dict[Word, object], vec: Dict[Word, object], scale) -> None:
-    """out += scale * vec, dropping the coefficients that cancel to zero."""
-    for w, c in vec.items():
-        prev = out.get(w)
-        nv = scale * c if prev is None else prev + scale * c
-        if is_zero(nv):
-            out.pop(w, None)
-        else:
-            out[w] = nv
-
-
 # ---------------------------------------------------------------------------
 # the bracket table
 
 
 def _delta(cond: bool, coeff: Fraction, sym: GeneratorSymbol, out: dict) -> None:
     if cond and coeff:
-        out[(sym,)] = out.get((sym,), Fraction(0)) + coeff
+        out[(sym,)] = coeff
 
 
 def super_bracket(x: GeneratorSymbol, y: GeneratorSymbol) -> Element:
@@ -377,7 +346,7 @@ def _normal_form(word: Word) -> Dict[Word, Fraction]:
             continue
         out: Dict[Word, Fraction] = {}
         for dw, dc in deps:
-            _add_scaled(out, _NF_CACHE[dw], dc)
+            add_scaled(out, _NF_CACHE[dw].items(), dc)
         _NF_CACHE[w] = out
         stack.pop()
     return _NF_CACHE[word]
@@ -458,58 +427,13 @@ class SuperPartition:
         return f"SuperPartition{self.parts}"
 
 
-PartitionPair = Tuple[Partition, SuperPartition]
-
-
-def _prec(a: Sequence, b: Sequence) -> str:
-    """The refinement order on single partitions.
-
-    'prec' means a comes strictly earlier: at the first differing position a has
-    the *larger* part.  Equal prefixes of different lengths are incomparable.
-    """
-    for x, y in zip(a, b):
-        if x != y:
-            return "prec" if x > y else "succ"
-    if len(a) == len(b):
-        return "equal"
-    return "incomparable"
-
-
-def compare_pairs(a: PartitionPair, b: PartitionPair) -> str:
-    """Partial order on (partition, superpartition) pairs.
-
-    Graded first by total degree, then by total number of parts, then by the
-    refinement order on the partition, then on the superpartition.  Returns
-    one of 'less', 'greater', 'equal', 'incomparable'.
-    """
-    mu1, lam1 = a
-    mu2, lam2 = b
-    da = mu1.degree() + lam1.degree()
-    db = mu2.degree() + lam2.degree()
-    if da != db:
-        return "less" if da < db else "greater"
-    la = len(mu1) + len(lam1)
-    lb = len(mu2) + len(lam2)
-    if la != lb:
-        return "less" if la < lb else "greater"
-    c = _prec(mu1.parts, mu2.parts)
-    if c == "incomparable":
-        return "incomparable"
-    if c != "equal":
-        return "less" if c == "prec" else "greater"
-    c = _prec(lam1.twice_parts, lam2.twice_parts)
-    if c == "incomparable":
-        return "incomparable"
-    if c == "equal":
-        return "equal"
-    return "less" if c == "prec" else "greater"
-
-
 def pair_sort_key(mu: Partition, lam: SuperPartition):
-    """Totalization of compare_pairs: sorting by this key and taking the max
-    picks the leading pair; on comparable pairs it refines compare_pairs
-    ('greater' pairs get larger keys), and incomparable pairs are broken
-    deterministically by part sequences."""
+    """Total order on (partition, superpartition) pairs: by total degree,
+    then by total number of parts, then by the refinement order on the
+    partition and on the superpartition (a larger part at the first
+    difference comes earlier), with pairs that order cannot compare broken
+    deterministically by part sequences.  Sorting by this key and taking the
+    max picks the leading pair."""
     return (
         2 * mu.degree() + sum(lam.twice_parts),
         len(mu) + len(lam),

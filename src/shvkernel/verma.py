@@ -42,7 +42,7 @@ from .qchar import char_verma, schur_expand
 from .scalars import (
     DEFAULT_SPECIALIZATION,
     ParamPolynomial,
-    is_zero,
+    add_scaled,
     rational_roots_in,
 )
 from .shv_algebra import (
@@ -56,7 +56,6 @@ from .shv_algebra import (
     SuperPartition,
     Word,
     _CENTRAL_KINDS,
-    _add_scaled,
     pair_sort_key,
     parity,
     partitions_of,
@@ -197,13 +196,13 @@ class ModuleVector:
         return cls(degree=Fraction(degree), coords=tuple(verma_basis(None, degree).column(vec)))
 
     def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.coords)
+        return not any(self.coords)
 
     def to_text(self) -> str:
         basis = self.basis()
         bits = []
         for w, c in zip(basis.words, self.coords):
-            if is_zero(c):
+            if not c:
                 continue
             word_txt = "".join(str(s) for s in w) if w else "1"
             bits.append(f"({c})*{word_txt}v" if w else f"({c})*v")
@@ -247,7 +246,7 @@ class VermaAction:
 
     def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
         c = self._subs[kind]
-        return {} if is_zero(c) else {word: c}
+        return {word: c} if c else {}
 
     def apply_symbol(self, sym: GeneratorSymbol, word: Word) -> Dict[Word, object]:
         """sym * word * v as {canonical lowering word: coefficient}."""
@@ -273,14 +272,14 @@ class VermaAction:
             elif sym == s1:
                 out = {}
                 for (b,), bc in super_bracket(sym, sym).terms.items():
-                    _add_scaled(out, self.apply_symbol(b, rest), Fraction(1, 2) * bc)
+                    add_scaled(out, self.apply_symbol(b, rest).items(), Fraction(1, 2) * bc)
             else:
                 out = {}
                 sign = -1 if (odd and parity(s1)) else 1
                 for u, c in self.apply_symbol(sym, rest).items():
-                    _add_scaled(out, self.apply_symbol(s1, u), sign * c)
+                    add_scaled(out, self.apply_symbol(s1, u).items(), sign * c)
                 for (b,), bc in super_bracket(sym, s1).terms.items():
-                    _add_scaled(out, self.apply_symbol(b, rest), bc)
+                    add_scaled(out, self.apply_symbol(b, rest).items(), bc)
         self._sym_cache[key] = out
         return out
 
@@ -288,7 +287,7 @@ class VermaAction:
         for sym in reversed(tuple(opword)):
             new: Dict[Word, object] = {}
             for w, c in vec.items():
-                _add_scaled(new, self.apply_symbol(sym, w), c)
+                add_scaled(new, self.apply_symbol(sym, w).items(), c)
             vec = new
             if not vec:
                 break
@@ -297,7 +296,7 @@ class VermaAction:
     def apply_element(self, x: Element, vec: Dict[Word, object]):
         out: Dict[Word, object] = {}
         for opword, coeff in x.terms.items():
-            _add_scaled(out, self.apply_word(opword, vec), coeff)
+            add_scaled(out, self.apply_word(opword, vec).items(), coeff)
         return out
 
 
@@ -387,7 +386,7 @@ def _gram(action: VermaAction, twice_degree: int) -> Matrix:
         ]
         for i in members:
             lower_row = lower.row(lower_index[basis.words[i][1:]])
-            nonzero = {j: g for j, g in enumerate(lower_row) if not is_zero(g)}
+            nonzero = {j: g for j, g in enumerate(lower_row) if g}
             row = []
             for image in images:
                 acc = None
@@ -395,7 +394,7 @@ def _gram(action: VermaAction, twice_degree: int) -> Matrix:
                     g = nonzero.get(j)
                     if g is not None:
                         acc = c * g if acc is None else acc + c * g
-                if acc is None or is_zero(acc):
+                if not acc:
                     row.append(Fraction(0))
                 else:
                     row.append(-acc if sign < 0 else acc)
@@ -672,7 +671,7 @@ def det_formula_phi(k: int, l: int, hw: HighestWeightData):
         raise ValueError("k, l must be >= 1")
     if (k - l) % 2:
         raise ValueError("k and l must have equal parity")
-    if is_zero(hw.cLa):
+    if not hw.cLa:
         raise ZeroDivisionError("cLa = 0: determinant factor undefined")
     x = hw.hA * (1 / Fraction(hw.cLa))
     quartic = (1 + k - x) * (-1 + k + x) * (1 + l - x) * (-1 + l + x)

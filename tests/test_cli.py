@@ -20,6 +20,13 @@ def run_json(capsys, *args):
     return code, json.loads(out)
 
 
+def _with_checks(blob, **values):
+    """A cache entry whose checks keep their keys but take these values."""
+    entry = json.loads(blob)
+    entry["checks"] = [{**c, **values} for c in entry["checks"]]
+    return json.dumps(entry).encode()
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -61,6 +68,9 @@ class TestUsageErrors:
 
     def test_bad_rational(self, capsys):
         assert cli.main(["relations", "--p", "abc"]) == 2
+        # an exponent form would build an integer too long to print
+        assert cli.main(["relations", "--r", "1e5000", "--max-degree", "0"]) == 2
+        assert "--r" in capsys.readouterr().err
 
     def test_zero_twist_central(self, capsys):
         assert cli.main(["relations", "--cLa", "0"]) == 2
@@ -299,8 +309,11 @@ class TestCache:
             lambda blob: b"\xff\xfe",  # not UTF-8
             lambda blob: b"[]",
             lambda blob: b'{"version": 1, "checks": [1]}',
+            lambda blob: _with_checks(blob, details=5),  # the right keys, a wrong value
+            lambda blob: _with_checks(blob, status=None),
         ],
-        ids=["truncated", "empty", "binary", "not-an-object", "bad-checks"],
+        ids=["truncated", "empty", "binary", "not-an-object", "bad-checks", "bad-details",
+             "bad-status"],
     )
     def test_damaged_entry_is_a_miss(self, capsys, tmp_path, damage):
         cache = tmp_path / "cache"

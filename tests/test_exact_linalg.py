@@ -16,7 +16,7 @@ from shvkernel.exact_linalg import (
     rank,
 )
 from shvkernel.freefield import FreeFieldRealization
-from shvkernel.scalars import ParamPolynomial, evaluate, is_zero
+from shvkernel.scalars import ParamPolynomial
 from shvkernel.verma import verma_basis
 
 P = ParamPolynomial
@@ -235,11 +235,29 @@ def test_symbolic_determinant_evaluates_to_integer_determinant(m_entry, k):
         return Matrix(rows)
 
     d = determinant(with_entry(P.variable("p")))
-    assert evaluate(d, {"p": F(k)}) == determinant(with_entry(k))
+    # d is a polynomial in p alone, the last parameter
+    assert sum(c * k ** exp[-1] for exp, c in d.terms.items()) == determinant(with_entry(k))
 
 
 # ---------------------------------------------------------------------------
 # oracle: Bareiss elimination over polynomials
+
+
+def divexact(a, b):
+    """a / b for polynomials, by greedy leading-term elimination in lex
+    order; raises ValueError unless the division is exact."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead_b = max(b.terms)
+    q, rem = P(), a
+    while rem:
+        lead = max(rem.terms)
+        exp = tuple(x - y for x, y in zip(lead, lead_b))
+        if min(exp) < 0:
+            raise ValueError("inexact polynomial division")
+        t = P({exp: rem.terms[lead] / b.terms[lead_b]})
+        q, rem = q + t, rem - t * b
+    return q
 
 
 def bareiss_determinant(m):
@@ -250,7 +268,7 @@ def bareiss_determinant(m):
     work = [[P._coerce(x) for x in row] for row in m.data]
     sign, prev = 1, P.const(1)
     for col in range(n):
-        pivot_row = next((i for i in range(col, n) if not work[i][col].is_zero()), None)
+        pivot_row = next((i for i in range(col, n) if work[i][col]), None)
         if pivot_row is None:
             return P()
         if pivot_row != col:
@@ -260,7 +278,7 @@ def bareiss_determinant(m):
         for i in range(col + 1, n):
             head = work[i][col]
             for j in range(col + 1, n):
-                work[i][j] = (work[i][j] * piv - head * work[col][j]).divexact(prev)
+                work[i][j] = divexact(work[i][j] * piv - head * work[col][j], prev)
         prev = piv
     return prev if sign == 1 else -prev
 
@@ -317,6 +335,24 @@ def test_interpolated_determinant_matches_polynomial_bareiss(m):
     assert d == bareiss_determinant(m)
 
 
+def test_divexact():
+    x, y = P.variable("cL"), P.variable("r")
+    q = divexact(x * x - y * y, x - y)
+    assert q == x + y
+    with pytest.raises(ValueError):
+        divexact(x * x + 1, x - y)
+    with pytest.raises(ZeroDivisionError):
+        divexact(x, P())
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_in("cL", "p"), polys_in("cL", "p"))
+def test_divexact_roundtrip(a, b):
+    if not b:
+        return
+    assert divexact(a * b, b) == a
+
+
 NON_RATIONAL_CALLS = {
     "rank": lambda x: rank(Matrix([[1, 0], [0, x]])),
     "kernel_basis": lambda x: kernel_basis(Matrix([[1, 0], [0, x]])),
@@ -359,9 +395,9 @@ def _fraction_kernel_basis(m):
             acc = F(0)
             row = work[k]
             for j in range(pc + 1, m.cols):
-                if not is_zero(row[j]) and not is_zero(x[j]):
+                if row[j] and x[j]:
                     acc = acc + row[j] * x[j]
-            x[pc] = F(0) if is_zero(acc) else -(acc / row[pc])
+            x[pc] = F(0) if not acc else -(acc / row[pc])
         L = math.lcm(*(c.denominator for c in x))
         ints = [int(c * L) for c in x]
         g = math.gcd(*ints)

@@ -1,3 +1,4 @@
+import ast
 import tokenize
 from pathlib import Path
 
@@ -31,3 +32,36 @@ def test_module_stays_below_the_parser_token_step(name):
     to 23.46 MB.  Comments and non-logical newlines do not reach the parser
     and are not counted."""
     assert parser_tokens(SOURCE / name) < 8192
+
+
+def pop_none_calls(path: Path) -> list:
+    """The enclosing scope, as module.Class.function, of every call
+    <name>.pop(<key>, None) in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and isinstance(node.func.value, ast.Name)
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value is None
+        ):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), (path.stem,))
+    return found
+
+
+def test_one_accumulator():
+    """Every sparse sum that drops the entries which cancel goes through
+    scalars.add_scaled.  A hand-written accumulate-and-drop-zero loop shows
+    as a dict.pop(key, None) call."""
+    calls = [scope for name in MODULES for scope in pop_none_calls(SOURCE / name)]
+    assert calls == ["scalars.add_scaled"]
