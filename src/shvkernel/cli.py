@@ -612,6 +612,10 @@ def cmd_char(cfg: RunConfig) -> List[dict]:
 def cmd_det(cfg: RunConfig) -> List[dict]:
     """Gram determinant vanishing loci, symbolic in the module label."""
     _require_level_zero(cfg, "det", "the Gram determinants are taken at cA = 0")
+    if cfg.max_degree < _HALF:
+        # below the first level the report would hold no check and read as a pass
+        raise UsageError(f"det: --max-degree must be at least {format_rational(_HALF)}, "
+                         f"the lowest determinant level, got {format_rational(cfg.max_degree)}")
     checks = []
     level = _HALF
     while level <= min(cfg.max_degree, DET_LEVEL_CAP):

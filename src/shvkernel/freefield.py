@@ -4,7 +4,8 @@ Fock states, vectors and the free modes c(n), d(n), psi^+(s), psi^-(s) live
 in shvkernel.fock; the states and vectors are re-exported here, and of the
 free modes only psi^-(s) is lifted to vectors (psi_minus_mode), for the
 explicit singular vectors.  Every image is summed by scalars.add_scaled, but
-for bracket_defect's integer sum, which is filtered once at the end.
+for the last step of a realized word (_accumulate), whose integer sum is
+filtered once at the end.
 
 The algebra generators are realized as
 
@@ -25,11 +26,19 @@ x_d: it clears the weights 1/2, (s+1/2)/2, (cL-3)(n+1)/24 and cLa, each times
 the zero-mode pairings 2*x_c and 2*x_d.  _realized_raw caches the column of a
 mode at a state as (state, int) pairs, D times the mode's rational part.  D is
 derived by hand, so it is checked where each column is built: a coefficient it
-does not clear raises ArithmeticError.  realize_word (and generator_mode, a
-one-letter word) scales its input to integers, composes the columns and
-divides each output entry once, at the end, by that scale and D per mode;
-bracket_defect composes the columns, and the bracket table's image, over one
-integer scale and returns to Fractions only for a nonzero defect.
+does not clear raises ArithmeticError.  One path composes the columns:
+_accumulate applies a word's mode letters right to left through _realized_raw
+and adds the image, times an integer weight, to an unfiltered integer sum.
+realize_word (and generator_mode, a one-letter word) scales its input to
+integers, folds the word's central letters into one scalar (_fold),
+accumulates, and divides each output entry once, at the end, by that scale and
+D per mode.  A commutator check x∘y ∓ y∘x − [x, y]± is planned once per pair
+(_bracket_plan): the table is read, central letters are folded, equal mode
+words are merged (an even x∘x − x∘x leaves nothing) and each word gets one
+integer weight over one scale Q * D**top per sector.  realized_bracket_report
+evaluates a pair's plan on every basis state and tests the sum for zero;
+bracket_defect evaluates it on the vector scaled to integers and returns to
+Fractions only for a nonzero defect.
 
 Lattice exponential operators e^{kappa} (kappa a multiple of c), the odd
 screening built from psi^-(-1/2)e^{c/2}, and the long screenings assembled from
@@ -53,8 +62,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exact_linalg import CoordinateMap, Matrix, rank
 from .fock import (
@@ -96,6 +105,21 @@ def _with_c_letters(b: FockBasisVector, mu_parts: Tuple[int, ...],
 
 # A realized column's hits: (state, numerator over the sector's D).
 IntHit = Tuple[FockBasisVector, int]
+
+
+class BracketPlan(NamedTuple):
+    """x∘y ∓ y∘x − [x, y]± as merged mode words: each word's letters
+    (kind, twice) in the order they act, with an integer weight over scale;
+    top is the longest word, parity the sqrt(2)-parity every word shares."""
+
+    words: Tuple[Tuple[Tuple[Tuple[str, int], ...], int], ...]
+    scale: int
+    top: int
+    parity: int
+
+    def terms(self, D: int) -> List[Tuple[tuple, int]]:
+        """The words over one scale Q * D**top for a sector denominator D."""
+        return [(letters, w * D ** (self.top - len(letters))) for letters, w in self.words]
 
 
 def _cleared(x) -> int:
@@ -353,18 +377,12 @@ class FreeFieldRealization:
             out.extend((b2, wp * c2) for b2, c2 in _psi_plus(b, s2))
         return out
 
-    def _cached(self, kind: str, twice: int) -> Dict[FockBasisVector, Tuple[IntHit, ...]]:
-        key = (kind, twice)
-        store = self._mode_cache.get(key)
-        if store is None:
-            store = {}
-            self._mode_cache[key] = store
-        return store
-
     def _realized_raw(self, kind: str, twice: int, b: FockBasisVector) -> Tuple[IntHit, ...]:
         """The column of a realized mode at b: D times its rational part, as
         (state, int) pairs over b's sector denominator D."""
-        store = self._cached(kind, twice)
+        store = self._mode_cache.get((kind, twice))
+        if store is None:
+            store = self._mode_cache[kind, twice] = {}
         hit = store.get(b)
         if hit is not None:
             return hit
@@ -386,11 +404,56 @@ class FreeFieldRealization:
         store[b] = out
         return out
 
-    def _apply_columns(self, kind: str, twice: int,
-                       ivec: Dict[FockBasisVector, int]) -> Dict[FockBasisVector, int]:
-        """A realized mode on an integer vector; the image carries one more
-        factor D of each state's sector."""
-        return _image(ivec, partial(self._realized_raw, kind, twice))
+    def _fold(self, word: Sequence[GeneratorSymbol]) -> Tuple[object, Tuple[Tuple[str, int], ...], int]:
+        """A word as (scalar, letters, odd): its central letters folded into
+        scalar (0 for a word holding cA, which is zero at level zero), its mode
+        letters as (kind, twice) in the order they act (the word read right
+        to left), and the number of odd ones, each carrying a factor sqrt(2)."""
+        scalar, letters, odd = 1, [], 0
+        for sym in reversed(tuple(word)):
+            kind = sym.kind
+            if kind == "CL":
+                scalar *= self.cL
+            elif kind == "CLA":
+                scalar *= self.cLa
+            elif kind == "CA":
+                return 0, (), 0
+            elif kind in _MODE_PARITY:
+                letters.append((kind, sym.mode.twice_value))
+                odd += _MODE_PARITY[kind]
+            else:
+                raise ValueError(f"not a realized generator: {kind}")
+        return scalar, tuple(letters), odd
+
+    def _accumulate(self, total: Dict[FockBasisVector, int], letters: Tuple[Tuple[str, int], ...],
+                    hits: Sequence[IntHit], weight: int) -> None:
+        """total += weight * (the letters applied right to left to hits), over
+        the cached columns.  hits are (state, int) pairs with distinct states;
+        each letter adds one factor D of each state's sector.  The sum is not
+        filtered: on a correct realization almost every commutator sum
+        cancels, so dropping zeros at each step would churn the dict."""
+        raw = self._realized_raw
+        get = total.get
+        if not letters:
+            for b, n in hits:
+                total[b] = get(b, 0) + weight * n
+            return
+        for kind, twice in letters[:-1]:
+            if len(hits) == 1:
+                # one state: its column already holds distinct states
+                (b, n), = hits
+                weight *= n
+                hits = raw(kind, twice, b)
+            else:
+                merged: Dict[FockBasisVector, int] = {}
+                for b, n in hits:
+                    add_scaled(merged, raw(kind, twice, b), n)
+                hits = merged.items()
+        kind, twice = letters[-1]
+        for b, n in hits:
+            wn = weight * n
+            for b2, n2 in raw(kind, twice, b):
+                total[b2] = get(b2, 0) + wn * n2
 
     def generator_mode(self, kind: str, mode, vec: FockVector) -> FockVector:
         """Action of a realized algebra generator mode on a Fock vector."""
@@ -409,12 +472,15 @@ class FreeFieldRealization:
         """A word applied right to left: the columns compose over the
         integers, and each output entry is divided once, by M * D**modes."""
         ivec, M = _integer_terms(vec)
-        scalar, img, modes, odd = self._word_columns(word, ivec)
+        scalar, letters, odd = self._fold(word)
+        img: Dict[FockBasisVector, int] = {}
+        if scalar:
+            self._accumulate(img, letters, ivec.items(), 1)
         twos, parity = divmod(vec.parity + odd, 2)
         num, den = scalar.numerator << twos, M * scalar.denominator
-        weights = self._weights
+        modes, weights = len(letters), self._weights
         return FockVector(
-            {b: Fraction(num * n, den * weights(b.sector)[0] ** modes) for b, n in img.items()},
+            {b: Fraction(num * n, den * weights(b.sector)[0] ** modes) for b, n in img.items() if n},
             parity,
         )
 
@@ -424,76 +490,62 @@ class FreeFieldRealization:
             total = total + self.realize_word(word, vec).scale(coeff)
         return total
 
-    def _word_columns(self, word: Sequence[GeneratorSymbol], ivec: Dict[FockBasisVector, int]):
-        """A word on an integer vector, right to left, as (scalar, image,
-        modes, odd): the word's value is scalar * image / D**modes times
-        sqrt(2)**odd, D each state's sector denominator, with central letters
-        folded into scalar."""
-        scalar, modes, odd = 1, 0, 0
-        for sym in reversed(tuple(word)):
-            if not ivec:
-                break
-            if sym.kind == "CL":
-                scalar *= self.cL
-            elif sym.kind == "CLA":
-                scalar *= self.cLa
-            elif sym.kind == "CA":
-                return 0, {}, modes, odd
-            else:
-                ivec = self._apply_columns(sym.kind, sym.mode.twice_value, ivec)
-                modes += 1
-                odd += _MODE_PARITY[sym.kind]
-        return scalar, ivec, modes, odd
+    def _bracket_plan(self, sym_x: GeneratorSymbol, sym_y: GeneratorSymbol) -> BracketPlan:
+        """The plan of x∘y ∓ y∘x − [x, y]±, the table read through this
+        module's super_bracket.  Central letters are folded in, equal mode
+        words merged (an even x∘x − x∘x leaves nothing) and each word's
+        rational weight, sqrt(2)**(2k) of its odd letters included, is brought
+        over one denominator Q."""
+        px, py = symbol_parity(sym_x), symbol_parity(sym_y)
+        parity = (px + py) & 1
+        products = [((sym_x, sym_y), 1), ((sym_y, sym_x), 1 if px and py else -1)]
+        products += [(word, -c) for word, c in super_bracket(sym_x, sym_y).terms.items()]
+        weighted = []
+        for word, c in products:
+            scalar, letters, odd = self._fold(word)
+            if scalar:
+                if odd & 1 != parity:
+                    raise ValueError("cannot add vectors of different sqrt(2)-parity")
+                weighted.append((letters, c * scalar * (1 << (odd >> 1))))
+        merged: Dict[tuple, Fraction] = {}
+        add_scaled(merged, weighted, 1)
+        Q = math.lcm(*[w.denominator for w in merged.values()])
+        return BracketPlan(
+            tuple((letters, w.numerator * (Q // w.denominator)) for letters, w in merged.items()),
+            Q,
+            max((len(letters) for letters in merged), default=0),
+            parity,
+        )
+
+    def _plan_image(self, terms: Sequence[Tuple[tuple, int]],
+                    hits: Sequence[IntHit]) -> Dict[FockBasisVector, int]:
+        """A plan's per-sector terms on the hits, summed over one scale."""
+        total: Dict[FockBasisVector, int] = {}
+        for letters, w in terms:
+            self._accumulate(total, letters, hits, w)
+        return total
 
     def bracket_defect(self, sym_x: GeneratorSymbol, sym_y: GeneratorSymbol,
                        vec: FockVector) -> FockVector:
-        """[x, y]± applied via composition minus the bracket-table image."""
-        return self._defect(sym_x, sym_y, super_bracket(sym_x, sym_y), vec)
+        """[x, y]± applied via composition minus the bracket-table image.
 
-    def _defect(self, sym_x: GeneratorSymbol, sym_y: GeneratorSymbol,
-                bracket: Element, vec: FockVector) -> FockVector:
-        """bracket_defect with the table's image of [x, y]± given.
-
-        Composed over the integers: vec is scaled to integers, every product
-        of columns is brought over one scale M * Q * D**modes per sector (Q
-        clears the table's coefficients), and only a nonzero defect is
-        turned back into Fractions."""
-        px, py = symbol_parity(sym_x), symbol_parity(sym_y)
-        products = [((sym_x, sym_y), 1), ((sym_y, sym_x), 1 if px and py else -1)]
-        products += [(word, -c) for word, c in bracket.terms.items()]
-        parity = (vec.parity + px + py) & 1
+        Composed over the integers: vec is scaled to integers (by M), the
+        plan's terms sum over one scale M * Q * D**top per sector, and only a
+        nonzero defect is turned back into Fractions."""
+        plan = self._bracket_plan(sym_x, sym_y)
+        # an odd word on an odd vector makes one more factor 2
+        two = 1 + (vec.parity & plan.parity)
         ivec, M = _integer_terms(vec)
         by_sector: Dict[LatticePoint, Dict[FockBasisVector, int]] = {}
         for b, n in ivec.items():
             by_sector.setdefault(b.sector, {})[b] = n
         out: Dict[FockBasisVector, Fraction] = {}
         for sec, part in by_sector.items():
-            terms = []
-            for word, c in products:
-                scalar, img, modes, odd = self._word_columns(word, part)
-                if not (img and scalar):
-                    continue
-                twos, word_parity = divmod(vec.parity + odd, 2)
-                if word_parity != parity:
-                    raise ValueError("cannot add vectors of different sqrt(2)-parity")
-                # c * scalar * 2**twos as an unreduced numerator and denominator
-                terms.append((c.numerator * scalar.numerator << twos,
-                              c.denominator * scalar.denominator, img, modes))
-            if not terms:
-                continue
             D = self._weights(sec)[0]
-            top = max(term[3] for term in terms)
-            Q = math.lcm(*[term[1] for term in terms])
-            # summed, then filtered once: on a correct realization almost
-            # every sum cancels, so dropping zeros at each step churns the dict
-            total: Dict[FockBasisVector, int] = {}
-            for num, den, img, modes in terms:
-                w = num * (Q // den) * D ** (top - modes)
-                for b, n in img.items():
-                    total[b] = total.get(b, 0) + w * n
-            scale = M * Q * D ** top
-            out.update((b, Fraction(n, scale)) for b, n in total.items() if n)
-        return FockVector(out, parity)
+            total = self._plan_image(plan.terms(D), part.items())
+            scale = M * plan.scale * D ** plan.top
+            out.update((b, Fraction(two * n, scale)) for b, n in total.items() if n)
+        return FockVector(out, vec.parity + plan.parity)
 
     def realized_bracket_report(self, p, r, max_twice_mode: int = 6,
                                 max_degree=Fraction(3)) -> dict:
@@ -509,26 +561,26 @@ class FreeFieldRealization:
             else:
                 symbols.append(G(Fraction(t, 2)))
                 symbols.append(P(Fraction(t, 2)))
-        vectors: List[Tuple[Fraction, FockVector]] = []
+        states: List[Tuple[Fraction, FockBasisVector]] = []
         t = 0
         while Fraction(t, 2) <= Fraction(max_degree):
-            for b in self.basis(p, r, Fraction(t, 2)):
-                vectors.append((Fraction(t, 2), FockVector({b: Fraction(1)}, 0)))
+            states.extend((Fraction(t, 2), b) for b in self.basis(p, r, Fraction(t, 2)))
             t += 1
+        # every basis state lies in the (p, r) sector
+        D = self._weights(self.sector(p, r))[0]
         mismatches = []
         checked = 0
         for i, x in enumerate(symbols):
             for y in symbols[i:]:
-                bracket = super_bracket(x, y)
-                for deg, vec in vectors:
+                terms = self._bracket_plan(x, y).terms(D)
+                for deg, b in states:
                     checked += 1
-                    defect = self._defect(x, y, bracket, vec)
-                    if not defect.is_zero():
+                    if any(self._plan_image(terms, ((b, 1),)).values()):
                         mismatches.append((str(x), str(y), str(deg)))
                         break
         return {
             "pairs": len(symbols) * (len(symbols) + 1) // 2,
-            "vectors": len(vectors),
+            "vectors": len(states),
             "checked": checked,
             "mismatches": sorted(set(mismatches)),
             "ok": not mismatches,

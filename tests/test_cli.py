@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -104,6 +105,15 @@ class TestUsageErrors:
         assert cli.main(["det", "--cA", "5", "--max-degree", "1"]) == 2
         assert "cA" in capsys.readouterr().err
 
+    def test_det_below_the_first_level_is_a_usage_error(self, capsys):
+        # a det report with no level in range would check nothing and exit 0
+        assert cli.main(["det", "--max-degree", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--max-degree" in err and "1/2" in err
+        code, report = run_json(capsys, "det", "--max-degree", "1/2")
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == ["determinant-locus-1/2"]
+
 
 class TestReportShape:
     def test_json_schema(self, capsys):
@@ -167,6 +177,24 @@ class TestReportShape:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {flag} {target}: ") and err.count("\n") == 1
         assert writes == []
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "realize --p 1/2 --r 1/3 --max-degree 2",
+            "realize --p 2 --r 1/2 --max-degree 2",
+        ],
+    )
+    def test_report_body_matches_its_benchmark_digest(self, capsys, argv):
+        # the body without elapsed_ms is byte-identical to the recorded one,
+        # hashed as perfbench/worker.py hashes it
+        digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+        code, report = run_json(capsys, *argv.split())
+        assert code == 0
+        body = {k: v for k, v in report.items() if k != "elapsed_ms"}
+        blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == digests[argv]
 
 
 class TestFaultInjection:

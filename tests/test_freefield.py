@@ -754,6 +754,84 @@ class TestIntegerBracketDefect:
         assert (rep["checked"], rep["mismatches"]) == want
 
 
+    def test_corrupted_column_report_matches_oracle_report(self, monkeypatch):
+        # the table is right and one realized column is wrong: G(1/2) loses
+        # the first hit it builds on every state
+        g_action = FreeFieldRealization._g_action
+
+        def dropped(self, s2, b):
+            out = g_action(self, s2, b)
+            return out[1:] if s2 == 1 else out
+
+        monkeypatch.setattr(FreeFieldRealization, "_g_action", dropped)
+        rep = FreeFieldRealization().realized_bracket_report(
+            F(1, 2), F(1, 3), max_twice_mode=3, max_degree=1
+        )
+        assert not rep["ok"]
+        want = oracle_bracket_report(FreeFieldRealization(), F(1, 2), F(1, 3), 3, 1)
+        assert (rep["checked"], rep["mismatches"]) == want
+        # each mismatch applies G(1/2), as a factor or in the table's image
+        g = G(F(1, 2))
+        named = {str(mode_symbol(k, t)): mode_symbol(k, t) for k in (0, 1) for t in range(-3, 4)}
+        for sx, sy, _ in rep["mismatches"]:
+            x, y = named[sx], named[sy]
+            assert g in (x, y) or any(g in word for word in super_bracket(x, y).terms)
+
+    @pytest.mark.parametrize("pick", [None, 0, 2], ids=["table", "corrupt-mode", "corrupt-word"])
+    def test_defect_over_two_sectors_with_fraction_coefficients(self, R, pick, monkeypatch):
+        if pick is not None:
+            monkeypatch.setattr(freefield, "super_bracket", corrupted_table(pick))
+        p = F(1, 2)
+        first, second = R.basis(p, F(1, 3), 1)[2], R.basis(p, F(1, 5), F(3, 2))[1]
+        assert first.sector != second.sector
+        assert R._weights(first.sector)[0] != R._weights(second.sector)[0]
+        found = []
+        for parity in (0, 1):
+            vec = FockVector({first: F(3, 7), second: F(-5, 4)}, parity)
+            for x, y in ((G(F(1, 2)), G(F(-1, 2))), (L(-1), G(F(1, 2))), (A(1), P(F(-3, 2)))):
+                want = oracle_bracket_defect(R, x, y, vec)
+                assert_same_defect(R.bracket_defect(x, y, vec), want)
+                found.append(not want.is_zero())
+        assert any(found) == (pick is not None)
+
+
+class TestBracketPlan:
+    def test_even_square_plans_no_work(self, R):
+        # L(1)∘L(1) - L(1)∘L(1) cancels exactly, and [L(1), L(1)] = 0
+        for x in (L(1), A(-2), L(0)):
+            assert R._bracket_plan(x, x).words == ()
+        # so in a sweep over L(0) and A(0) every column lookup comes from the
+        # one pair with work, (L(0), A(0))
+        p, r = F(1, 2), F(1, 3)
+        calls = []
+        raw = R._realized_raw
+        R._realized_raw = lambda *args: calls.append(args) or raw(*args)
+        try:
+            rep = R.realized_bracket_report(p, r, max_twice_mode=0, max_degree=1)
+            swept = len(calls)
+            terms = R._bracket_plan(L(0), A(0)).terms(R._weights(R.sector(p, r))[0])
+            for t in range(3):
+                for b in R.basis(p, r, F(t, 2)):
+                    R._plan_image(terms, ((b, 1),))
+        finally:
+            del R._realized_raw
+        assert rep["ok"] and rep["checked"] == 3 * rep["vectors"]
+        assert swept and len(calls) == 2 * swept
+
+    def test_odd_square_keeps_its_word_once(self, R):
+        def weights(x, y):
+            plan = R._bracket_plan(x, y)
+            return {letters: F(w, plan.scale) for letters, w in plan.words}
+
+        # one product of two odd modes weighs sqrt(2)**2 = 2
+        one = weights(G(F(1, 2)), G(F(3, 2)))
+        assert one[("G", 3), ("G", 1)] == one[("G", 1), ("G", 3)] == 2
+        # G(1/2)∘G(1/2) + G(1/2)∘G(1/2) is one word of twice that weight,
+        # beside -[G(1/2), G(1/2)] = -2 L(1)
+        square = weights(G(F(1, 2)), G(F(1, 2)))
+        assert square == {(("G", 1), ("G", 1)): 2 * one[("G", 3), ("G", 1)], (("L", 2),): -2}
+
+
 class TestIntegerColumns:
     def test_cached_columns_hold_plain_ints(self):
         R = FreeFieldRealization()
