@@ -22,11 +22,11 @@ from .cli import (
     _check,
     _clip,
     _detected_subsingular,
-    _half_degrees,
 )
 from .exact_linalg import kernel_basis
 from .freefield import FockVector, FreeFieldRealization
 from .scalars import format_rational
+from .shv_algebra import half_degrees
 from .verma import Submodule, maximal_submodule_dim, pr_to_hw
 
 
@@ -157,7 +157,7 @@ def _criterion_08(deepen) -> dict:
     failures = []
 
     def graded_vectors(p, r):
-        for d in _half_degrees(cap):
+        for d in half_degrees(cap):
             for b in R.basis(p, r, d):
                 yield FockVector({b: Fraction(1)}, int(2 * d) % 2)
 
@@ -200,7 +200,7 @@ def _criterion_08(deepen) -> dict:
 def _kernel_commutation_failures(R: FreeFieldRealization, p, r, cap) -> List[str]:
     """The untwisted screening commutes with the action on the charge kernel."""
     failures = []
-    for d in _half_degrees(cap):
+    for d in half_degrees(cap):
         charge = R.operator_matrix(R.screening_q, (p, r, d), (p, r + _HALF, d + _HALF))
         for kv in kernel_basis(charge):
             v = FockVector(R.piece(p, r, d).vector(kv), int(2 * d) % 2)
@@ -227,7 +227,7 @@ def _criterion_09() -> dict:
     if len(reps) == 1:
         closure.add_generator(reps[0].to_dict(), Fraction(1))
     ok = len(reps) == 1 and all(
-        closure.graded_dim(d) == maximal_submodule_dim(hw, d) for d in _half_degrees(3)
+        closure.graded_dim(d) == maximal_submodule_dim(hw, d) for d in half_degrees(3)
     )
     own = _check("subsingular-closure", "module-embedding", ok)
     return _fold("criterion-09", "module-embedding", runs + [("criterion-09", [own])])

@@ -138,11 +138,6 @@ def _check(name: str, ref: str, ok, **details) -> dict:
     return {"name": name, "paper_ref": ref, "status": status, "details": details}
 
 
-def _half_degrees(limit) -> List[Fraction]:
-    limit = Fraction(limit)
-    return [Fraction(t, 2) for t in range(int(2 * limit) + 1)]
-
-
 def _require_integer_p(cfg: RunConfig, nonzero: bool = False) -> int:
     if cfg.p.denominator != 1:
         raise UsageError(f"this command needs an integer label, got p = {cfg.p}")
@@ -188,20 +183,6 @@ def _clip(items: Sequence, limit: int = 8) -> list:
 # relations
 
 
-def _mode_symbols(twice_bound: int):
-    """Every generator symbol whose doubled mode is at most the bound."""
-    syms = []
-    for n in range(-(twice_bound // 2), twice_bound // 2 + 1):
-        syms.append(alg.L(n))
-        syms.append(alg.A(n))
-    for t in range(-twice_bound, twice_bound + 1):
-        if t % 2:
-            syms.append(alg.G(Fraction(t, 2)))
-            syms.append(alg.P(Fraction(t, 2)))
-    syms.sort(key=alg.sym_key)
-    return syms
-
-
 def _antisymmetry_failures(syms) -> List[str]:
     bad = []
     for i, x in enumerate(syms):
@@ -240,7 +221,8 @@ def cmd_relations(cfg: RunConfig) -> List[dict]:
     """Super-antisymmetry and graded Jacobi identity over a mode window."""
     _require_level_zero(cfg, "relations", "the bracket checks run at cA = 0")
     bound = int(2 * cfg.max_degree)
-    syms = _mode_symbols(bound)
+    # every generator whose doubled mode is at most the bound, in PBW order
+    syms = sorted((s for t in range(-bound, bound + 1) for s in alg.symbols_at(t)), key=alg.sym_key)
     anti = _antisymmetry_failures(syms)
     jac = _jacobi_failures(syms)
     npairs = len(syms) * (len(syms) + 1) // 2
@@ -283,7 +265,7 @@ def _module_span_rows(R: FreeFieldRealization, p, r, max_degree):
     vac = R.vacuum_vector(p, r)
     negative_integer = p.denominator == 1 and p < 0
     rows = []
-    for d in _half_degrees(max_degree):
+    for d in alg.half_degrees(max_degree):
         rk = rational_rank(_realized_span(R, p, r, d, vac, verma_basis(hw, d).words))
         want = simple_graded_dim(hw, d) if negative_integer else len(R.basis(p, r, d))
         rows.append({"degree": str(d), "rank": rk, "expected": want, "ok": rk == want})
@@ -333,42 +315,21 @@ def _annihilation_failures(R: FreeFieldRealization, vec: FockVector, degree):
     return bad
 
 
-def _odd_singular_checks(R: FreeFieldRealization, p: int, r) -> List[dict]:
-    build = R.build_singular_odd(p, r)
-    image = R.screening_q(R.vacuum_vector(p, r - _HALF)).scale(-R.cLa).scale_sqrt2()
-    checks = [
-        _check(
-            "singular-odd-explicit",
-            "singular-odd-explicit",
-            build == image,
-            degree=str(Fraction(p, 2)),
-            vector=build.to_text(),
-        )
+def _explicit_singular_checks(R: FreeFieldRealization, p: int, r, build, degree) -> List[dict]:
+    """The built vector against its screening image (the odd screening for
+    odd p, the twisted long one for even p), and its annihilation."""
+    if p % 2:
+        parity = "odd"
+        image = R.screening_q(R.vacuum_vector(p, r - _HALF)).scale(-R.cLa).scale_sqrt2()
+    else:
+        parity = "even"
+        image = R.screening_g(R.vacuum_vector(p, r - 1), twisted=True)
+    ref = f"singular-{parity}-explicit"
+    bad = _annihilation_failures(R, build, degree)
+    return [
+        _check(ref, ref, build == image, degree=str(degree), vector=build.to_text()),
+        _check(f"singular-{parity}-annihilation", ref, not bad, failures=bad),
     ]
-    bad = _annihilation_failures(R, build, Fraction(p, 2))
-    checks.append(
-        _check("singular-odd-annihilation", "singular-odd-explicit", not bad, failures=bad)
-    )
-    return checks
-
-
-def _even_singular_checks(R: FreeFieldRealization, p: int, r) -> List[dict]:
-    build = R.build_singular_even(p, r)
-    image = R.screening_g(R.vacuum_vector(p, r - 1), twisted=True)
-    checks = [
-        _check(
-            "singular-even-explicit",
-            "singular-even-explicit",
-            build == image,
-            degree=str(p),
-            vector=build.to_text(),
-        )
-    ]
-    bad = _annihilation_failures(R, build, Fraction(p))
-    checks.append(
-        _check("singular-even-annihilation", "singular-even-explicit", not bad, failures=bad)
-    )
-    return checks
 
 
 def _family_checks(R: FreeFieldRealization, p: int, r, ns: Sequence[int]) -> List[dict]:
@@ -390,9 +351,8 @@ def _family_checks(R: FreeFieldRealization, p: int, r, ns: Sequence[int]) -> Lis
     return checks
 
 
-def _kernel_cross_check(R: FreeFieldRealization, cfg: RunConfig, p: int, build) -> dict:
+def _kernel_cross_check(R: FreeFieldRealization, cfg: RunConfig, build, degree) -> dict:
     """The raising-kernel detector finds the same vector the formula builds."""
-    degree = Fraction(p, 2) if p % 2 else Fraction(p)
     hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
     kern = singular_vectors(hw, degree)
     ok = len(kern) == 1 and _proportional(
@@ -450,7 +410,7 @@ def _even_injectivity_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
     hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
     cap = min(cfg.max_degree, Fraction(3))
     rows = []
-    for d in _half_degrees(cap):
+    for d in alg.half_degrees(cap):
         words = verma_basis(hw, d).words
         rk = rational_rank(_realized_span(R, cfg.p, cfg.r, p + d, u1, words))
         rows.append({"degree": str(d), "rank": rk, "words": len(words), "ok": rk == len(words)})
@@ -501,7 +461,11 @@ def _detected_subsingular(hw, p: int) -> list:
     return subsingular_vectors(hw, Fraction(p), base)
 
 
-def _subsingular_checks(cfg: RunConfig, p: int) -> List[dict]:
+def cmd_subsingular(cfg: RunConfig) -> List[dict]:
+    """Build and certify the subsingular vector at a positive odd label."""
+    p = _require_integer_p(cfg)
+    if p <= 0 or p % 2 == 0:
+        raise UsageError("subsingular builds need a positive odd integer label")
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
     w1 = R.family_vector(p, cfg.r, 1, "w")
     u0 = R.family_vector(p, cfg.r, 0, "u")
@@ -540,13 +504,9 @@ def _subsingular_checks(cfg: RunConfig, p: int) -> List[dict]:
     return checks
 
 
-def cmd_singular(cfg: RunConfig, kind: str = "singular") -> List[dict]:
+def cmd_singular(cfg: RunConfig) -> List[dict]:
     """Build and certify the explicit vectors available at the given label."""
     p = _require_integer_p(cfg)
-    if kind == "subsingular":
-        if p <= 0 or p % 2 == 0:
-            raise UsageError("subsingular builds need a positive odd integer label")
-        return _subsingular_checks(cfg, p)
     if p == 0:
         return [
             _check(
@@ -560,17 +520,14 @@ def cmd_singular(cfg: RunConfig, kind: str = "singular") -> List[dict]:
         return _descent_checks(cfg, p)
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
     if p % 2:
-        checks = _odd_singular_checks(R, p, cfg.r)
-        checks.extend(_family_checks(R, p, cfg.r, (0, 1, 2)))
+        build, degree, family = R.build_singular_odd(p, cfg.r), Fraction(p, 2), (0, 1, 2)
     else:
-        checks = _even_singular_checks(R, p, cfg.r)
-        checks.extend(_family_checks(R, p, cfg.r, (1, 2)))
+        build, degree, family = R.build_singular_even(p, cfg.r), Fraction(p), (1, 2)
+    checks = _explicit_singular_checks(R, p, cfg.r, build, degree)
+    checks.extend(_family_checks(R, p, cfg.r, family))
+    if p % 2 == 0:
         checks.append(_even_injectivity_check(R, cfg, p))
-    checks.append(
-        _kernel_cross_check(
-            R, cfg, p, R.build_singular_odd(p, cfg.r) if p % 2 else R.build_singular_even(p, cfg.r)
-        )
-    )
+    checks.append(_kernel_cross_check(R, cfg, build, degree))
     return checks
 
 
@@ -582,7 +539,7 @@ def cmd_char(cfg: RunConfig) -> List[dict]:
     """Predicted simple characters against the Gram-rank dimension oracle."""
     p = _require_integer_p(cfg, nonzero=True)
     hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
-    expected = [(d, simple_graded_dim(hw, d)) for d in _half_degrees(cfg.max_degree)]
+    expected = [(d, simple_graded_dim(hw, d)) for d in alg.half_degrees(cfg.max_degree)]
     series = char_simple(p, cfg.max_degree)
     comparison = compare_dims(series, expected)
     checks = [
@@ -617,8 +574,7 @@ def cmd_det(cfg: RunConfig) -> List[dict]:
         raise UsageError(f"det: --max-degree must be at least {format_rational(_HALF)}, "
                          f"the lowest determinant level, got {format_rational(cfg.max_degree)}")
     checks = []
-    level = _HALF
-    while level <= min(cfg.max_degree, DET_LEVEL_CAP):
+    for level in alg.half_degrees(min(cfg.max_degree, DET_LEVEL_CAP))[1:]:
         result = det_vanishing_check(level, cfg.cL, cfg.cLa, cfg.r)
         ok = result["match"]
         if level == _HALF:
@@ -626,11 +582,10 @@ def cmd_det(cfg: RunConfig) -> List[dict]:
         checks.append(
             _check(f"determinant-locus-{format_rational(level)}", "determinant-locus", ok, **result)
         )
-        level += _HALF
     if cfg.max_degree > DET_LEVEL_CAP:
         skipped = [
             format_rational(d)
-            for d in _half_degrees(cfg.max_degree)
+            for d in alg.half_degrees(cfg.max_degree)
             if d > DET_LEVEL_CAP
         ]
         checks.append(
@@ -689,7 +644,7 @@ _COMMANDS: Dict[str, Callable[[RunConfig], List[dict]]] = {
     "relations": cmd_relations,
     "realize": cmd_realize,
     "singular": cmd_singular,
-    "subsingular": lambda cfg: cmd_singular(cfg, kind="subsingular"),
+    "subsingular": cmd_subsingular,
     "char": cmd_char,
     "det": cmd_det,
     "diagram": cmd_diagram,

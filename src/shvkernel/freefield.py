@@ -1,7 +1,9 @@
 """Free field realization on a rank-two boson pair with symplectic fermions.
 
 Fock states, vectors and the free modes c(n), d(n), psi^+(s), psi^-(s) live
-in shvkernel.fock; the states and vectors are re-exported here, and of the
+in shvkernel.fock; the states and vectors are re-exported here.  A graded
+piece (piece) lists its states in the order of shv_algebra.graded_tuples over
+the psi^+, psi^-, d and c blocks, as the Verma bases do over theirs.  Of the
 free modes only psi^-(s) is lifted to vectors (psi_minus_mode), for the
 explicit singular vectors.  Every image is summed by scalars.add_scaled, but
 for the last step of a realized word (_accumulate), whose integer sum is
@@ -84,10 +86,11 @@ from .shv_algebra import (
     Element,
     GeneratorSymbol,
     Mode,
+    graded_tuples,
+    half_degrees,
     parity as symbol_parity,
-    partitions_of,
     super_bracket,
-    superpartitions_of,
+    symbols_at,
 )
 
 
@@ -173,7 +176,7 @@ def _a_template(N: int, psip: Tuple[int, ...],
         for twice_s in itertools.chain(range(-1, 2 * (N - z_s), -2), psip):
             j = (twice_s - 1) // 2 - N + z_s
             if j >= 0:
-                terms = schur_expand(j, _HALF).terms.items()
+                terms = schur_expand(j, _HALF).items()
                 add_scaled(merged, (((kept, mu.parts, twice_s), sc) for mu, sc in terms), sign)
     return tuple(key + (c,) for key, c in merged.items())
 
@@ -188,12 +191,15 @@ def _lattice_template(k_half: int, N: int,
     for kept, z_s, size in _d_subsets(d_part):
         j = z_s - N - 1
         if j >= 0:
-            terms = schur_expand(j, shift).terms.items()
+            terms = schur_expand(j, shift).items()
             add_scaled(merged, (((kept, mu.parts), sc) for mu, sc in terms), (-k_half) ** size)
     return tuple(key + (c,) for key, c in merged.items())
 
 
 _MODE_PARITY = {"L": 0, "A": 0, "G": 1, "P": 1}
+
+#: a Fock state's letter blocks psi^+, psi^-, d and c, each kept as its parts
+_FOCK_BLOCKS = ((1, tuple), (1, tuple), (0, tuple), (0, tuple))
 
 
 class FreeFieldRealization:
@@ -243,28 +249,9 @@ class FreeFieldRealization:
         hit = self._basis_cache.get(key)
         if hit is not None:
             return hit
-        twice_d = int(t)
-        out: List[FockBasisVector] = []
-        for t_pp in range(twice_d + 1):
-            for sp in superpartitions_of(t_pp):
-                for t_pm in range(twice_d - t_pp + 1):
-                    for sm in superpartitions_of(t_pm):
-                        for t_d in range(0, twice_d - t_pp - t_pm + 1, 2):
-                            t_c = twice_d - t_pp - t_pm - t_d
-                            if t_c % 2:
-                                continue
-                            for dp in partitions_of(t_d // 2):
-                                for cp in partitions_of(t_c // 2):
-                                    out.append(
-                                        FockBasisVector(
-                                            sector=sec,
-                                            psip=sp.twice_parts,
-                                            psim=sm.twice_parts,
-                                            d_part=dp.parts,
-                                            c_part=cp.parts,
-                                        )
-                                    )
-        hit = self._basis_cache[key] = CoordinateMap(out)
+        hit = self._basis_cache[key] = CoordinateMap(
+            [FockBasisVector(sec, *blocks) for blocks in graded_tuples(int(t), _FOCK_BLOCKS)]
+        )
         return hit
 
     # -- raw free modes ----------------------------------------------------
@@ -551,21 +538,10 @@ class FreeFieldRealization:
                                 max_degree=Fraction(3)) -> dict:
         """Check every realized-mode commutator against the bracket table on
         every basis vector up to max_degree.  Exact; returns mismatch list."""
-        symbols: List[GeneratorSymbol] = []
-        from .shv_algebra import A, G, L, P
-
-        for t in range(-max_twice_mode, max_twice_mode + 1):
-            if t % 2 == 0:
-                symbols.append(L(t // 2))
-                symbols.append(A(t // 2))
-            else:
-                symbols.append(G(Fraction(t, 2)))
-                symbols.append(P(Fraction(t, 2)))
-        states: List[Tuple[Fraction, FockBasisVector]] = []
-        t = 0
-        while Fraction(t, 2) <= Fraction(max_degree):
-            states.extend((Fraction(t, 2), b) for b in self.basis(p, r, Fraction(t, 2)))
-            t += 1
+        symbols = [
+            sym for t in range(-max_twice_mode, max_twice_mode + 1) for sym in symbols_at(t)
+        ]
+        states = [(d, b) for d in half_degrees(max_degree) for b in self.basis(p, r, d)]
         # every basis state lies in the (p, r) sector
         D = self._weights(self.sector(p, r))[0]
         mismatches = []
@@ -665,7 +641,7 @@ class FreeFieldRealization:
         for b, co in vec.terms.items():
             add_scaled(out, [
                 (_with_c_letters(b, mu.parts, b.sector, b.d_part), sc)
-                for mu, sc in schur_expand(order, scale).terms.items()
+                for mu, sc in schur_expand(order, scale).items()
             ], co)
         return FockVector(out, vec.parity)
 
@@ -775,9 +751,7 @@ class FreeFieldRealization:
         """Graded dimensions of Ker(odd screening) ∩ Ker(long screening)."""
         p = Fraction(p)
         out = []
-        t = 0
-        while Fraction(t, 2) <= Fraction(max_degree):
-            d = Fraction(t, 2)
+        for d in half_degrees(max_degree):
             mq = self.operator_matrix(
                 self.screening_q,
                 (p, r, d),
@@ -789,7 +763,6 @@ class FreeFieldRealization:
                 (p, Fraction(r) + 1, d + p),
             )
             out.append((d, len(self.basis(p, r, d)) - rank(mq.stack(mg))))
-            t += 1
         return out
 
 

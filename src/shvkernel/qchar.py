@@ -204,31 +204,6 @@ def compare_dims(series: QSeries, expected: Iterable[Tuple] | Mapping) -> dict:
 # complete homogeneous (Schur polynomial) expansions of exp sums
 
 
-class SchurExpansion:
-    """S_r in the power sums: sum over partitions mu of r of scale^len(mu)/z_mu
-    as a dict {Partition: coefficient}.
-
-    These are the coefficients of exp(sum_n x(-n) z^n / n) = sum_r S_r z^r;
-    z_mu is the standard centralizer size prod_m m^(a_m) a_m!.
-    """
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: Dict[Partition, object]):
-        self.order = order
-        self.terms = terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SchurExpansion)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"SchurExpansion({self.order}, {len(self.terms)} terms)"
-
-
 def _z_mu(parts: Tuple[int, ...]) -> int:
     z = 1
     mult: Dict[int, int] = {}
@@ -242,14 +217,18 @@ def _z_mu(parts: Tuple[int, ...]) -> int:
     return z
 
 
-def schur_expand(r: int, scale=Fraction(1)) -> SchurExpansion:
-    """Expand S_r with each power sum x(-n) carrying a factor ``scale``."""
-    if r < 0:
-        return SchurExpansion(r, {})
+def schur_expand(r: int, scale=Fraction(1)) -> Dict[Partition, object]:
+    """S_r in the power sums, each power sum x(-n) carrying a factor
+    ``scale``: {mu: scale^len(mu) / z_mu} over the partitions mu of r.
+
+    These are the coefficients of exp(sum_n x(-n) z^n / n) = sum_r S_r z^r;
+    z_mu is the standard centralizer size prod_m m^(a_m) a_m!.  S_r is zero
+    for r < 0.
+    """
     terms: Dict[Partition, object] = {}
     for mu in partitions_of(r):
         coeff = Fraction(1, _z_mu(mu.parts))
         if not (isinstance(scale, Fraction) and scale == 1):
             coeff = coeff * scale ** len(mu.parts)
         terms[mu] = coeff
-    return SchurExpansion(r, terms)
+    return terms

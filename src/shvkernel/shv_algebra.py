@@ -18,8 +18,9 @@ because module computations hit the same words over and over.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .scalars import ParamPolynomial, add_scaled
 
@@ -442,24 +443,22 @@ def pair_sort_key(mu: Partition, lam: SuperPartition):
     )
 
 
-def partitions_of(n: int, max_part: int | None = None, min_part: int = 1):
-    """All partitions of n with parts in [min_part, max_part], largest first."""
+def partitions_of(n: int):
+    """All partitions of n, largest parts first."""
     if n < 0:
         return
-    if max_part is None:
-        max_part = n
 
     def rec(remaining, cap, acc):
         if remaining == 0:
             yield Partition(acc)
             return
-        for p in range(min(cap, remaining), min_part - 1, -1):
+        for p in range(min(cap, remaining), 0, -1):
             yield from rec(remaining - p, p, acc + [p])
 
-    yield from rec(n, max_part, [])
+    yield from rec(n, n, [])
 
 
-def superpartitions_of(twice_n: int, min_twice_part: int = 1):
+def superpartitions_of(twice_n: int):
     """All strictly-decreasing half-odd partitions of total 2*degree = twice_n."""
     if twice_n < 0:
         return
@@ -471,7 +470,57 @@ def superpartitions_of(twice_n: int, min_twice_part: int = 1):
         top = min(cap, remaining)
         if top % 2 == 0:
             top -= 1
-        for t in range(top, min_twice_part - 1, -2):
+        for t in range(top, 0, -2):
             yield from rec(remaining - t, t - 2, acc + [t])
 
     yield from rec(twice_n, twice_n, [])
+
+
+# ---------------------------------------------------------------------------
+# the graded vocabulary shared by the Verma and Fock layers
+
+
+def symbols_at(twice: int) -> Tuple[GeneratorSymbol, GeneratorSymbol]:
+    """The two generators at doubled mode twice: L and A when it is even,
+    G and P when it is odd."""
+    mode = Mode(twice)
+    kinds = ("G", "P") if twice % 2 else ("L", "A")
+    return GeneratorSymbol(kinds[0], mode), GeneratorSymbol(kinds[1], mode)
+
+
+def half_degrees(limit) -> List[Fraction]:
+    """The half-degrees 0, 1/2, 1, ... up to limit."""
+    return [Fraction(t, 2) for t in range(math.floor(2 * Fraction(limit)) + 1)]
+
+
+def _block_shapes(parity: int, twice: int) -> List[Tuple[int, ...]]:
+    """The parts of a block at doubled degree twice: those of the partitions
+    of twice/2 for an even block, the doubled parts of the superpartitions
+    of twice/2 for an odd one."""
+    if parity:
+        return [lam.twice_parts for lam in superpartitions_of(twice)]
+    if twice % 2:
+        return []
+    return [mu.parts for mu in partitions_of(twice // 2)]
+
+
+def graded_tuples(twice: int, blocks: Sequence[Tuple[int, Callable]]) -> List[tuple]:
+    """A graded basis at doubled degree twice as an ordered product of
+    blocks: one entry per block, build(parts) for each block (parity,
+    build), over every way to split the degree among the blocks.
+
+    The first block varies slowest, over its doubled degree ascending and,
+    within a degree, its shapes in the order of _block_shapes; the last block
+    takes the degree that is left.  build runs once per shape, not once per
+    tuple."""
+    shapes = [
+        [[build(parts) for parts in _block_shapes(parity, t)] for t in range(twice + 1)]
+        for parity, build in blocks
+    ]
+    tails = [[(entry,) for entry in level] for level in shapes[-1]]
+    for level in reversed(shapes[:-1]):
+        tails = [
+            [(entry,) + tail for t in range(rest + 1) for entry in level[t] for tail in tails[rest - t]]
+            for rest in range(twice + 1)
+        ]
+    return tails[twice]

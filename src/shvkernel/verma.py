@@ -7,7 +7,8 @@ PBW basis
 
     P(-lam_minus) A(-mu_minus) G(-lam_plus) L(-mu_plus) v
 
-indexed by two partitions and two superpartitions.  Everything downstream --
+indexed by two partitions and two superpartitions, in the order of
+``shv_algebra.graded_tuples`` over these four blocks.  Everything downstream --
 Shapovalov Gram matrices, graded dimensions of the simple quotient, singular
 and subsingular vectors, submodule closures, embedding diagrams -- reduces to
 exact linear algebra over these coordinates.
@@ -51,17 +52,19 @@ from .shv_algebra import (
     G,
     GeneratorSymbol,
     L,
+    Mode,
     P,
     Partition,
     SuperPartition,
     Word,
     _CENTRAL_KINDS,
+    graded_tuples,
+    half_degrees,
     pair_sort_key,
     parity,
-    partitions_of,
     super_bracket,
-    superpartitions_of,
     sym_key,
+    symbols_at,
     word_weight,
 )
 
@@ -118,11 +121,19 @@ class GradedBasis(CoordinateMap):
 _BASIS_CACHE: Dict[int, GradedBasis] = {}
 
 
-def _block_word(kind, parts, twice=False) -> Word:
-    # parts descending -> modes ascending (most negative first)
-    if twice:
-        return tuple(kind(Fraction(-t, 2)) for t in parts)
-    return tuple(kind(-p) for p in parts)
+def _lowering(kind: str, doubling: int):
+    """A block's parts, descending, as its letters kind(-part), most negative
+    mode first; doubling is 2 for integer parts, 1 for parts stored doubled."""
+    return lambda parts: tuple(GeneratorSymbol(kind, Mode(-doubling * p)) for p in parts)
+
+
+#: the PBW word P(-lam_minus) A(-mu_minus) G(-lam_plus) L(-mu_plus)
+_PBW_BLOCKS = (
+    (1, _lowering("P", 1)),
+    (0, _lowering("A", 2)),
+    (1, _lowering("G", 1)),
+    (0, _lowering("L", 2)),
+)
 
 
 def verma_basis(hw: HighestWeightData, degree) -> GradedBasis:
@@ -135,23 +146,8 @@ def verma_basis(hw: HighestWeightData, degree) -> GradedBasis:
     cached = _BASIS_CACHE.get(twice_d)
     if cached is not None:
         return cached
-    words: List[Word] = []
-    for t_P in range(twice_d + 1):
-        for lam_minus in superpartitions_of(t_P):
-            p_block = _block_word(P, lam_minus.twice_parts, twice=True)
-            for t_A in range(0, twice_d - t_P + 1, 2):
-                for mu_minus in partitions_of(t_A // 2):
-                    a_block = _block_word(A, mu_minus.parts)
-                    for t_G in range(twice_d - t_P - t_A + 1):
-                        t_L = twice_d - t_P - t_A - t_G
-                        if t_L % 2:
-                            continue
-                        for lam_plus in superpartitions_of(t_G):
-                            g_block = _block_word(G, lam_plus.twice_parts, twice=True)
-                            for mu_plus in partitions_of(t_L // 2):
-                                l_block = _block_word(L, mu_plus.parts)
-                                words.append(p_block + a_block + g_block + l_block)
-    basis = GradedBasis(twice_d, tuple(words))
+    words = tuple(p + a + g + l for p, a, g, l in graded_tuples(twice_d, _PBW_BLOCKS))
+    basis = GradedBasis(twice_d, words)
     _BASIS_CACHE[twice_d] = basis
     return basis
 
@@ -420,16 +416,7 @@ def maximal_submodule_dim(hw: HighestWeightData, degree) -> int:
 
 def raising_symbols(max_degree) -> List[GeneratorSymbol]:
     """Single raising generators with mode <= max_degree, the annihilation test set."""
-    t = int(Fraction(max_degree) * 2)
-    out: List[GeneratorSymbol] = []
-    for tm in range(1, t + 1):
-        if tm % 2 == 0:
-            out.append(L(tm // 2))
-            out.append(A(tm // 2))
-        else:
-            out.append(G(Fraction(tm, 2)))
-            out.append(P(Fraction(tm, 2)))
-    return out
+    return [sym for tm in range(1, int(Fraction(max_degree) * 2) + 1) for sym in symbols_at(tm)]
 
 
 def _normalize_leading(vec: Dict[Word, object]) -> Dict[Word, object]:
@@ -599,13 +586,9 @@ class Submodule:
         span only grows.  So graded_span lists come out in the order a full
         sweep gives them, and the kernels built from them do not change.
         """
-        symbols = []
-        for tm in range(1, self.max_twice + 1):
-            if tm % 2 == 0:
-                symbols += [L(tm // 2), A(tm // 2), L(-(tm // 2)), A(-(tm // 2))]
-            else:
-                s = Fraction(tm, 2)
-                symbols += [G(s), P(s), G(-s), P(-s)]
+        symbols = [
+            sym for tm in range(1, self.max_twice + 1) for sym in symbols_at(tm) + symbols_at(-tm)
+        ]
         done = self._processed
         while any(done.get(t, 0) < len(vecs) for t, vecs in self._spans.items()):
             for t in sorted(self._spans):
@@ -678,14 +661,21 @@ def det_formula_phi(k: int, l: int, hw: HighestWeightData):
     return hw.cLa**4 * Fraction(1, 4) * quartic
 
 
-def predicted_det_roots(level) -> frozenset:
-    """Vanishing locus in p at the given level: union over admissible (k, l)."""
+def _det_index_pairs(level):
+    """The admissible index pairs (k, l) at the level: k, l >= 1 of equal
+    parity with k * l <= 2 * level."""
     t2 = int(Fraction(level) * 2)
-    roots = set()
     for k in range(1, t2 + 1):
         for l in range(1, t2 + 1):
             if k * l <= t2 and (k - l) % 2 == 0:
-                roots.update({Fraction(k), Fraction(-k), Fraction(l), Fraction(-l)})
+                yield k, l
+
+
+def predicted_det_roots(level) -> frozenset:
+    """Vanishing locus in p at the given level: union over admissible (k, l)."""
+    roots = set()
+    for k, l in _det_index_pairs(level):
+        roots.update({Fraction(k), Fraction(-k), Fraction(l), Fraction(-l)})
     return frozenset(roots)
 
 
@@ -707,12 +697,8 @@ def det_vanishing_check(level, cL=None, cLa=None, r=None) -> dict:
     predicted = predicted_det_roots(level)
     # cross-check the prediction against the explicit quartic factors
     factor_roots = set()
-    t2 = int(Fraction(level) * 2)
-    for k in range(1, t2 + 1):
-        for l in range(1, t2 + 1):
-            if k * l <= t2 and (k - l) % 2 == 0:
-                phi = det_formula_phi(k, l, hw)
-                factor_roots |= rational_roots_in(phi, "p")
+    for k, l in _det_index_pairs(level):
+        factor_roots |= rational_roots_in(det_formula_phi(k, l, hw), "p")
     return {
         "level": str(Fraction(level)),
         "gram_size": gram.rows,
@@ -732,7 +718,7 @@ def _schur_element(order: int, kind, scale) -> Element:
     if order < 0:
         return Element.zero()
     terms: Dict[Word, object] = {}
-    for mu, coeff in schur_expand(order, scale=scale).terms.items():
+    for mu, coeff in schur_expand(order, scale=scale).items():
         word = tuple(kind(-part) for part in mu.parts)
         terms[word] = coeff
     return Element(terms)
@@ -824,11 +810,6 @@ class Diagram:
         return "\n".join(lines)
 
 
-def _half_range(max_degree) -> List[Fraction]:
-    t = int(Fraction(max_degree) * 2)
-    return [Fraction(k, 2) for k in range(1, t + 1)]
-
-
 def embedding_diagram(p, r, max_degree, cL=None, cLa=None) -> Diagram:
     """Discover singular/subsingular vectors degree by degree and the submodule
     containments among them, up to the truncation degree."""
@@ -838,7 +819,7 @@ def embedding_diagram(p, r, max_degree, cL=None, cLa=None) -> Diagram:
         DiagramNode("v", Fraction(0), "highest", highest_weight_vector())
     ]
     closures: Dict[str, Submodule] = {}
-    for d in _half_range(max_degree):
+    for d in half_degrees(max_degree)[1:]:
         found: List[Tuple[str, ModuleVector]] = []
         sing = singular_vectors(hw, d)
         for i, sv in enumerate(sing):

@@ -345,7 +345,7 @@ def oracle_lattice_mode(R, k_half, n, vec):
                     continue
                 kept = tuple(v for i, v in enumerate(d_part) if i not in S)
                 coeff_s = co * (-k_half) ** size
-                for mu, sc in schur_expand(int(j), shift).terms.items():
+                for mu, sc in schur_expand(int(j), shift).items():
                     b2 = _with_c_letters(b, mu.parts, target, kept)
                     nv = out.get(b2, F(0)) + coeff_s * sc
                     if nv:
@@ -385,7 +385,7 @@ def oracle_a_mode(R, n, vec):
                     j = s - n - half - m0 + z_s
                     if j < 0 or j.denominator != 1:
                         continue
-                    for mu, sc in schur_expand(int(j), half).terms.items():
+                    for mu, sc in schur_expand(int(j), half).items():
                         b2 = _with_c_letters(b, mu.parts, target, kept)
                         for b3, sg in _psi_minus(b2, (2 * s).numerator):
                             nv = out.get(b3, F(0)) + coeff_s * sc * sg

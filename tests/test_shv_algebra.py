@@ -15,12 +15,15 @@ from shvkernel.shv_algebra import (
     Partition,
     SuperPartition,
     element_bracket,
+    graded_tuples,
+    half_degrees,
     pair_sort_key,
     parity,
     partitions_of,
     super_bracket,
     superpartitions_of,
     sym_key,
+    symbols_at,
     word_parity,
     word_weight,
 )
@@ -159,11 +162,25 @@ def test_partition_validation():
 def test_partition_enumeration():
     assert len(list(partitions_of(5))) == 7
     assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
-    assert len(list(partitions_of(6, min_part=2))) == 4  # 6, 42, 33, 222
+    assert sum(min(p.parts) >= 2 for p in partitions_of(6)) == 4  # 6, 42, 33, 222
     assert [sp.parts for sp in superpartitions_of(5)] == [(F(5, 2),)]
     assert len(list(superpartitions_of(8))) == 2  # 7+1, 5+3
     assert len(list(superpartitions_of(9))) == 2  # 9, 5+3+1
     assert list(superpartitions_of(0)) == [SuperPartition()]
+
+
+def test_graded_vocabulary():
+    assert symbols_at(2) == (L(1), A(1))
+    assert symbols_at(-3) == (G(half(-3)), P(half(-3)))
+    assert half_degrees(F(3, 2)) == [F(0), half(1), F(1), half(3)]
+    assert half_degrees(F(-1, 2)) == []
+    # an odd block, then an even block that takes the rest: the odd block
+    # varies slowest, over its doubled degree ascending (1 and 3 leave an
+    # odd rest, and 2 has no superpartition)
+    blocks = ((1, tuple), (0, tuple))
+    assert graded_tuples(4, blocks) == [((), (2,)), ((), (1, 1)), ((3, 1), ())]
+    # build maps each block's parts to its entry, here the number of parts
+    assert graded_tuples(4, ((0, len), (0, len))) == [(0, 1), (0, 2), (1, 1), (1, 0), (2, 0)]
 
 
 def mk_pair(mu, lam):

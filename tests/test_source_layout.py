@@ -34,23 +34,15 @@ def test_module_stays_below_the_parser_token_step(name):
     assert parser_tokens(SOURCE / name) < 8192
 
 
-def pop_none_calls(path: Path) -> list:
-    """The enclosing scope, as module.Class.function, of every call
-    <name>.pop(<key>, None) in a module."""
+def call_scopes(path: Path, match) -> list:
+    """The enclosing scope, as module.Class.function, of every call in a
+    module that match accepts."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "pop"
-            and isinstance(node.func.value, ast.Name)
-            and len(node.args) == 2
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value is None
-        ):
+        if isinstance(node, ast.Call) and match(node):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -59,9 +51,36 @@ def pop_none_calls(path: Path) -> list:
     return found
 
 
+def is_pop_none(call: ast.Call) -> bool:
+    """<name>.pop(<key>, None)"""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "pop"
+        and isinstance(call.func.value, ast.Name)
+        and len(call.args) == 2
+        and isinstance(call.args[1], ast.Constant)
+        and call.args[1].value is None
+    )
+
+
 def test_one_accumulator():
     """Every sparse sum that drops the entries which cancel goes through
     scalars.add_scaled.  A hand-written accumulate-and-drop-zero loop shows
     as a dict.pop(key, None) call."""
-    calls = [scope for name in MODULES for scope in pop_none_calls(SOURCE / name)]
+    calls = [scope for name in MODULES for scope in call_scopes(SOURCE / name, is_pop_none)]
     assert calls == ["scalars.add_scaled"]
+
+
+def calls_an_enumerator(call: ast.Call) -> bool:
+    """A call of partitions_of or superpartitions_of, plain or qualified."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in ("partitions_of", "superpartitions_of")
+
+
+def test_one_graded_basis_enumerator():
+    """Graded bases (Verma PBW words, Fock pieces) are enumerated once, by
+    shv_algebra.graded_tuples through its block helper; the only other
+    caller of the partition enumerators is qchar.schur_expand."""
+    scopes = {scope for name in MODULES for scope in call_scopes(SOURCE / name, calls_an_enumerator)}
+    assert scopes == {"shv_algebra._block_shapes", "qchar.schur_expand"}
