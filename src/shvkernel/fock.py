@@ -9,11 +9,13 @@ fermion pair psi^+/psi^- carries half-odd modes.  A Fock basis vector is a word
 acting on the sector vacuum; fermion letters are strictly decreasing (stored as
 positive twice-values, most negative mode first), boson letters are partitions.
 
-States are hashed on every coefficient update, so they are built for cheap
-hashing: a FockBasisVector is a named tuple (sector, psip, psim, d_part,
-c_part) whose hash and equality run in C, and its sector, a LatticePoint of
-two Fractions, computes its hash once at construction and compares by
-identity first.  The hot paths build new states straight from the five fields.
+States are dict keys wherever vectors are summed, and freefield hashes each
+state a realized column meets once, to intern it as an int id on which its
+columns compose.  So they are built for cheap hashing: a FockBasisVector is a
+named tuple (sector, psip, psim, d_part, c_part) whose hash and equality run
+in C, and its sector, a LatticePoint of two Fractions, computes its hash once
+at construction and compares by identity first.  The hot paths build new
+states straight from the five fields.
 
 The free modes c(n), d(n), psi^+(s) and psi^-(s) act on one basis vector at a
 time and return (state, coefficient) hits; freefield composes them into the
@@ -107,8 +109,9 @@ def _insert_sorted_desc(parts: Tuple[int, ...], value: int) -> Tuple[int, ...]:
 # Free modes return (state, coefficient) hits.  Coefficients are small ints
 # (fermion signs, boson pairings) or a zero mode's Fraction pairing 2*x_c or
 # 2*x_d.  Free-mode images are summed by scalars.add_scaled, and FockVector
-# stores every coefficient as a Fraction; the realized columns multiply the
-# hits into integer weights and check that the product is an int.
+# stores every coefficient as a Fraction.  The realized columns call no zero
+# mode: they take its pairing from the sector's integer weights, so their
+# hits stay ints.
 Hit = Tuple[FockBasisVector, Union[Fraction, int]]
 
 

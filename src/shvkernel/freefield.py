@@ -25,22 +25,32 @@ counting the power of sqrt(2) modulo two, and coefficients stay rational.
 Realized modes never leave a sector, and their columns are kept in integers
 over one denominator D per (realization, sector), built from cL, cLa, x_c and
 x_d: it clears the weights 1/2, (s+1/2)/2, (cL-3)(n+1)/24 and cLa, each times
-the zero-mode pairings 2*x_c and 2*x_d.  _realized_raw caches the column of a
-mode at a state as (state, int) pairs, D times the mode's rational part.  D is
-derived by hand, so it is checked where each column is built: a coefficient it
-does not clear raises ArithmeticError.  One path composes the columns:
-_accumulate applies a word's mode letters right to left through _realized_raw
-and adds the image, times an integer weight, to an unfiltered integer sum.
-realize_word (and generator_mode, a one-letter word) scales its input to
-integers, folds the word's central letters into one scalar (_fold),
-accumulates, and divides each output entry once, at the end, by that scale and
-D per mode.  A commutator check x∘y ∓ y∘x − [x, y]± is planned once per pair
+the zero-mode pairings 2*x_c and 2*x_d.  _weights computes D times each weight
+and each pairing product (D/2 * 2x_c, D/2 * 2x_d, D/2 * 2x_c * 2x_d,
+D(cL-3)/24 * 2x_d, D*cLa * 2x_d) once per sector.  D is derived by hand, so
+each product is checked there: a product D does not clear raises
+ArithmeticError.  The column builders (_l_action, _g_action and the A and P
+branches) take a zero mode's pairing from these ints and call no zero mode,
+so they multiply ints only.
+
+Each realization interns its states: a table from state to int id (_ids) and
+a list back (_states), so a state is hashed once, when a column first meets
+it, and stored once.  _realized_raw caches the column of a mode at a state id
+as (id, int) pairs, D times the mode's rational part.  One path composes the
+columns: _accumulate applies a word's mode letters right to left through
+_realized_raw and adds the image, times an integer weight, to an unfiltered
+sum keyed by id.  realize_word (and generator_mode, a one-letter word) scales
+its input to integers, interns its states, folds the word's central letters
+into one scalar (_fold), accumulates, and divides each output entry once, at
+the end, by that scale and D per mode, back on states.
+
+A commutator check x∘y ∓ y∘x − [x, y]± is planned once per pair
 (_bracket_plan): the table is read, central letters are folded, equal mode
 words are merged (an even x∘x − x∘x leaves nothing) and each word gets one
 integer weight over one scale Q * D**top per sector.  realized_bracket_report
-evaluates a pair's plan on every basis state and tests the sum for zero;
+evaluates a pair's plan on every basis state id and tests the sum for zero;
 bracket_defect evaluates it on the vector scaled to integers and returns to
-Fractions only for a nonzero defect.
+states and Fractions only for a nonzero defect.
 
 Lattice exponential operators e^{kappa} (kappa a multiple of c), the odd
 screening built from psi^-(-1/2)e^{c/2}, and the long screenings assembled from
@@ -53,10 +63,11 @@ applies one fermion mode.  Which letters, which polynomials and which fermion
 modes depends on a state only through its integer effective mode N = n +
 k*x_d, its d partition and (for the current) its psi^+ letters; never on x_c,
 psi^- or the c letters.  So each operator expands once per such key into a
-template, a tuple of (kept d letters, c letters[, twice fermion mode],
-coefficient) with equal shapes merged and zero sums dropped, memoized in a
-bounded lru_cache (_a_template, _lattice_template); a_mode and lattice_mode
-then only place each template entry on each state.
+template: one denominator and a tuple of (kept d letters, c letters[, twice
+fermion mode], integer numerator) with equal shapes merged and zero sums
+dropped, memoized in a bounded lru_cache (_a_template, _lattice_template).
+a_mode and lattice_mode then only place each template entry on each state,
+in integers over one scale per call, and divide each output entry once.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exact_linalg import CoordinateMap, Matrix, rank
 from .fock import (
@@ -86,6 +97,7 @@ from .shv_algebra import (
     Element,
     GeneratorSymbol,
     Mode,
+    doubled,
     graded_tuples,
     half_degrees,
     parity as symbol_parity,
@@ -106,8 +118,10 @@ def _with_c_letters(b: FockBasisVector, mu_parts: Tuple[int, ...],
     return _state((sector, b.psip, b.psim, d_part, cp))
 
 
-# A realized column's hits: (state, numerator over the sector's D).
-IntHit = Tuple[FockBasisVector, int]
+# A column builder's hits: (state, numerator over the sector's D).
+StateHit = Tuple[FockBasisVector, int]
+# A cached column's hits: (state id, numerator over the sector's D).
+IntHit = Tuple[int, int]
 
 
 class BracketPlan(NamedTuple):
@@ -125,10 +139,24 @@ class BracketPlan(NamedTuple):
         return [(letters, w * D ** (self.top - len(letters))) for letters, w in self.words]
 
 
+class _Weights(NamedTuple):
+    """A sector's D and the integer weights of its columns: D times 1/2,
+    (cL-3)/24 and cLa, and those times the zero-mode pairings 2*x_c (of
+    d(0)) and 2*x_d (of c(0)) that a column can meet."""
+
+    D: int
+    half: int
+    cl24: int
+    cla: int
+    half_xc: int
+    half_xd: int
+    half_xcxd: int
+    cl24_xd: int
+    cla_xd: int
+
+
 def _cleared(x) -> int:
     """x as an int, where a sector denominator is assumed to clear it."""
-    if type(x) is int:
-        return x
     if x.denominator != 1:
         raise ArithmeticError(f"the sector denominator does not clear {x}")
     return x.numerator
@@ -143,10 +171,10 @@ def _image(terms: Dict[FockBasisVector, object],
     return out
 
 
-def _integer_terms(vec: "FockVector") -> Tuple[Dict[FockBasisVector, int], int]:
-    """vec's coefficients times their common denominator M, and M."""
-    M = math.lcm(*[c.denominator for c in vec.terms.values()])
-    return {b: c.numerator * (M // c.denominator) for b, c in vec.terms.items()}, M
+def _integer_terms(coeffs: Dict) -> Tuple[Dict, int]:
+    """The Fraction coefficients times their common denominator M, and M."""
+    M = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {k: c.numerator * (M // c.denominator) for k, c in coeffs.items()}, M
 
 
 # Screening templates (see the module docstring).  They call schur_expand
@@ -162,12 +190,19 @@ def _d_subsets(d_part: Tuple[int, ...]):
             yield kept, sum(d_part[i] for i in S), size
 
 
+def _over_one_denominator(merged: Dict[tuple, Fraction]) -> Tuple[int, Tuple[tuple, ...]]:
+    """(den, entries): each key with its coefficient's numerator over den."""
+    ints, den = _integer_terms(merged)
+    return den, tuple(key + (n,) for key, n in ints.items())
+
+
 @lru_cache(maxsize=2048)
 def _a_template(N: int, psip: Tuple[int, ...],
-                d_part: Tuple[int, ...]) -> Tuple[tuple, ...]:
+                d_part: Tuple[int, ...]) -> Tuple[int, Tuple[tuple, ...]]:
     """Mode n of the current on states with n + x_d = N, these psi^+ letters
-    and this d block, as (kept_d, mu_parts, twice_s, coeff) entries: keep
-    kept_d, add the c letters mu_parts, then apply psi^-(twice_s/2)."""
+    and this d block, as (den, entries) with entries (kept_d, mu_parts,
+    twice_s, numerator): keep kept_d, add the c letters mu_parts, then apply
+    psi^-(twice_s/2), times numerator/den."""
     merged: Dict[tuple, Fraction] = {}
     for kept, z_s, size in _d_subsets(d_part):
         sign = -1 if size & 1 else 1
@@ -178,14 +213,14 @@ def _a_template(N: int, psip: Tuple[int, ...],
             if j >= 0:
                 terms = schur_expand(j, _HALF).items()
                 add_scaled(merged, (((kept, mu.parts, twice_s), sc) for mu, sc in terms), sign)
-    return tuple(key + (c,) for key, c in merged.items())
+    return _over_one_denominator(merged)
 
 
 @lru_cache(maxsize=512)
 def _lattice_template(k_half: int, N: int,
-                      d_part: Tuple[int, ...]) -> Tuple[tuple, ...]:
+                      d_part: Tuple[int, ...]) -> Tuple[int, Tuple[tuple, ...]]:
     """Mode n of e^{(k_half/2)c} on states with n + k_half*x_d = N and this d
-    block, as (kept_d, mu_parts, coeff) entries."""
+    block, as (den, entries) with entries (kept_d, mu_parts, numerator)."""
     shift = Fraction(k_half, 2)
     merged: Dict[tuple, Fraction] = {}
     for kept, z_s, size in _d_subsets(d_part):
@@ -193,7 +228,7 @@ def _lattice_template(k_half: int, N: int,
         if j >= 0:
             terms = schur_expand(j, shift).items()
             add_scaled(merged, (((kept, mu.parts), sc) for mu, sc in terms), (-k_half) ** size)
-    return tuple(key + (c,) for key, c in merged.items())
+    return _over_one_denominator(merged)
 
 
 _MODE_PARITY = {"L": 0, "A": 0, "G": 1, "P": 1}
@@ -210,8 +245,11 @@ class FreeFieldRealization:
         self.cL = DEFAULT_SPECIALIZATION["cL"] if cL is None else Fraction(cL)
         self.cLa = DEFAULT_SPECIALIZATION["cLa"] if cLa is None else Fraction(cLa)
         self._basis_cache: Dict[Tuple[LatticePoint, int], CoordinateMap] = {}
-        self._mode_cache: Dict[Tuple[str, int], Dict[FockBasisVector, Tuple[IntHit, ...]]] = {}
-        self._sector_weights: Dict[LatticePoint, Tuple[int, int, int, int]] = {}
+        self._mode_cache: Dict[Tuple[str, int], Dict[int, Tuple[IntHit, ...]]] = {}
+        # the state table: state -> id, and id -> state
+        self._ids: Dict[FockBasisVector, int] = {}
+        self._states: List[FockBasisVector] = []
+        self._sector_weights: Dict[LatticePoint, _Weights] = {}
         self._sectors: Dict[LatticePoint, LatticePoint] = {}
         self._shifts: Dict[Tuple[LatticePoint, int], LatticePoint] = {}
 
@@ -242,15 +280,15 @@ class FreeFieldRealization:
     def piece(self, p, r, degree) -> CoordinateMap:
         """The coordinate map of the (p, r) Fock module's degree piece."""
         sec = self.sector(p, r)
-        t = Fraction(degree) * 2
-        if t.denominator != 1 or t < 0:
+        t = doubled(degree)
+        if t < 0:
             raise ValueError(f"degree must be a non-negative half-integer: {degree}")
-        key = (sec, int(t))
+        key = (sec, t)
         hit = self._basis_cache.get(key)
         if hit is not None:
             return hit
         hit = self._basis_cache[key] = CoordinateMap(
-            [FockBasisVector(sec, *blocks) for blocks in graded_tuples(int(t), _FOCK_BLOCKS)]
+            [FockBasisVector(sec, *blocks) for blocks in graded_tuples(t, _FOCK_BLOCKS)]
         )
         return hit
 
@@ -262,6 +300,19 @@ class FreeFieldRealization:
 
     # -- realized algebra modes: integer columns ----------------------------
 
+    def _interned(self, hits: Iterable[StateHit]) -> List[IntHit]:
+        """hits with each state replaced by its id in the state table; a new
+        state is added to it."""
+        ids, states = self._ids, self._states
+        out: List[IntHit] = []
+        for b, c in hits:
+            i = ids.get(b)
+            if i is None:
+                i = ids[b] = len(states)
+                states.append(b)
+            out.append((i, c))
+        return out
+
     def _denominator(self, sec: LatticePoint) -> int:
         """The sector's D: it clears 1/2, (cL-3)/24 and cLa, each times the
         zero-mode pairings 2*x_c and 2*x_d where a column can pair them."""
@@ -271,45 +322,47 @@ class FreeFieldRealization:
             self.cLa.denominator,
         ) * (2 * sec.x_d).denominator
 
-    def _weights(self, sec: LatticePoint) -> Tuple[int, int, int, int]:
-        """(D, D/2, D(cL-3)/24, D*cLa) for the sector, each division checked."""
+    def _weights(self, sec: LatticePoint) -> _Weights:
+        """The sector's D and column weights, each division checked once."""
         hit = self._sector_weights.get(sec)
         if hit is None:
             D = self._denominator(sec)
-            hit = self._sector_weights[sec] = (
-                D,
-                _cleared(Fraction(D, 2)),
-                _cleared(D * (self.cL - 3) / 24),
-                _cleared(D * self.cLa),
-            )
+            half, cl24, cla = Fraction(D, 2), D * (self.cL - 3) / 24, D * self.cLa
+            xc, xd = 2 * sec.x_c, 2 * sec.x_d
+            hit = self._sector_weights[sec] = _Weights(D, *[_cleared(x) for x in (
+                half, cl24, cla, half * xc, half * xd, half * xc * xd, cl24 * xd, cla * xd,
+            )])
         return hit
 
-    def _l_action(self, n: int, b: FockBasisVector) -> List[IntHit]:
+    def _l_action(self, n: int, b: FockBasisVector) -> List[StateHit]:
         """D times L(n) on b, as integer hits."""
-        _, half, cl24, _ = self._weights(b.sector)
-        out: List[IntHit] = []
-        # boson pairs :c(j)d(n-j):
+        w = self._weights(b.sector)
+        half = w.half
+        out: List[StateHit] = []
+        # boson pairs :c(j)d(n-j): with neither mode zero
         j_set = set(range(n + 1, 0))
-        j_set.add(0)
-        j_set.add(n)
-        j_set.update(j for j in b.d_part)
+        j_set.update(b.d_part)
         j_set.update(n - k for k in b.c_part if n - k <= -1)
+        j_set.discard(0)
+        j_set.discard(n)
         for j in j_set:
-            k = n - j
             if j <= -1:
-                first, second = ("c", j), ("d", k)
+                for b1, c1 in _d_free(b, n - j):
+                    out.extend((b2, half * c1 * c2) for b2, c2 in _c_free(b1, j))
             else:
-                first, second = ("d", k), ("c", j)
-            for b1, c1 in (_c_free(b, second[1]) if second[0] == "c" else _d_free(b, second[1])):
-                for b2, c2 in (_c_free(b1, first[1]) if first[0] == "c" else _d_free(b1, first[1])):
-                    out.append((b2, _cleared(half * c1 * c2)))
-        # linear terms
-        coeff_c = -cl24 * (n + 1)
-        if coeff_c:
-            out.extend((b2, _cleared(coeff_c * c2)) for b2, c2 in _c_free(b, n))
-        coeff_d = half * (n + 1)
-        if coeff_d:
-            out.extend((b2, _cleared(coeff_d * c2)) for b2, c2 in _d_free(b, n))
+                for b1, c1 in _c_free(b, j):
+                    out.extend((b2, half * c1 * c2) for b2, c2 in _d_free(b1, n - j))
+        # the pairs with a zero mode, whose pairing is a weight, and the
+        # linear terms -((cL-3)/24)(n+1) c(n) and ((n+1)/2) d(n)
+        if n:
+            wc = w.half_xc - w.cl24 * (n + 1)
+            if wc:
+                out.extend((b2, wc * c2) for b2, c2 in _c_free(b, n))
+            wd = w.half_xd + half * (n + 1)
+            if wd:
+                out.extend((b2, wd * c2) for b2, c2 in _d_free(b, n))
+        else:
+            out.append((b, w.half_xcxd - w.cl24_xd + w.half_xc))
         # fermion pairs
         s_cands = set(range(2 * n + 1, 0, 2))
         for tv in b.psip + b.psim:
@@ -319,76 +372,78 @@ class FreeFieldRealization:
             if s2 % 2 == 0:
                 continue
             t2 = 2 * n - s2
-            w = -half * ((s2 + 1) // 2)  # D (1/2)(-s - 1/2)
+            ws = -half * ((s2 + 1) // 2)  # D (1/2)(-s - 1/2)
             for first, second in ((_psi_plus, _psi_minus), (_psi_minus, _psi_plus)):
                 if s2 < 0:
                     for b1, c1 in second(b, t2):
                         for b2, c2 in first(b1, s2):
-                            out.append((b2, w * c1 * c2))
+                            out.append((b2, ws * c1 * c2))
                 else:
                     for b1, c1 in first(b, s2):
                         for b2, c2 in second(b1, t2):
-                            out.append((b2, -w * c1 * c2))
+                            out.append((b2, -ws * c1 * c2))
         return out
 
-    def _g_action(self, s2: int, b: FockBasisVector) -> List[IntHit]:
+    def _g_action(self, s2: int, b: FockBasisVector) -> List[StateHit]:
         """D times the rational part of G(s2/2) on b, as integer hits; the
         overall sqrt(2) is carried by the parity flag."""
-        D, half, cl24, _ = self._weights(b.sector)
-        out: List[IntHit] = []
-        # (1/2) c(j) psi+(t), t = s - j
+        w = self._weights(b.sector)
+        half = w.half
+        out: List[StateHit] = []
+        # (1/2) c(j) psi+(t), t = s - j, for j != 0
         j_set = set(range((s2 + 1) // 2, 0))
-        j_set.add(0)
         j_set.update(b.d_part)
         j_set.update((s2 - tv) // 2 for tv in b.psim if (s2 - tv) % 2 == 0)
+        j_set.discard(0)
         for j in j_set:
-            t2 = s2 - 2 * j
-            for b1, c1 in _psi_plus(b, t2):
-                for b2, c2 in _c_free(b1, j):
-                    out.append((b2, _cleared(half * c1 * c2)))
-        # (1/2) d(j) psi-(t)
+            for b1, c1 in _psi_plus(b, s2 - 2 * j):
+                out.extend((b2, half * c1 * c2) for b2, c2 in _c_free(b1, j))
+        # (1/2) d(j) psi-(t), for j != 0
         j_set = set(range((s2 + 1) // 2, 0))
-        j_set.add(0)
         j_set.update(b.c_part)
         j_set.update((s2 - tv) // 2 for tv in b.psip if (s2 - tv) % 2 == 0)
+        j_set.discard(0)
         for j in j_set:
-            t2 = s2 - 2 * j
-            for b1, c1 in _psi_minus(b, t2):
-                for b2, c2 in _d_free(b1, j):
-                    out.append((b2, _cleared(half * c1 * c2)))
-        wm = -cl24 * (s2 + 1)  # D ((cL-3)/12)(-s-1/2)
+            for b1, c1 in _psi_minus(b, s2 - 2 * j):
+                out.extend((b2, half * c1 * c2) for b2, c2 in _d_free(b1, j))
+        # j = 0, where c(0) and d(0) pair, beside ((cL-3)/12)(-s-1/2) psi-(s)
+        # and (s + 1/2) psi+(s)
+        wm = w.half_xc - w.cl24 * (s2 + 1)
         if wm:
             out.extend((b2, wm * c2) for b2, c2 in _psi_minus(b, s2))
-        wp = D * ((s2 + 1) // 2)  # D (s + 1/2)
+        wp = w.half_xd + w.D * ((s2 + 1) // 2)
         if wp:
             out.extend((b2, wp * c2) for b2, c2 in _psi_plus(b, s2))
         return out
 
-    def _realized_raw(self, kind: str, twice: int, b: FockBasisVector) -> Tuple[IntHit, ...]:
-        """The column of a realized mode at b: D times its rational part, as
-        (state, int) pairs over b's sector denominator D."""
+    def _realized_raw(self, kind: str, twice: int, i: int) -> Tuple[IntHit, ...]:
+        """The column of a realized mode at the state with id i: D times its
+        rational part, as (id, int) pairs over the state's sector D."""
         store = self._mode_cache.get((kind, twice))
         if store is None:
             store = self._mode_cache[kind, twice] = {}
-        hit = store.get(b)
+        hit = store.get(i)
         if hit is not None:
             return hit
+        b = self._states[i]
         if kind == "A":
-            cla = self._weights(b.sector)[3]
-            res = [(b2, _cleared(-cla * c2)) for b2, c2 in _c_free(b, twice // 2)]
+            if twice:
+                cla = -self._weights(b.sector).cla
+                res = [(b2, cla * c2) for b2, c2 in _c_free(b, twice // 2)]
+            else:
+                res = [(b, -self._weights(b.sector).cla_xd)]
         elif kind == "P":
-            cla = self._weights(b.sector)[3]
-            res = [(b2, -cla * c2) for b2, c2 in _psi_minus(b, twice)]
+            cla = -self._weights(b.sector).cla
+            res = [(b2, cla * c2) for b2, c2 in _psi_minus(b, twice)]
         elif kind == "L":
             res = self._l_action(twice // 2, b)
         elif kind == "G":
             res = self._g_action(twice, b)
         else:
             raise ValueError(f"not a realized generator: {kind}")
-        merged: Dict[FockBasisVector, int] = {}
-        add_scaled(merged, res, 1)
-        out = tuple(merged.items())
-        store[b] = out
+        merged: Dict[int, int] = {}
+        add_scaled(merged, self._interned(res), 1)
+        out = store[i] = tuple(merged.items())
         return out
 
     def _fold(self, word: Sequence[GeneratorSymbol]) -> Tuple[object, Tuple[Tuple[str, int], ...], int]:
@@ -412,35 +467,35 @@ class FreeFieldRealization:
                 raise ValueError(f"not a realized generator: {kind}")
         return scalar, tuple(letters), odd
 
-    def _accumulate(self, total: Dict[FockBasisVector, int], letters: Tuple[Tuple[str, int], ...],
+    def _accumulate(self, total: Dict[int, int], letters: Tuple[Tuple[str, int], ...],
                     hits: Sequence[IntHit], weight: int) -> None:
         """total += weight * (the letters applied right to left to hits), over
-        the cached columns.  hits are (state, int) pairs with distinct states;
-        each letter adds one factor D of each state's sector.  The sum is not
+        the cached columns.  hits are (id, int) pairs with distinct ids; each
+        letter adds one factor D of each state's sector.  The sum is not
         filtered: on a correct realization almost every commutator sum
         cancels, so dropping zeros at each step would churn the dict."""
         raw = self._realized_raw
         get = total.get
         if not letters:
-            for b, n in hits:
-                total[b] = get(b, 0) + weight * n
+            for i, n in hits:
+                total[i] = get(i, 0) + weight * n
             return
         for kind, twice in letters[:-1]:
             if len(hits) == 1:
                 # one state: its column already holds distinct states
-                (b, n), = hits
+                (i, n), = hits
                 weight *= n
-                hits = raw(kind, twice, b)
+                hits = raw(kind, twice, i)
             else:
-                merged: Dict[FockBasisVector, int] = {}
-                for b, n in hits:
-                    add_scaled(merged, raw(kind, twice, b), n)
+                merged: Dict[int, int] = {}
+                for i, n in hits:
+                    add_scaled(merged, raw(kind, twice, i), n)
                 hits = merged.items()
         kind, twice = letters[-1]
-        for b, n in hits:
+        for i, n in hits:
             wn = weight * n
-            for b2, n2 in raw(kind, twice, b):
-                total[b2] = get(b2, 0) + wn * n2
+            for i2, n2 in raw(kind, twice, i):
+                total[i2] = get(i2, 0) + wn * n2
 
     def generator_mode(self, kind: str, mode, vec: FockVector) -> FockVector:
         """Action of a realized algebra generator mode on a Fock vector."""
@@ -458,18 +513,20 @@ class FreeFieldRealization:
     def realize_word(self, word: Sequence[GeneratorSymbol], vec: FockVector) -> FockVector:
         """A word applied right to left: the columns compose over the
         integers, and each output entry is divided once, by M * D**modes."""
-        ivec, M = _integer_terms(vec)
+        ivec, M = _integer_terms(vec.terms)
         scalar, letters, odd = self._fold(word)
-        img: Dict[FockBasisVector, int] = {}
+        img: Dict[int, int] = {}
         if scalar:
-            self._accumulate(img, letters, ivec.items(), 1)
+            self._accumulate(img, letters, self._interned(ivec.items()), 1)
         twos, parity = divmod(vec.parity + odd, 2)
         num, den = scalar.numerator << twos, M * scalar.denominator
-        modes, weights = len(letters), self._weights
-        return FockVector(
-            {b: Fraction(num * n, den * weights(b.sector)[0] ** modes) for b, n in img.items() if n},
-            parity,
-        )
+        modes, states, weights = len(letters), self._states, self._weights
+        out: Dict[FockBasisVector, Fraction] = {}
+        for i, n in img.items():
+            if n:
+                b = states[i]
+                out[b] = Fraction(num * n, den * weights(b.sector).D ** modes)
+        return FockVector(out, parity)
 
     def realize_element(self, x: Element, vec: FockVector) -> FockVector:
         total = FockVector.zero()
@@ -505,9 +562,9 @@ class FreeFieldRealization:
         )
 
     def _plan_image(self, terms: Sequence[Tuple[tuple, int]],
-                    hits: Sequence[IntHit]) -> Dict[FockBasisVector, int]:
+                    hits: Sequence[IntHit]) -> Dict[int, int]:
         """A plan's per-sector terms on the hits, summed over one scale."""
-        total: Dict[FockBasisVector, int] = {}
+        total: Dict[int, int] = {}
         for letters, w in terms:
             self._accumulate(total, letters, hits, w)
         return total
@@ -522,16 +579,17 @@ class FreeFieldRealization:
         plan = self._bracket_plan(sym_x, sym_y)
         # an odd word on an odd vector makes one more factor 2
         two = 1 + (vec.parity & plan.parity)
-        ivec, M = _integer_terms(vec)
-        by_sector: Dict[LatticePoint, Dict[FockBasisVector, int]] = {}
+        ivec, M = _integer_terms(vec.terms)
+        by_sector: Dict[LatticePoint, List[StateHit]] = {}
         for b, n in ivec.items():
-            by_sector.setdefault(b.sector, {})[b] = n
+            by_sector.setdefault(b.sector, []).append((b, n))
+        states = self._states
         out: Dict[FockBasisVector, Fraction] = {}
         for sec, part in by_sector.items():
-            D = self._weights(sec)[0]
-            total = self._plan_image(plan.terms(D), part.items())
+            D = self._weights(sec).D
+            total = self._plan_image(plan.terms(D), self._interned(part))
             scale = M * plan.scale * D ** plan.top
-            out.update((b, Fraction(two * n, scale)) for b, n in total.items() if n)
+            out.update((states[i], Fraction(two * n, scale)) for i, n in total.items() if n)
         return FockVector(out, vec.parity + plan.parity)
 
     def realized_bracket_report(self, p, r, max_twice_mode: int = 6,
@@ -542,16 +600,17 @@ class FreeFieldRealization:
             sym for t in range(-max_twice_mode, max_twice_mode + 1) for sym in symbols_at(t)
         ]
         states = [(d, b) for d in half_degrees(max_degree) for b in self.basis(p, r, d)]
+        hits = self._interned((b, 1) for _, b in states)
         # every basis state lies in the (p, r) sector
-        D = self._weights(self.sector(p, r))[0]
+        D = self._weights(self.sector(p, r)).D
         mismatches = []
         checked = 0
         for i, x in enumerate(symbols):
             for y in symbols[i:]:
                 terms = self._bracket_plan(x, y).terms(D)
-                for deg, b in states:
+                for (deg, _), hit in zip(states, hits):
                     checked += 1
-                    if any(self._plan_image(terms, ((b, 1),)).values()):
+                    if any(self._plan_image(terms, (hit,)).values()):
                         mismatches.append((str(x), str(y), str(deg)))
                         break
         return {
@@ -564,43 +623,58 @@ class FreeFieldRealization:
 
     # -- lattice operators and screenings ---------------------------------
 
+    def _screened(self, k_half: int, n, vec: FockVector,
+                  row: Callable[[FockBasisVector, int, LatticePoint], tuple]) -> FockVector:
+        """A mode n of an operator of charge (k_half/2)c on vec: row(b, N,
+        target) gives the image of a state b of a sector with integer
+        effective mode N = n + k_half*x_d, over the shifted sector target, as
+        (den, hits), integer hits over den.  The images are summed in
+        integers over one scale S, raised to cover each den as it comes, and
+        each entry is divided once, at the end."""
+        n = Fraction(n)
+        ivec, M = _integer_terms(vec.terms)
+        out: Dict[FockBasisVector, int] = {}
+        S, last = 1, None
+        for b, m in ivec.items():
+            sec = b.sector
+            if sec is not last:
+                last, N = sec, n + k_half * sec.x_d
+                if N.denominator != 1:
+                    raise CosetError(f"mode {n} is not admissible on sector {sec}")
+                N, target = N.numerator, self._shifted(sec, k_half)
+            den, hits = row(b, N, target)
+            if S % den:
+                f = den // math.gcd(S, den)
+                out = {key: v * f for key, v in out.items()}
+                S *= f
+            add_scaled(out, hits, m * (S // den))
+        scale = M * S
+        return FockVector({key: Fraction(c, scale) for key, c in out.items()}, vec.parity)
+
     def lattice_mode(self, k_half: int, n, vec: FockVector) -> FockVector:
         """Mode of the exponential operator for kappa = (k_half/2)c."""
-        out: Dict[FockBasisVector, Fraction] = {}
-        n = Fraction(n)
-        for b, co in vec.terms.items():
-            sec = b.sector
-            N = n + k_half * sec.x_d
-            if N.denominator != 1:
-                raise CosetError(
-                    f"mode {n} is not admissible on sector {sec}"
-                )
-            target = self._shifted(sec, k_half)
-            add_scaled(out, [
-                (_with_c_letters(b, mu_parts, target, kept), tc)
-                for kept, mu_parts, tc in _lattice_template(k_half, int(N), b.d_part)
-            ], co)
-        return FockVector(out, vec.parity)
+
+        def row(b, N, target):
+            den, entries = _lattice_template(k_half, N, b.d_part)
+            return den, [
+                (_with_c_letters(b, mu_parts, target, kept), t) for kept, mu_parts, t in entries
+            ]
+
+        return self._screened(k_half, n, vec, row)
 
     def a_mode(self, n, vec: FockVector) -> FockVector:
         """Modes of the odd screening current psi^-(-1/2)e^{c/2}."""
-        out: Dict[FockBasisVector, Fraction] = {}
-        n = Fraction(n)
-        for b, co in vec.terms.items():
-            sec = b.sector
-            N = n + sec.x_d
-            if N.denominator != 1:
-                raise CosetError(
-                    f"mode {n} is not admissible on sector {sec}"
-                )
-            target = self._shifted(sec, 1)
+
+        def row(b, N, target):
+            den, entries = _a_template(N, b.psip, b.d_part)
             # sg is a fermion sign, +1 or -1
-            add_scaled(out, [
-                (b3, tc if sg > 0 else -tc)
-                for kept, mu_parts, twice_s, tc in _a_template(int(N), b.psip, b.d_part)
+            return den, [
+                (b3, t * sg)
+                for kept, mu_parts, twice_s, t in entries
                 for b3, sg in _psi_minus(_with_c_letters(b, mu_parts, target, kept), twice_s)
-            ], co)
-        return FockVector(out, vec.parity)
+            ]
+
+        return self._screened(1, n, vec, row)
 
     def _a_mode_bound(self, vec: FockVector) -> Fraction:
         """Largest mode that can act without annihilating the vector."""

@@ -15,14 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .scalars import format_rational
-from .shv_algebra import Partition, partitions_of
-
-
-def _twice_deg(degree) -> int:
-    t = Fraction(degree) * 2
-    if t.denominator != 1:
-        raise ValueError(f"degree {degree} is not a half-integer")
-    return int(t)
+from .shv_algebra import Partition, doubled, partitions_of
 
 
 class QSeries:
@@ -36,7 +29,7 @@ class QSeries:
         truncation,
         offset=None,
     ):
-        self.truncation_twice = _twice_deg(truncation)
+        self.truncation_twice = doubled(truncation)
         self.coeffs = {
             t: int(c)
             for t, c in coeffs.items()
@@ -49,7 +42,7 @@ class QSeries:
         return Fraction(self.truncation_twice, 2)
 
     def coefficient(self, degree) -> int:
-        t = _twice_deg(degree)
+        t = doubled(degree)
         if t > self.truncation_twice:
             raise ValueError(
                 f"degree {degree} beyond truncation {self.truncation}"
@@ -114,7 +107,7 @@ def char_verma(truncation) -> QSeries:
     Two even generator families contribute 1/(1-q^k)^2 for every positive
     integer k, two odd families contribute (1+q^(k-1/2))^2.
     """
-    T = _twice_deg(truncation)
+    T = doubled(truncation)
     if T < 0:
         raise ValueError("truncation must be >= 0")
     series = QSeries({0: 1}, truncation)
@@ -175,7 +168,7 @@ def compare_dims(series: QSeries, expected: Iterable[Tuple] | Mapping) -> dict:
         items = list(expected.items())
     else:
         items = list(expected)
-    covered = {_twice_deg(d) for d, _ in items}
+    covered = {doubled(d) for d, _ in items}
     missing = [
         Fraction(t, 2)
         for t in range(series.truncation_twice + 1)

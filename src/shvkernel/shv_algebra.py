@@ -57,11 +57,7 @@ _ODD_KINDS = ("G", "P")
 def _twice(mode) -> int:
     if isinstance(mode, Mode):
         return mode.twice_value
-    f = Fraction(mode)
-    t = f * 2
-    if t.denominator != 1:
-        raise ValueError(f"mode {mode} is not a half-integer")
-    return int(t)
+    return doubled(mode)
 
 
 def L(n) -> GeneratorSymbol:
@@ -491,6 +487,15 @@ def symbols_at(twice: int) -> Tuple[GeneratorSymbol, GeneratorSymbol]:
 def half_degrees(limit) -> List[Fraction]:
     """The half-degrees 0, 1/2, 1, ... up to limit."""
     return [Fraction(t, 2) for t in range(math.floor(2 * Fraction(limit)) + 1)]
+
+
+def doubled(value) -> int:
+    """2 * value as an int, for a half-integer degree or mode; anything else
+    raises ValueError.  The sign is the caller's to check."""
+    t = Fraction(value) * 2
+    if t.denominator != 1:
+        raise ValueError(f"{value} is not a half-integer")
+    return t.numerator
 
 
 def _block_shapes(parity: int, twice: int) -> List[Tuple[int, ...]]:

@@ -58,6 +58,7 @@ from .shv_algebra import (
     SuperPartition,
     Word,
     _CENTRAL_KINDS,
+    doubled,
     graded_tuples,
     half_degrees,
     pair_sort_key,
@@ -139,10 +140,9 @@ _PBW_BLOCKS = (
 def verma_basis(hw: HighestWeightData, degree) -> GradedBasis:
     """All PBW words of the given degree (hw fixes the module; the basis shape
     depends only on the degree)."""
-    t = Fraction(degree) * 2
-    if t.denominator != 1 or t < 0:
+    twice_d = doubled(degree)
+    if twice_d < 0:
         raise ValueError(f"degree must be a non-negative half-integer: {degree}")
-    twice_d = int(t)
     cached = _BASIS_CACHE.get(twice_d)
     if cached is not None:
         return cached
@@ -536,7 +536,7 @@ class Submodule:
     def __init__(self, hw: HighestWeightData, max_degree):
         self.hw = hw
         self.action = get_action(hw)
-        self.max_twice = int(Fraction(max_degree) * 2)
+        self.max_twice = doubled(max_degree)
         self._spans: Dict[int, List[Dict[Word, object]]] = {}
         self._echelons: Dict[int, _EchelonSpan] = {}
         # per degree, how many vectors of _spans[t] _close has processed
@@ -547,15 +547,15 @@ class Submodule:
         return Fraction(self.max_twice, 2)
 
     def graded_dim(self, degree) -> int:
-        return len(self._spans.get(int(Fraction(degree) * 2), []))
+        return len(self._spans.get(doubled(degree), []))
 
     def graded_span(self, degree) -> List[Dict[Word, object]]:
-        return list(self._spans.get(int(Fraction(degree) * 2), []))
+        return list(self._spans.get(doubled(degree), []))
 
     def contains(self, vec: Dict[Word, object], degree) -> bool:
         if not vec:
             return True
-        t = int(Fraction(degree) * 2)
+        t = doubled(degree)
         if t not in self._echelons:
             return False
         return self._echelons[t].contains(verma_basis(self.hw, Fraction(t, 2)).column(vec))
@@ -572,7 +572,7 @@ class Submodule:
         return True
 
     def add_generator(self, vec: Dict[Word, object], degree) -> None:
-        if self._try_add(vec, int(Fraction(degree) * 2)):
+        if self._try_add(vec, doubled(degree)):
             self._close()
 
     def _close(self) -> None:

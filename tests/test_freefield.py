@@ -2,6 +2,7 @@
 the explicit vectors they generate."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -269,6 +270,85 @@ class TestRealizedModes:
         assert lhs == expected
 
 
+def oracle_generator_mode(R, kind, mode, vec):
+    """A realized mode from the module docstring's formulas, in Fractions,
+    through the free modes lifted to vectors.  Each infinite sum runs over a
+    window of modes wide enough that every term outside it kills vec."""
+    half = F(1, 2)
+    mode = F(mode)
+    psi_minus_mode = R.psi_minus_mode
+    if kind == "A":
+        return c_mode(int(mode), vec).scale(-R.cLa)
+    if kind == "P":
+        return psi_minus_mode(mode, vec).scale(-R.cLa).scale_sqrt2()
+    reach = int(max(letter_degree(b) for b in vec.terms) + abs(mode)) + 2
+    window = range(-reach, reach + 1)
+    terms = []
+    if kind == "L":
+        n = int(mode)
+        for j in window:
+            # :c(j)d(n-j): puts a creation c(j) to the left
+            k = n - j
+            pair = c_mode(j, d_mode(k, vec)) if j <= -1 else d_mode(k, c_mode(j, vec))
+            terms.append(pair.scale(half))
+            # :psi(s)psi'(t): puts an annihilation psi(s) to the right, with a sign
+            s = j + half
+            for first, second in ((psi_plus_mode, psi_minus_mode), (psi_minus_mode, psi_plus_mode)):
+                if s < 0:
+                    pair = first(s, second(n - s, vec))
+                else:
+                    pair = second(n - s, first(s, vec)).scale(-1)
+                terms.append(pair.scale(half * (-s - half)))
+        terms.append(c_mode(n, vec).scale(-(R.cL - 3) * F(n + 1, 24)))
+        terms.append(d_mode(n, vec).scale(F(n + 1, 2)))
+    else:
+        s = mode
+        for j in window:
+            terms.append(c_mode(j, psi_plus_mode(s - j, vec)).scale(half))
+            terms.append(d_mode(j, psi_minus_mode(s - j, vec)).scale(half))
+        terms.append(psi_minus_mode(s, vec).scale((R.cL - 3) / 12 * (-s - half)))
+        terms.append(psi_plus_mode(s, vec).scale(s + half))
+    total = FockVector.zero()
+    for term in terms:
+        total = total + term
+    return total.scale_sqrt2() if kind == "G" else total
+
+
+#: sectors whose zero-mode pairings 2*x_c and 2*x_d are not integers
+PAIRING_SECTORS = [(F(1, 2), F(1, 3)), (F(5, 7), F(2, 3))]
+
+#: every zero-mode case: L(0), A(0), G and P at s = -1/2 and 1/2, and the
+#: boson pairs of L(n) with j = 0 or k = 0, which every n has
+ZERO_MODE_CASES = (
+    [("L", n) for n in range(-2, 3)]
+    + [("A", n) for n in (-1, 0, 1)]
+    + [(kind, F(t, 2)) for kind in "GP" for t in (-3, -1, 1, 3)]
+)
+
+
+class TestRealizedModesAgainstFormulas:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generator_mode_matches_fraction_formulas(self, R, data):
+        p, r = data.draw(st.sampled_from(PAIRING_SECTORS))
+        sec = R.sector(p, r)
+        assert (2 * sec.x_c).denominator > 1 and (2 * sec.x_d).denominator > 1
+        terms = {}
+        for _ in range(data.draw(st.integers(1, 2))):
+            basis = R.basis(p, r, F(data.draw(st.integers(0, 3)), 2))
+            terms[basis[data.draw(st.integers(0, 50)) % len(basis)]] = data.draw(
+                small_fractions.filter(bool)
+            )
+        vec = FockVector(terms, data.draw(st.integers(0, 1)))
+        for kind, mode in ZERO_MODE_CASES:
+            got = R.generator_mode(kind, mode, vec)
+            want = oracle_generator_mode(R, kind, mode, vec)
+            assert got == want, (kind, mode)
+            assert all(type(c) is F for c in got.terms.values())
+            if not want.is_zero():
+                assert got.parity == want.parity
+
+
 class TestLeadingCoefficients:
     """Realized lowering words against the triangular change of basis."""
 
@@ -396,6 +476,44 @@ def oracle_a_mode(R, n, vec):
     return FockVector(out, vec.parity)
 
 
+def fraction_a_template(N, psip, d_part):
+    """The current's template for one key as {(kept_d, mu_parts, twice_s):
+    Fraction}, expanded as oracle_a_mode expands a state, with N = n + x_d."""
+    out = {}
+    half = F(1, 2)
+    for size in range(len(d_part) + 1):
+        for S in itertools.combinations(range(len(d_part)), size):
+            z_s = sum(d_part[i] for i in S)
+            kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+            s_cands = {F(tv, 2) for tv in psip}
+            s = F(-1, 2)
+            while s >= N + half - z_s:
+                s_cands.add(s)
+                s -= 1
+            for s in s_cands:
+                j = s - N - half + z_s
+                if j >= 0:
+                    for mu, sc in schur_expand(int(j), half).items():
+                        key = (kept, mu.parts, (2 * s).numerator)
+                        out[key] = out.get(key, 0) + (-sc if size & 1 else sc)
+    return {key: c for key, c in out.items() if c}
+
+
+def fraction_lattice_template(k_half, N, d_part):
+    """e^{(k_half/2)c}'s template for one key as {(kept_d, mu_parts):
+    Fraction}, expanded as oracle_lattice_mode expands a state."""
+    out = {}
+    for size in range(len(d_part) + 1):
+        for S in itertools.combinations(range(len(d_part)), size):
+            j = sum(d_part[i] for i in S) - N - 1
+            if j >= 0:
+                kept = tuple(v for i, v in enumerate(d_part) if i not in S)
+                for mu, sc in schur_expand(j, F(k_half, 2)).items():
+                    key = (kept, mu.parts)
+                    out[key] = out.get(key, 0) + (-k_half) ** size * sc
+    return {key: c for key, c in out.items() if c}
+
+
 def outcome(apply):
     try:
         return apply()
@@ -451,16 +569,24 @@ class TestScreeningTemplates:
     )
     @settings(max_examples=80, deadline=None)
     def test_templates_are_merged_and_exact(self, N, psip, d_part, k_half):
-        for template, width in ((_a_template(N, psip, d_part), 3),
-                                (_lattice_template(k_half, N, d_part), 2)):
-            shapes = [entry[:width] for entry in template]
-            assert len(set(shapes)) == len(shapes)
-            assert all(type(entry[-1]) is F and entry[-1] for entry in template)
+        for (den, entries), want in (
+            (_a_template(N, psip, d_part), fraction_a_template(N, psip, d_part)),
+            (_lattice_template(k_half, N, d_part), fraction_lattice_template(k_half, N, d_part)),
+        ):
+            # integer numerators over one denominator, the least one
+            assert type(den) is int and den > 0
+            numerators = [entry[-1] for entry in entries]
+            assert all(type(n) is int and n for n in numerators)
+            assert math.gcd(den, *numerators) == 1
+            # merged: one entry per shape, each equal to the Fraction expansion
+            got = {entry[:-1]: F(entry[-1], den) for entry in entries}
+            assert len(got) == len(entries)
+            assert got == want
 
     def test_template_caches_are_bounded_and_recomputable(self):
         a_key, lattice_key = (-1, (3, 1), (2, 1, 1)), (2, -3, (2, 1, 1))
         before = _a_template(*a_key), _lattice_template(*lattice_key)
-        assert all(before)
+        assert all(entries for _, entries in before)
         for cache in (_a_template, _lattice_template):
             maxsize = cache.cache_info().maxsize
             assert isinstance(maxsize, int) and maxsize > 0
@@ -812,7 +938,7 @@ class TestBracketPlan:
             terms = R._bracket_plan(L(0), A(0)).terms(R._weights(R.sector(p, r))[0])
             for t in range(3):
                 for b in R.basis(p, r, F(t, 2)):
-                    R._plan_image(terms, ((b, 1),))
+                    R._plan_image(terms, R._interned([(b, 1)]))
         finally:
             del R._realized_raw
         assert rep["ok"] and rep["checked"] == 3 * rep["vectors"]
@@ -845,6 +971,23 @@ class TestIntegerColumns:
             c for store in R._mode_cache.values() for column in store.values() for _, c in column
         ]
         assert hits and all(type(c) is int for c in hits)
+
+    def test_state_table_holds_each_state_once(self):
+        R = FreeFieldRealization()
+        rep = R.realized_bracket_report(F(1, 2), F(2, 3), max_degree=2)
+        assert rep["ok"]
+        states = R._states
+        # one object per distinct state, and the two directions agree
+        assert len(set(states)) == len({id(b) for b in states}) == len(states) == len(R._ids)
+        assert all(R._ids[b] == i for i, b in enumerate(states))
+        # every column is keyed by an id and holds (id, int) pairs
+        columns = [(i, column) for store in R._mode_cache.values() for i, column in store.items()]
+        assert columns
+        for i, column in columns:
+            assert type(i) is int and 0 <= i < len(states)
+            assert len({j for j, _ in column}) == len(column)
+            assert all(type(j) is int and 0 <= j < len(states) and type(c) is int and c
+                       for j, c in column)
 
     @pytest.mark.parametrize(
         "p, r",

@@ -18,11 +18,15 @@ from fractions import Fraction
 import shvkernel, shvkernel.cli
 import tracing
 
-read_counters = tracing.install(tracing.Tracer(), shvkernel)
+tracer = tracing.Tracer()
+read_counters = tracing.install(tracer, shvkernel)
 R = shvkernel.freefield.FreeFieldRealization()
 for b in R.basis(1, Fraction(1, 3), 1):
     R.generator_mode("L", -1, shvkernel.freefield.FockVector({b: Fraction(1)}, 0))
-print(json.dumps(read_counters()))
+R.a_mode(0, R.vacuum_vector(1, Fraction(-1, 6)))
+R.lattice_mode(2, 0, R.vacuum_vector(1, Fraction(1, 3)))
+calls = {name: row["calls"] for name, row in tracer.layer_totals().items()}
+print(json.dumps({"counters": read_counters(), "tracer": tracer.counters, "calls": calls}))
 """
 
 
@@ -34,9 +38,15 @@ def test_tracer_installs_and_reads_counters():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    counters = json.loads(proc.stdout.splitlines()[-1])
+    out = json.loads(proc.stdout.splitlines()[-1])
+    counters, calls = out["counters"], out["calls"]
     assert counters["freefield.mode_cache.entries"] == 3  # L(-1) on the three degree-1 states
     assert counters["freefield.basis_cache.entries"] == 1
+    # one a_mode and one lattice_mode call, each one span of the screening
+    # layer with its terms counted; neither touches the mode cache
+    assert calls["freefield.screening"] == 2
+    assert calls["freefield.mode"] == 3
+    assert out["tracer"]["freefield.screening.terms"] > 0
 
 
 VERMA_SCRIPT = """

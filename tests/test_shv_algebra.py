@@ -14,6 +14,7 @@ from shvkernel.shv_algebra import (
     P,
     Partition,
     SuperPartition,
+    doubled,
     element_bracket,
     graded_tuples,
     half_degrees,
@@ -174,6 +175,10 @@ def test_graded_vocabulary():
     assert symbols_at(-3) == (G(half(-3)), P(half(-3)))
     assert half_degrees(F(3, 2)) == [F(0), half(1), F(1), half(3)]
     assert half_degrees(F(-1, 2)) == []
+    assert [doubled(d) for d in (0, half(-3), "5/2", F(4))] == [0, -3, 5, 8]
+    for bad in (F(1, 3), "2/3", F(-1, 4)):
+        with pytest.raises(ValueError):
+            doubled(bad)
     # an odd block, then an even block that takes the rest: the odd block
     # varies slowest, over its doubled degree ascending (1 and 3 leave an
     # odd rest, and 2 has no superpartition)

@@ -71,11 +71,15 @@ def test_one_accumulator():
     assert calls == ["scalars.add_scaled"]
 
 
+def call_name(call: ast.Call):
+    """The name a call calls, plain or qualified."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def calls_an_enumerator(call: ast.Call) -> bool:
     """A call of partitions_of or superpartitions_of, plain or qualified."""
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name in ("partitions_of", "superpartitions_of")
+    return call_name(call) in ("partitions_of", "superpartitions_of")
 
 
 def test_one_graded_basis_enumerator():
@@ -84,3 +88,18 @@ def test_one_graded_basis_enumerator():
     caller of the partition enumerators is qchar.schur_expand."""
     scopes = {scope for name in MODULES for scope in call_scopes(SOURCE / name, calls_an_enumerator)}
     assert scopes == {"shv_algebra._block_shapes", "qchar.schur_expand"}
+
+
+def test_fock_columns_stay_on_integers():
+    """A sector's weights are cleared to ints once, in _weights, so the
+    exactness check runs once per sector and never per hit; the column
+    builders and the composition then multiply ints only."""
+    freefield = SOURCE / "freefield.py"
+    assert call_scopes(freefield, lambda call: call_name(call) == "_cleared") == [
+        "freefield.FreeFieldRealization._weights"
+    ]
+    hot = {
+        f"freefield.FreeFieldRealization.{name}"
+        for name in ("_l_action", "_g_action", "_accumulate")
+    }
+    assert not hot & set(call_scopes(freefield, lambda call: call_name(call) == "Fraction"))

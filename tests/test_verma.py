@@ -373,6 +373,21 @@ class TestSubmoduleStructure:
         # the closure picked up the singular vector through the raising action
         assert closure.contains(u0.to_dict(), Fraction(1, 2))
 
+    def test_degrees_must_be_half_integers(self):
+        hw = hw_for(1)
+        u0 = singular_vectors(hw, Fraction(1, 2))[0].to_dict()
+        s = Submodule(hw, Fraction(3, 2))
+        s.add_generator(u0, Fraction(1, 2))
+        for read in (s.graded_dim, s.graded_span, lambda d: s.contains(u0, d)):
+            with pytest.raises(ValueError):
+                read(Fraction(1, 3))
+        with pytest.raises(ValueError):
+            Submodule(hw, Fraction(4, 3))
+        with pytest.raises(ValueError):
+            s.add_generator(u0, Fraction(2, 3))
+        # below degree 0 a submodule is empty, as subsingular_vectors reads it
+        assert s.graded_dim(Fraction(-1, 2)) == 0 and s.graded_span(-1) == []
+
     def test_no_subsingular_generic(self):
         hw = pr_to_hw(Fraction(5, 7), R)
         s = Submodule(hw, Fraction(3, 2))
