@@ -454,10 +454,13 @@ def _subsingular_span_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
 
 def _detected_subsingular(hw, p: int) -> list:
     """Vectors of degree p singular modulo the submodule that the singular
-    vectors of degree p/2 generate, found by the kernel detector."""
+    vectors of degree p/2 generate, found by the kernel detector.  The
+    singular vectors of degree p go into the base too, so that none of them
+    is reported."""
     base = Submodule(hw, Fraction(p))
-    for vec in singular_vectors(hw, Fraction(p, 2)):
-        base.add_generator(vec.to_dict(), Fraction(p, 2))
+    for degree in (Fraction(p, 2), Fraction(p)):
+        for vec in singular_vectors(hw, degree):
+            base.add_generator(vec.to_dict(), degree)
     return subsingular_vectors(hw, Fraction(p), base)
 
 

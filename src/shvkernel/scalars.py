@@ -37,10 +37,15 @@ Expvec = Tuple[int, ...]
 
 def add_scaled(out: dict, terms: Iterable[Tuple[object, object]], scale) -> None:
     """out += scale * terms, over (key, coefficient) pairs: a new key is
-    stored as scale * c, and a key whose sum cancels is deleted."""
+    stored as scale * c, and a key whose sum cancels is deleted.  An int
+    scale of 1 or -1 adds c or -c itself, with no multiplication."""
+    if type(scale) is not int or not (scale == 1 or scale == -1):
+        terms = [(key, scale * c) for key, c in terms]
+    elif scale == -1:
+        terms = [(key, -c) for key, c in terms]
     for key, c in terms:
         prev = out.get(key)
-        nv = scale * c if prev is None else prev + scale * c
+        nv = c if prev is None else prev + c
         if nv:
             out[key] = nv
         else:

@@ -243,6 +243,9 @@ def super_bracket(x: GeneratorSymbol, y: GeneratorSymbol) -> Element:
     if x.kind in _CENTRAL_KINDS or y.kind in _CENTRAL_KINDS:
         return Element()
     tm, tn = x.mode.twice_value, y.mode.twice_value
+    # the mode of a result symbol, already doubled; its kind, and so its
+    # parity, is fixed by the pair
+    total = Mode(tm + tn)
     pair = (x.kind, y.kind)
     out: Dict[Word, object] = {}
     if pair == ("A", "A"):
@@ -250,34 +253,34 @@ def super_bracket(x: GeneratorSymbol, y: GeneratorSymbol) -> Element:
     elif pair == ("L", "A"):
         c = Fraction(-tn, 2)
         if c:
-            out[(A(Fraction(tm + tn, 2)),)] = c
+            out[(GeneratorSymbol("A", total),)] = c
         _delta(tm + tn == 0, Fraction(-(tm * tm + 2 * tm), 4), CLA, out)
     elif pair == ("L", "L"):
         c = Fraction(tm - tn, 2)
         if c:
-            out[(L(Fraction(tm + tn, 2)),)] = c
+            out[(GeneratorSymbol("L", total),)] = c
         _delta(tm + tn == 0, Fraction(tm**3 - 4 * tm, 96), CL, out)
     elif pair == ("P", "P"):
         _delta(tm + tn == 0, Fraction(1), CA, out)
     elif pair in (("A", "P"), ("P", "A")):
         pass
     elif pair == ("G", "G"):
-        out[(L(Fraction(tm + tn, 2)),)] = Fraction(2)
+        out[(GeneratorSymbol("L", total),)] = Fraction(2)
         _delta(tm + tn == 0, Fraction(tm * tm - 1, 12), CL, out)
     elif pair == ("L", "G"):
         c = Fraction(tm - 2 * tn, 4)
         if c:
-            out[(G(Fraction(tm + tn, 2)),)] = c
+            out[(GeneratorSymbol("G", total),)] = c
     elif pair == ("A", "G"):
         c = Fraction(tm, 2)
         if c:
-            out[(P(Fraction(tm + tn, 2)),)] = c
+            out[(GeneratorSymbol("P", total),)] = c
     elif pair == ("P", "L"):
         c = Fraction(2 * tm + tn, 4)
         if c:
-            out[(P(Fraction(tm + tn, 2)),)] = c
+            out[(GeneratorSymbol("P", total),)] = c
     elif pair == ("P", "G"):
-        out[(A(Fraction(tm + tn, 2)),)] = Fraction(1)
+        out[(GeneratorSymbol("A", total),)] = Fraction(1)
         _delta(tm + tn == 0, Fraction(tm - 1, 1), CLA, out)
     else:
         # remaining pairs via super-antisymmetry: [x,y] = -(-1)^{|x||y|}[y,x]

@@ -20,6 +20,16 @@ blocks below it: for a basis word w = x * w', the row of w is one cached
 application of theta(x) to each column, dotted with the row of w' in the
 block at degree d - wt(x).
 
+The closure and the detectors read the action as integer matrices.
+``VermaAction.symbol_map(sym, twice)`` is sym on the degree-twice/2 piece:
+for each basis word, (target index, int) pairs over one positive
+denominator, built once from the cached ``apply_symbol``.  A ``Submodule``
+keeps each spanning vector as integers over one denominator, so a closure
+step is an integer matrix-vector product, and the product goes straight into
+the integer echelon span.  The singular and subsingular detectors stack the
+raising symbols' maps, each block scaled by its denominator, into one integer
+kernel matrix.
+
 The contravariant form uses the rational anti-involution
 
     L(n) -> L(-n),   A(n) -> -A(-n) + 2*CLA*delta_{n,0},
@@ -36,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_linalg import CoordinateMap, Matrix, determinant, kernel_basis, rank
 from .qchar import char_verma, schur_expand
@@ -209,6 +219,17 @@ class ModuleVector:
 # the action
 
 
+class SymbolMap(NamedTuple):
+    """One generator on one graded piece: basis word i goes to
+    sum_j a_j / den * (target word j) over the pairs (j, a_j) of columns[i],
+    with den > 0 and every a_j a nonzero int; rows is the size of the
+    target piece."""
+
+    den: int
+    rows: int
+    columns: List[List[Tuple[int, int]]]
+
+
 class VermaAction:
     """The action of single generators on the PBW basis of the module of hw.
 
@@ -239,6 +260,7 @@ class VermaAction:
         }
         self._sym_cache: Dict[Tuple[GeneratorSymbol, Word], Dict[Word, object]] = {}
         self._gram_cache: Dict[int, Matrix] = {}
+        self._maps: Dict[Tuple[GeneratorSymbol, int], SymbolMap] = {}
 
     def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
         c = self._subs[kind]
@@ -277,6 +299,24 @@ class VermaAction:
                 for (b,), bc in super_bracket(sym, s1).terms.items():
                     add_scaled(out, self.apply_symbol(b, rest).items(), bc)
         self._sym_cache[key] = out
+        return out
+
+    def symbol_map(self, sym: GeneratorSymbol, twice: int) -> SymbolMap:
+        """sym on the PBW piece of degree twice/2 as a sparse integer matrix,
+        built once per (sym, twice) from the cached apply_symbol; the target
+        degree must be >= 0 and the weights rational."""
+        key = (sym, twice)
+        hit = self._maps.get(key)
+        if hit is not None:
+            return hit
+        target = verma_basis(self.hw, Fraction(twice - sym.mode.twice_value, 2)).index
+        images = [self.apply_symbol(sym, w) for w in verma_basis(self.hw, Fraction(twice, 2)).words]
+        den = math.lcm(*(c.denominator for image in images for c in image.values()))
+        columns = [
+            [(target[u], c.numerator * (den // c.denominator)) for u, c in image.items()]
+            for image in images
+        ]
+        out = self._maps[key] = SymbolMap(den, len(target), columns)
         return out
 
     def apply_word(self, opword: Sequence[GeneratorSymbol], vec: Dict[Word, object]):
@@ -427,38 +467,61 @@ def _normalize_leading(vec: Dict[Word, object]) -> Dict[Word, object]:
     return {w: v * inv for w, v in vec.items()}
 
 
-def _raised(hw: HighestWeightData, basis: GradedBasis):
-    """The raising symbols of the basis degree, the coordinate map of their
-    stacked targets (the pairs (k, u), u a word of the k-th symbol's target;
-    none at degree 0) and the image of each basis word in it."""
-    action = get_action(hw)
+def _raised(hw: HighestWeightData, basis: GradedBasis, submodule: Optional[Submodule] = None):
+    """The raising symbols of the basis degree stacked into one integer
+    matrix, one column per basis word, or None at degree 0 (no symbol).
+
+    Row block k is the k-th symbol's map, its rows the words of the target
+    piece, scaled by the map's denominator.  With a submodule S, each block
+    gets one more column per spanning vector of S at its target, holding
+    minus that vector, and the block is scaled by the lcm of their
+    denominators too.  Scaling a row changes no kernel vector, and the
+    elimination makes every row primitive, so the kernel sees the rows of
+    the rational matrix."""
     symbols = raising_symbols(basis.degree)
-    rows = CoordinateMap([
-        (k, u) for k, g in enumerate(symbols)
-        for u in verma_basis(hw, basis.degree - g.mode.value).words
-    ])
-    images = [
-        {
-            (k, u): c
-            for k, g in enumerate(symbols)
-            for u, c in action.apply_word((g,), {w: Fraction(1)}).items()
-        }
-        for w in basis.words
-    ]
-    return symbols, rows, images
+    if not symbols:
+        return None
+    action = get_action(hw)
+    t = basis.twice_degree
+    spans = [submodule.integer_span(t - g.mode.twice_value) if submodule else [] for g in symbols]
+    width = len(basis) + sum(map(len, spans))
+    rows: List[List[int]] = []
+    col = len(basis)
+    for g, span in zip(symbols, spans):
+        smap = action.symbol_map(g, t)
+        scale = math.lcm(*(den for _, den in span))
+        block = [[0] * width for _ in range(smap.rows)]
+        for i, column in enumerate(smap.columns):
+            for j, a in column:
+                block[j][i] = a * scale
+        for ints, den in span:
+            s = -smap.den * (scale // den)
+            for j, a in enumerate(ints):
+                if a:
+                    block[j][col] = s * a
+            col += 1
+        rows += block
+    return Matrix(rows, width)
 
 
 def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
     """Basis of the space of degree-d vectors killed by every raising generator,
     each normalized so its leading basis word has coefficient 1."""
     basis = verma_basis(hw, degree)
-    symbols, rows, images = _raised(hw, basis)
-    if not symbols:
+    m = _raised(hw, basis)
+    if m is None:
         return []
     return [
         ModuleVector.from_dict(_normalize_leading(basis.vector(k)), degree)
-        for k in kernel_basis(rows.matrix(images))
+        for k in kernel_basis(m)
     ]
+
+
+def _over_one_den(vec: Sequence) -> Tuple[List[int], int]:
+    """A rational vector as (ints, den): integers over the lcm of its
+    denominators."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 class _EchelonSpan:
@@ -466,10 +529,12 @@ class _EchelonSpan:
     membership tests during submodule closure.
 
     Rows are primitive integer rows keyed by pivot column: each pivot is
-    positive and every other pivot column of the row is zero.  Input vectors
-    are scaled to integers by the lcm of their denominators, and reduction is
-    fraction-free, v <- row[piv] * v - v[piv] * row followed by division by
-    the content, so no Fraction is formed.
+    positive and every other pivot column of the row is zero.  reduce and
+    insert_ints take integer rows; insert and contains take rational vectors
+    and scale them to integers by the lcm of their denominators first.  Reduction is fraction-free, v <- row[piv] * v -
+    v[piv] * row followed by division by the content, so no Fraction is
+    formed.  Stored rows are rewritten in place as the span grows, so a row
+    is always a new list, never one a caller passed in.
     """
 
     __slots__ = ("rows",)
@@ -477,10 +542,8 @@ class _EchelonSpan:
     def __init__(self):
         self.rows: Dict[int, List[int]] = {}
 
-    def reduce(self, vec: Sequence) -> List[int]:
-        """An integer multiple of vec minus its projection onto the span."""
-        den = math.lcm(*(x.denominator for x in vec))
-        v = [x.numerator * (den // x.denominator) for x in vec]
+    def reduce(self, v: List[int]) -> List[int]:
+        """An integer multiple of v minus its projection onto the span."""
         for piv, row in self.rows.items():
             c = v[piv]
             if c:
@@ -491,7 +554,7 @@ class _EchelonSpan:
                     v = [a // g for a in v]
         return v
 
-    def insert(self, vec: Sequence) -> bool:
+    def insert_ints(self, vec: List[int]) -> bool:
         v = self.reduce(vec)
         piv = next((i for i, c in enumerate(v) if c), None)
         if piv is None:
@@ -499,8 +562,7 @@ class _EchelonSpan:
         g = math.gcd(*v)
         if v[piv] < 0:
             g = -g
-        if g != 1:
-            v = [c // g for c in v]
+        v = [c // g for c in v]
         p = v[piv]
         for other in self.rows.values():
             c = other[piv]
@@ -512,8 +574,11 @@ class _EchelonSpan:
         self.rows[piv] = v
         return True
 
+    def insert(self, vec: Sequence) -> bool:
+        return self.insert_ints(_over_one_den(vec)[0])
+
     def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self.reduce(_over_one_den(vec)[0]))
 
     def __len__(self):
         return len(self.rows)
@@ -527,17 +592,20 @@ class Submodule:
     raising action), truncated at max_degree.  Coordinates are rational, so
     this is for numerically specialized highest weights.
 
-    Each degree keeps its spanning vectors in insertion order (graded_span)
-    beside an integer echelon form (_EchelonSpan) for membership tests.  The
-    closure is a worklist: a count per degree of the vectors already
-    processed, so every symbol is applied to every vector once.
+    Each degree keeps its spanning vectors in insertion order, each as a
+    reduced (ints, den) pair over the degree's basis (the vector ints / den),
+    beside an integer echelon form (_EchelonSpan) for membership tests.
+    graded_span gives them as {word: Fraction} dicts.  The closure is a
+    worklist: a count per degree of the vectors already processed, so every
+    symbol is applied to every vector once, as an integer matrix-vector
+    product with the action's symbol map.
     """
 
     def __init__(self, hw: HighestWeightData, max_degree):
         self.hw = hw
         self.action = get_action(hw)
         self.max_twice = doubled(max_degree)
-        self._spans: Dict[int, List[Dict[Word, object]]] = {}
+        self._spans: Dict[int, List[Tuple[List[int], int]]] = {}
         self._echelons: Dict[int, _EchelonSpan] = {}
         # per degree, how many vectors of _spans[t] _close has processed
         self._processed: Dict[int, int] = {}
@@ -549,8 +617,18 @@ class Submodule:
     def graded_dim(self, degree) -> int:
         return len(self._spans.get(doubled(degree), []))
 
+    def integer_span(self, twice_degree: int) -> List[Tuple[List[int], int]]:
+        """The spanning vectors at degree twice_degree / 2, in insertion
+        order, as (ints, den) pairs; the lists are the submodule's own."""
+        return list(self._spans.get(twice_degree, []))
+
     def graded_span(self, degree) -> List[Dict[Word, object]]:
-        return list(self._spans.get(doubled(degree), []))
+        t = doubled(degree)
+        vecs = self._spans.get(t, [])
+        if not vecs:
+            return []
+        words = verma_basis(self.hw, Fraction(t, 2)).words
+        return [{w: Fraction(a, den) for w, a in zip(words, ints) if a} for ints, den in vecs]
 
     def contains(self, vec: Dict[Word, object], degree) -> bool:
         if not vec:
@@ -560,19 +638,26 @@ class Submodule:
             return False
         return self._echelons[t].contains(verma_basis(self.hw, Fraction(t, 2)).column(vec))
 
-    def _try_add(self, vec: Dict[Word, object], twice_degree: int) -> bool:
-        if not vec or twice_degree > self.max_twice:
+    def _try_add(self, ints: List[int], den: int, twice_degree: int) -> bool:
+        """Add the vector ints / den at twice_degree unless it lies in the
+        span; returns whether it was added."""
+        if not any(ints):
             return False
         span = self._echelons.get(twice_degree)
         if span is None:
             span = self._echelons[twice_degree] = _EchelonSpan()
-        if not span.insert(verma_basis(self.hw, Fraction(twice_degree, 2)).column(vec)):
+        if not span.insert_ints(ints):
             return False
-        self._spans.setdefault(twice_degree, []).append(dict(vec))
+        g = math.gcd(den, *ints)
+        self._spans.setdefault(twice_degree, []).append(([a // g for a in ints], den // g))
         return True
 
     def add_generator(self, vec: Dict[Word, object], degree) -> None:
-        if self._try_add(vec, doubled(degree)):
+        t = doubled(degree)
+        if not vec or t > self.max_twice:
+            return
+        ints, den = _over_one_den(verma_basis(self.hw, Fraction(t, 2)).column(vec))
+        if self._try_add(ints, den, t):
             self._close()
 
     def _close(self) -> None:
@@ -585,6 +670,8 @@ class Submodule:
         processed left out: their images are in the span already, since the
         span only grows.  So graded_span lists come out in the order a full
         sweep gives them, and the kernels built from them do not change.
+        Each image is ints times the symbol's integer map, over den times
+        the map's denominator: exactly the rational image.
         """
         symbols = [
             sym for tm in range(1, self.max_twice + 1) for sym in symbols_at(tm) + symbols_at(-tm)
@@ -594,40 +681,40 @@ class Submodule:
             for t in sorted(self._spans):
                 vecs = self._spans[t]
                 start, done[t] = done.get(t, 0), len(vecs)
-                for vec in vecs[start:done[t]]:
+                for ints, den in vecs[start:done[t]]:
                     for sym in symbols:
                         t2 = t - sym.mode.twice_value
                         if 0 <= t2 <= self.max_twice:
-                            self._try_add(self.action.apply_word((sym,), vec), t2)
+                            smap = self.action.symbol_map(sym, t)
+                            image = [0] * smap.rows
+                            for x, column in zip(ints, smap.columns):
+                                if x:
+                                    for j, a in column:
+                                        image[j] += x * a
+                            self._try_add(image, den * smap.den, t2)
 
 
 def subsingular_vectors(
     hw: HighestWeightData, degree, submodule: Submodule
 ) -> List[ModuleVector]:
     """Vectors singular modulo a submodule S: every raising image lands in S,
-    and the vector itself is reduced modulo S plus the genuine singular space.
-    Returns normalized representatives of the new directions."""
+    and the vector itself is reduced modulo S_d.  The caller puts the
+    degree's singular vectors in S (as embedding_diagram does), so the new
+    directions are neither in S nor singular.  Returns normalized
+    representatives of the new directions."""
     basis = verma_basis(hw, degree)
     n = len(basis)
-    symbols, rows, images = _raised(hw, basis)
-    if not symbols:
-        return []
     # [raising images | -(the spans of S at the targets)]: a kernel vector
     # is a vector whose raising images lie in S, with their coordinates in S
-    spans = [
-        {(k, u): -c for u, c in v.items()}
-        for k, g in enumerate(symbols)
-        for v in submodule.graded_span(basis.degree - g.mode.value)
-    ]
-    candidates = [x[:n] for x in kernel_basis(rows.matrix(images + spans)) if any(x[:n])]
+    m = _raised(hw, basis, submodule)
+    if m is None:
+        return []
+    candidates = [x[:n] for x in kernel_basis(m) if any(x[:n])]
     if not candidates:
         return []
-    # quotient by S_d + genuine singular vectors
     span = _EchelonSpan()
-    for v in submodule.graded_span(degree):
-        span.insert(basis.column(v))
-    for sv in singular_vectors(hw, degree):
-        span.insert(list(sv.coords))
+    for ints, _ in submodule.integer_span(basis.twice_degree):
+        span.insert_ints(ints)
     return [
         ModuleVector.from_dict(_normalize_leading(basis.vector(x)), degree)
         for x in candidates
@@ -819,23 +906,21 @@ def embedding_diagram(p, r, max_degree, cL=None, cLa=None) -> Diagram:
         DiagramNode("v", Fraction(0), "highest", highest_weight_vector())
     ]
     closures: Dict[str, Submodule] = {}
-    for d in half_degrees(max_degree)[1:]:
-        found: List[Tuple[str, ModuleVector]] = []
-        sing = singular_vectors(hw, d)
-        for i, sv in enumerate(sing):
-            suffix = f".{i}" if len(sing) > 1 else ""
-            found.append((f"sing@{d}{suffix}", sv))
-        sub = subsingular_vectors(hw, d, accumulated)
-        for i, sv in enumerate(sub):
-            suffix = f".{i}" if len(sub) > 1 else ""
-            found.append((f"sub@{d}{suffix}", sv))
-        for node_id, sv in found:
-            kind = "singular" if node_id.startswith("sing") else "subsingular"
+
+    def record(prefix: str, kind: str, found: List[ModuleVector], d) -> None:
+        for i, sv in enumerate(found):
+            node_id = f"{prefix}@{d}" + (f".{i}" if len(found) > 1 else "")
             nodes.append(DiagramNode(node_id, Fraction(d), kind, sv))
             closure = Submodule(hw, max_degree)
             closure.add_generator(sv.to_dict(), d)
             closures[node_id] = closure
             accumulated.add_generator(sv.to_dict(), d)
+
+    for d in half_degrees(max_degree)[1:]:
+        # the singular nodes go into accumulated first: the subsingular
+        # detector reads them in S_d
+        record("sing", "singular", singular_vectors(hw, d), d)
+        record("sub", "subsingular", subsingular_vectors(hw, d, accumulated), d)
     # containment: b in <a>
     contains: Dict[Tuple[str, str], bool] = {}
     proper = [n for n in nodes if n.node_id != "v"]

@@ -36,8 +36,12 @@ ORDER_DIGESTS = {
     "singular --p 2": "8999fc864e3b9d0c487b1c7ba53800b477fcb7dd9909fd1cf21f30cc7dd363b3",
     "singular --p -2": "3991757c4aa92ad4a5bae92012237acb27181948d91aa1268c366c210b2f377e",
     "subsingular --p 3": "20880f2221f3a9fc4412958e8cc18eb3ed694f141809895267bf6b0292ed942e",
+    "subsingular --p 5": "a1090e25aad642cc62c8af9f282390d2dd31e11ab1c854758ff4c53631320596",
     "relations --max-degree 2": "a8f97d19289dd87f99676066cc974220470eeaf31d52319be1ebb524023f00d8",
     "diagram --max-degree 2": "120d427e85acab0709599dc799b316c56434b52ff8f762cde863017dbbfd3fa4",
+    "diagram --p 1 --r 1/3 --max-degree 3": (
+        "d859d08a364313038cf6a0ff857261b5e958e2371c13749b441906e5f4cc5124"
+    ),
     "char --p 2 --max-degree 3": "0004e8c099fc0f8a34203f960d4efae85029b6417feb5f7be418ac739d8ff2e2",
     "det --max-degree 1": "71a704dc555cf4b10bfe4bebc04de72181cc5a9bf18cea717d5bbe029a78a90c",
 }
@@ -206,6 +210,8 @@ class TestReportShape:
         [
             "realize --p 1/2 --r 1/3 --max-degree 2",
             "realize --p 2 --r 1/2 --max-degree 2",
+            "diagram --p -1 --r 1/3",
+            "det --r 1/3 --max-degree 2",
         ],
     )
     def test_report_body_matches_its_benchmark_digest(self, capsys, argv):

@@ -103,3 +103,26 @@ def test_fock_columns_stay_on_integers():
         for name in ("_l_action", "_g_action", "_accumulate")
     }
     assert not hot & set(call_scopes(freefield, lambda call: call_name(call) == "Fraction"))
+
+
+def test_verma_closure_stays_on_integers():
+    """The submodule closure multiplies integer vectors by the integer symbol
+    maps and hands integer rows to the echelon span: no Fraction and no
+    apply_word on that path.  The subsingular detector reads the degree's
+    singular vectors from the submodule it is given and computes none."""
+    verma = SOURCE / "verma.py"
+
+    def scopes(name):
+        return set(call_scopes(verma, lambda call: call_name(call) == name))
+
+    path = {
+        "verma.Submodule._close": "symbol_map",
+        "verma.Submodule._try_add": "insert_ints",
+        "verma._EchelonSpan.insert_ints": "reduce",
+        "verma._EchelonSpan.reduce": None,
+    }
+    for scope, callee in path.items():
+        assert callee is None or scope in scopes(callee)
+    for name in ("Fraction", "apply_word"):
+        assert not set(path) & scopes(name)
+    assert "verma.subsingular_vectors" not in scopes("singular_vectors")

@@ -619,11 +619,33 @@ def test_integer_echelon_span_matches_fraction_rref(case):
     assert len(got) == len(want.rows)
 
 
-class _FullSweepSubmodule(Submodule):
-    """The closure as a full sweep: every symbol on every vector, repeated
-    until a sweep adds nothing."""
+class _FullSweepClosure:
+    """The closure as a full sweep in Fractions: every symbol on every
+    vector, repeated until a sweep adds nothing.  Vectors are {word:
+    Fraction} dicts from VermaAction.apply_word, kept per degree in
+    insertion order, with membership by the Fraction echelon above."""
 
-    def _close(self):
+    def __init__(self, hw, max_degree):
+        self.hw = hw
+        self.action = VermaAction(hw)
+        self.max_twice = int(Fraction(max_degree) * 2)
+        self.spans, self.echelons = {}, {}
+
+    def graded_spans(self):
+        return [self.spans.get(t, []) for t in range(self.max_twice + 1)]
+
+    def _try_add(self, vec, t):
+        if not vec or t > self.max_twice:
+            return False
+        echelon = self.echelons.setdefault(t, _FractionEchelon())
+        if not echelon.insert(verma_basis(self.hw, Fraction(t, 2)).column(vec)):
+            return False
+        self.spans.setdefault(t, []).append(dict(vec))
+        return True
+
+    def add_generator(self, vec, degree):
+        if not self._try_add(vec, int(Fraction(degree) * 2)):
+            return
         symbols = []
         for tm in range(1, self.max_twice + 1):
             if tm % 2 == 0:
@@ -634,14 +656,11 @@ class _FullSweepSubmodule(Submodule):
         changed = True
         while changed:
             changed = False
-            for t in sorted(self._spans):
-                for vec in list(self._spans[t]):
+            for t in sorted(self.spans):
+                for vec in list(self.spans[t]):
                     for sym in symbols:
                         t2 = t - sym.mode.twice_value
-                        if t2 < 0 or t2 > self.max_twice:
-                            continue
-                        img = self.action.apply_word((sym,), vec)
-                        if img and self._try_add(img, t2):
+                        if 0 <= t2 and self._try_add(self.action.apply_word((sym,), vec), t2):
                             changed = True
 
 
@@ -656,13 +675,37 @@ def test_worklist_closure_matches_full_sweep(p, r, max_degree):
     hw = pr_to_hw(Fraction(p), r)
     nodes = [n for n in embedding_diagram(p, r, max_degree).nodes if n.node_id != "v"]
     assert nodes
-    got, want = Submodule(hw, max_degree), _FullSweepSubmodule(hw, max_degree)
+    got, want = Submodule(hw, max_degree), _FullSweepClosure(hw, max_degree)
     for node in nodes:
         gen = node.vector.to_dict()
-        one, one_want = Submodule(hw, max_degree), _FullSweepSubmodule(hw, max_degree)
+        one, one_want = Submodule(hw, max_degree), _FullSweepClosure(hw, max_degree)
         one.add_generator(gen, node.degree)
         one_want.add_generator(gen, node.degree)
-        assert _spans(one) == _spans(one_want)
+        assert _spans(one) == one_want.graded_spans()
         got.add_generator(gen, node.degree)
         want.add_generator(gen, node.degree)
-        assert _spans(got) == _spans(want)
+        assert _spans(got) == want.graded_spans()
+
+
+@pytest.mark.parametrize("p", [-1, 1])
+def test_symbol_map_is_the_symbol_action(p):
+    # each column of a symbol map, over its denominator, is apply_symbol on
+    # that basis word, for every symbol of the closure window at degrees 0..3
+    hw = hw_for(p, Fraction(1, 3))
+    action = VermaAction(hw)
+    for t in range(7):
+        words = verma_basis(hw, Fraction(t, 2)).words
+        for tm in range(1, 7):
+            for sym in shv_algebra.symbols_at(tm) + shv_algebra.symbols_at(-tm):
+                t2 = t - sym.mode.twice_value
+                if t2 < 0:
+                    continue
+                smap = action.symbol_map(sym, t)
+                assert smap.den > 0 and smap.rows == len(verma_basis(hw, Fraction(t2, 2)))
+                target = verma_basis(hw, Fraction(t2, 2)).words
+                assert len(smap.columns) == len(words)
+                for w, column in zip(words, smap.columns):
+                    assert all(type(a) is int and a for _, a in column)
+                    got = {target[j]: Fraction(a, smap.den) for j, a in column}
+                    assert got == action.apply_symbol(sym, w)
+                assert action.symbol_map(sym, t) is smap
