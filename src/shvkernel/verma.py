@@ -15,20 +15,29 @@ exact linear algebra over these coordinates.
 
 A generator acts on a basis word inside the module, by recursion on the
 word's first letter (``VermaAction.apply_symbol``); no word is normal-ordered
-in the enveloping algebra.  The Gram block at degree d is assembled from the
-blocks below it: for a basis word w = x * w', the row of w is one cached
-application of theta(x) to each column, dotted with the row of w' in the
-block at degree d - wt(x).
+in the enveloping algebra.  Each bracket the recursion meets is read from a
+table the action keeps, one tuple of (symbol, coefficient) pairs per pair of
+symbols.
 
-The closure and the detectors read the action as integer matrices.
-``VermaAction.symbol_map(sym, twice)`` is sym on the degree-twice/2 piece:
-for each basis word, (target index, int) pairs over one positive
-denominator, built once from the cached ``apply_symbol``.  A ``Submodule``
-keeps each spanning vector as integers over one denominator, so a closure
-step is an integer matrix-vector product, and the product goes straight into
-the integer echelon span.  The singular and subsingular detectors stack the
-raising symbols' maps, each block scaled by its denominator, into one integer
-kernel matrix.
+The Gram blocks, the closure and the detectors read the action as integer
+matrices.  ``VermaAction.symbol_map(sym, twice)`` is sym on the
+degree-twice/2 piece: for each basis word, (target index, int) pairs over one
+positive denominator, built once from the cached ``apply_symbol``.
+
+The Gram block at degree d is assembled from the blocks below it and kept as
+integer rows, each over one positive denominator prime to the row.  For a
+basis word w = x * w', the row of w is the map of theta(x) on the degree-d
+piece applied to the row of w' in the block at degree d - wt(x): each entry
+is a sum of int products, over the product of the two denominators.
+``shapovalov_gram`` turns a block into the rational matrix.  A symbolic label
+(``det`` works in p) runs the same loop: its maps keep the polynomial
+coefficients over den 1, and so do its blocks.
+
+A ``Submodule`` keeps each spanning vector as integers over one denominator,
+so a closure step is an integer matrix-vector product, and the product goes
+straight into the integer echelon span.  The singular and subsingular
+detectors stack the raising symbols' maps, each block scaled by its
+denominator, into one integer kernel matrix.
 
 The contravariant form uses the rational anti-involution
 
@@ -153,12 +162,16 @@ def verma_basis(hw: HighestWeightData, degree) -> GradedBasis:
     twice_d = doubled(degree)
     if twice_d < 0:
         raise ValueError(f"degree must be a non-negative half-integer: {degree}")
-    cached = _BASIS_CACHE.get(twice_d)
+    return _piece(twice_d)
+
+
+def _piece(twice: int) -> GradedBasis:
+    """The basis at degree twice/2, for a twice already checked >= 0."""
+    cached = _BASIS_CACHE.get(twice)
     if cached is not None:
         return cached
-    words = tuple(p + a + g + l for p, a, g, l in graded_tuples(twice_d, _PBW_BLOCKS))
-    basis = GradedBasis(twice_d, words)
-    _BASIS_CACHE[twice_d] = basis
+    words = tuple(p + a + g + l for p, a, g, l in graded_tuples(twice, _PBW_BLOCKS))
+    basis = _BASIS_CACHE[twice] = GradedBasis(twice, words)
     return basis
 
 
@@ -223,7 +236,10 @@ class SymbolMap(NamedTuple):
     """One generator on one graded piece: basis word i goes to
     sum_j a_j / den * (target word j) over the pairs (j, a_j) of columns[i],
     with den > 0 and every a_j a nonzero int; rows is the size of the
-    target piece."""
+    target piece.  For a symbolic label (weights polynomial in p) the a_j are
+    the nonzero coefficients of apply_symbol as they are, Fractions and
+    ParamPolynomials, over den 1, so a sum of a_j times entries runs
+    unchanged on either kind of label."""
 
     den: int
     rows: int
@@ -244,9 +260,10 @@ class VermaAction:
     highest weight vector a lowering symbol gives its one-letter word, a
     raising symbol gives zero and a Cartan or central symbol its eigenvalue;
     a central symbol scales any word.  Every result is memoized per (symbol,
-    word), so each suffix is worked out once, whatever precedes it.  Those
-    applications dominate every downstream computation (Gram matrices,
-    closures, kernels).
+    word), so each suffix is worked out once, whatever precedes it, and each
+    bracket [sym, s1] is built once per pair, as a tuple of (symbol,
+    coefficient) pairs.  Those applications dominate every downstream
+    computation (Gram matrices, closures, kernels).
     """
 
     def __init__(self, hw: HighestWeightData):
@@ -258,13 +275,25 @@ class VermaAction:
             "CA": hw.cA,
             "CLA": hw.cLa,
         }
+        self._symbolic = any(isinstance(c, ParamPolynomial) for c in self._subs.values())
         self._sym_cache: Dict[Tuple[GeneratorSymbol, Word], Dict[Word, object]] = {}
-        self._gram_cache: Dict[int, Matrix] = {}
+        self._brackets: Dict[Tuple[GeneratorSymbol, GeneratorSymbol], Tuple] = {}
+        self._gram_cache: Dict[int, GramBlock] = {}
         self._maps: Dict[Tuple[GeneratorSymbol, int], SymbolMap] = {}
 
     def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
         c = self._subs[kind]
         return {word: c} if c else {}
+
+    def _bracket(self, x: GeneratorSymbol, y: GeneratorSymbol) -> Tuple:
+        """[x, y] as a tuple of (symbol, coefficient) pairs, built once."""
+        key = (x, y)
+        hit = self._brackets.get(key)
+        if hit is None:
+            hit = self._brackets[key] = tuple(
+                (b, bc) for (b,), bc in super_bracket(x, y).terms.items()
+            )
+        return hit
 
     def apply_symbol(self, sym: GeneratorSymbol, word: Word) -> Dict[Word, object]:
         """sym * word * v as {canonical lowering word: coefficient}."""
@@ -289,33 +318,38 @@ class VermaAction:
                 out = {(sym,) + word: Fraction(1)}
             elif sym == s1:
                 out = {}
-                for (b,), bc in super_bracket(sym, sym).terms.items():
+                for b, bc in self._bracket(sym, sym):
                     add_scaled(out, self.apply_symbol(b, rest).items(), Fraction(1, 2) * bc)
             else:
                 out = {}
                 sign = -1 if (odd and parity(s1)) else 1
                 for u, c in self.apply_symbol(sym, rest).items():
                     add_scaled(out, self.apply_symbol(s1, u).items(), sign * c)
-                for (b,), bc in super_bracket(sym, s1).terms.items():
+                for b, bc in self._bracket(sym, s1):
                     add_scaled(out, self.apply_symbol(b, rest).items(), bc)
         self._sym_cache[key] = out
         return out
 
     def symbol_map(self, sym: GeneratorSymbol, twice: int) -> SymbolMap:
-        """sym on the PBW piece of degree twice/2 as a sparse integer matrix,
-        built once per (sym, twice) from the cached apply_symbol; the target
-        degree must be >= 0 and the weights rational."""
+        """sym on the PBW piece of degree twice/2 as a sparse integer matrix
+        (for a symbolic label, its coefficients over den 1), built once per
+        (sym, twice) from the cached apply_symbol; the target degree must be
+        >= 0."""
         key = (sym, twice)
         hit = self._maps.get(key)
         if hit is not None:
             return hit
-        target = verma_basis(self.hw, Fraction(twice - sym.mode.twice_value, 2)).index
-        images = [self.apply_symbol(sym, w) for w in verma_basis(self.hw, Fraction(twice, 2)).words]
-        den = math.lcm(*(c.denominator for image in images for c in image.values()))
-        columns = [
-            [(target[u], c.numerator * (den // c.denominator)) for u, c in image.items()]
-            for image in images
-        ]
+        target = _piece(twice - sym.mode.twice_value).index
+        images = [self.apply_symbol(sym, w) for w in _piece(twice).words]
+        if self._symbolic:
+            den = 1
+            columns = [[(target[u], c) for u, c in image.items()] for image in images]
+        else:
+            den = math.lcm(*(c.denominator for image in images for c in image.values()))
+            columns = [
+                [(target[u], c.numerator * (den // c.denominator)) for u, c in image.items()]
+                for image in images
+            ]
         out = self._maps[key] = SymbolMap(den, len(target), columns)
         return out
 
@@ -386,58 +420,85 @@ _THETA = {
 }
 
 
+class GramBlock(NamedTuple):
+    """One Gram block as integer rows: entry (i, j) is nums[i][j] / dens[i],
+    with dens[i] > 0 and gcd(dens[i], *nums[i]) = 1.  For a symbolic label
+    the entries are Fractions and ParamPolynomials over den 1 (the top entry
+    <v, v> = 1 is an int on either kind of label)."""
+
+    rows: int
+    cols: int
+    nums: List[list]
+    dens: List[int]
+
+
+_ZERO = Fraction(0)
+
+
 def shapovalov_gram(hw: HighestWeightData, degree) -> Matrix:
-    """Gram matrix B[i][j] = <basis_i, basis_j> of the contravariant pairing."""
-    return _gram(get_action(hw), verma_basis(hw, degree).twice_degree)
+    """Gram matrix B[i][j] = <basis_i, basis_j> of the contravariant pairing,
+    with Fraction entries (ParamPolynomial ones too for a symbolic label) and
+    every zero entry the one shared Fraction(0)."""
+    block = _gram(get_action(hw), verma_basis(hw, degree).twice_degree)
+    return Matrix(
+        [
+            [(Fraction(n, den) if type(n) is int else n) if n else _ZERO for n in row]
+            for row, den in zip(block.nums, block.dens)
+        ],
+        block.cols,
+    )
 
 
-def _gram(action: VermaAction, twice_degree: int) -> Matrix:
+def _gram(action: VermaAction, twice_degree: int) -> GramBlock:
     """The Gram block at twice_degree, assembled from lower blocks.
 
     Row w = x * w' of G_d pairs theta(w) = theta(w') * theta(x) with each
-    column v.  With theta(x) * v = sum_u c_u u (one cached symbol
-    application), the entry is sign(theta(x)) * sum_u c_u G_{d-wt(x)}[w'][u]:
-    a sparse dot product against a row of the lower block.
+    column v.  With theta(x) * v = sum_u a_u / den u (the map of theta(x) on
+    the degree-d piece), the entry is sign(theta(x)) * sum_u a_u
+    G_{d-wt(x)}[w'][u] / den: a sparse dot product of the map's column with
+    a row of the lower block, over the product of the two denominators.
+    Zero entries of the lower row are skipped: on a symbolic label a
+    polynomial times zero would turn a rational entry into a polynomial.
     """
     hit = action._gram_cache.get(twice_degree)
     if hit is not None:
         return hit
     if twice_degree == 0:
-        m = Matrix([[Fraction(1)]])  # <v, v> = 1
-        action._gram_cache[0] = m
-        return m
-    basis = verma_basis(action.hw, Fraction(twice_degree, 2))
+        block = action._gram_cache[0] = GramBlock(1, 1, [[1]], [1])  # <v, v> = 1
+        return block
+    basis = _piece(twice_degree)
     by_first: Dict[GeneratorSymbol, List[int]] = {}
     for i, w in enumerate(basis.words):
         by_first.setdefault(w[0], []).append(i)
-    rows: List[Optional[List]] = [None] * len(basis)
+    nums: List[Optional[list]] = [None] * len(basis)
+    dens: List[int] = [1] * len(basis)
     for x, members in by_first.items():
         lower_twice = twice_degree + x.mode.twice_value
         lower = _gram(action, lower_twice)
-        lower_index = verma_basis(action.hw, Fraction(lower_twice, 2)).index
+        lower_index = _piece(lower_twice).index
         theta, sign = _THETA[x.kind](x.mode.twice_value)
-        images = [
-            [(lower_index[u], c) for u, c in action.apply_symbol(theta, v).items()]
-            for v in basis.words
-        ]
+        smap = action.symbol_map(theta, twice_degree)
         for i in members:
-            lower_row = lower.row(lower_index[basis.words[i][1:]])
-            nonzero = {j: g for j, g in enumerate(lower_row) if g}
+            k = lower_index[basis.words[i][1:]]
+            lower_row = lower.nums[k]
             row = []
-            for image in images:
-                acc = None
-                for j, c in image:
-                    g = nonzero.get(j)
-                    if g is not None:
-                        acc = c * g if acc is None else acc + c * g
-                if not acc:
-                    row.append(Fraction(0))
-                else:
-                    row.append(-acc if sign < 0 else acc)
-            rows[i] = row
-    m = Matrix(rows)
-    action._gram_cache[twice_degree] = m
-    return m
+            for column in smap.columns:
+                acc = 0
+                for j, a in column:
+                    g = lower_row[j]
+                    if g:
+                        acc += a * g
+                row.append(-acc if sign < 0 else acc)
+            den = smap.den * lower.dens[k]
+            if den > 1:
+                common = math.gcd(den, *row)
+                if common > 1:
+                    row = [a // common for a in row]
+                    den //= common
+            nums[i] = row
+            dens[i] = den
+    block = action._gram_cache[twice_degree] = GramBlock(len(basis), len(basis), nums, dens)
+    return block
 
 
 def simple_graded_dim(hw: HighestWeightData, degree) -> int:

@@ -212,6 +212,7 @@ class TestReportShape:
             "realize --p 2 --r 1/2 --max-degree 2",
             "diagram --p -1 --r 1/3",
             "det --r 1/3 --max-degree 2",
+            "char --p 1 --r 1/3 --max-degree 5",
         ],
     )
     def test_report_body_matches_its_benchmark_digest(self, capsys, argv):

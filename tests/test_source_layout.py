@@ -126,3 +126,19 @@ def test_verma_closure_stays_on_integers():
     for name in ("Fraction", "apply_word"):
         assert not set(path) & scopes(name)
     assert "verma.subsingular_vectors" not in scopes("singular_vectors")
+
+
+def test_gram_stays_on_integers():
+    """The Gram blocks are assembled from the symbol maps, as sums of int
+    products (of the polynomial coefficients for a symbolic label): no
+    Fraction and no per-word apply_symbol in _gram.  The action reads each
+    bracket from its own table, so apply_symbol never rebuilds one."""
+    verma = SOURCE / "verma.py"
+
+    def scopes(name):
+        return set(call_scopes(verma, lambda call: call_name(call) == name))
+
+    assert "verma._gram" in scopes("symbol_map")
+    for name in ("Fraction", "apply_symbol"):
+        assert "verma._gram" not in scopes(name)
+    assert "verma.VermaAction.apply_symbol" not in scopes("super_bracket")

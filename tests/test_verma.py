@@ -20,6 +20,7 @@ from shvkernel.verma import (
     Submodule,
     VermaAction,
     _EchelonSpan,
+    _gram,
     act,
     det_formula_phi,
     det_vanishing_check,
@@ -538,6 +539,48 @@ def test_recursive_gram_matches_theta_word_gram(hw):
         assert [[(type(x), x) for x in row] for row in got.data] == [
             [(type(x), x) for x in row] for row in want
         ]
+
+
+@pytest.mark.parametrize("label", ["p=1", "p=-2", "p=5/7"])
+def test_gram_blocks_are_reduced_integer_rows(label):
+    # every cached row is ints over one positive denominator prime to the
+    # row, and the row over its denominator is the oracle's row
+    hw = _ORACLE_WEIGHTS[label]
+    action = VermaAction(hw)
+    _gram(action, 6)
+    assert sorted(action._gram_cache) == list(range(7))
+    for t, block in action._gram_cache.items():
+        want = _oracle_gram(hw, Fraction(t, 2))
+        assert block.rows == block.cols == len(want)
+        assert len(block.nums) == len(block.dens) == len(want)
+        for row, den, want_row in zip(block.nums, block.dens, want):
+            assert type(den) is int and den > 0
+            assert len(row) == block.cols and all(type(n) is int for n in row)
+            assert math.gcd(den, *row) == 1
+            assert [Fraction(n, den) for n in row] == want_row
+
+
+def test_symbol_map_keeps_symbolic_coefficients():
+    # on a label symbolic in p, each column of a map is apply_symbol on that
+    # basis word with its coefficients as they are, types included, over den 1
+    hw = _ORACLE_WEIGHTS["p symbolic"]
+    action = VermaAction(hw)
+    polynomial = 0
+    for t in range(5):
+        words = verma_basis(hw, Fraction(t, 2)).words
+        for tm in range(-4, 5):
+            for sym in shv_algebra.symbols_at(tm):
+                t2 = t - sym.mode.twice_value
+                if t2 < 0:
+                    continue
+                smap = action.symbol_map(sym, t)
+                target = verma_basis(hw, Fraction(t2, 2)).words
+                assert smap.den == 1 and smap.rows == len(target)
+                for w, column in zip(words, smap.columns):
+                    got = {target[j]: a for j, a in column}
+                    assert _typed(got) == _typed(action.apply_symbol(sym, w))
+                    polynomial += sum(isinstance(a, ParamPolynomial) for _, a in column)
+    assert polynomial
 
 
 # ---------------------------------------------------------------------------
