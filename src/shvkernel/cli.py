@@ -344,7 +344,7 @@ def _family_checks(R: FreeFieldRealization, p: int, r, ns: Sequence[int]) -> Lis
                 "singular-family",
                 not vec.is_zero() and not bad,
                 degree=str(degree),
-                terms=len(vec.terms),
+                terms=len(vec.nums),
                 failures=bad,
             )
         )

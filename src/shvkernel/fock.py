@@ -19,11 +19,20 @@ states straight from the five fields.
 
 The free modes c(n), d(n), psi^+(s) and psi^-(s) act on one basis vector at a
 time and return (state, coefficient) hits; freefield composes them into the
-realized generators, the lattice operators and the screenings.
+realized generators, the lattice operators and the screenings.  The psi^-
+letters are one helper on the fermion blocks (_psi_minus_letters), which
+_psi_minus calls and freefield's screening current calls to place its
+template entries as one state each.
+
+A FockVector holds int numerators over one positive denominator, reduced, so
+its sums, scalings and comparisons run on ints and the producers in freefield
+build that form directly; the {state: Fraction} view (terms) is built only
+when it is read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -109,9 +118,9 @@ def _insert_sorted_desc(parts: Tuple[int, ...], value: int) -> Tuple[int, ...]:
 # Free modes return (state, coefficient) hits.  Coefficients are small ints
 # (fermion signs, boson pairings) or a zero mode's Fraction pairing 2*x_c or
 # 2*x_d.  Free-mode images are summed by scalars.add_scaled, and FockVector
-# stores every coefficient as a Fraction.  The realized columns call no zero
-# mode: they take its pairing from the sector's integer weights, so their
-# hits stay ints.
+# stores int numerators over one denominator.  The realized columns call no
+# zero mode: they take its pairing from the sector's integer weights, so
+# their hits stay ints.
 Hit = Tuple[FockBasisVector, Union[Fraction, int]]
 
 
@@ -132,21 +141,32 @@ def _psi_plus(b: FockBasisVector, s_twice: int) -> List[Hit]:
     return []
 
 
-def _psi_minus(b: FockBasisVector, s_twice: int) -> List[Hit]:
-    sec, psip, psim, dp, cp = b
+def _psi_minus_letters(psip: Tuple[int, ...], psim: Tuple[int, ...],
+                       s_twice: int) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """psi^-(s_twice/2) on a state's fermion blocks: the new (psip, psim) and
+    the fermion sign, or None where the mode annihilates them.  _psi_minus and
+    the placement of the screening current's templates both call it."""
     if s_twice < 0:
         tv = -s_twice
         if tv in psim:
-            return []
+            return None
         k = 0
         while k < len(psim) and psim[k] > tv:
             k += 1
-        sign = -1 if (len(psip) + k) & 1 else 1
-        return [(_state((sec, psip, psim[:k] + (tv,) + psim[k:], dp, cp)), sign)]
+        return psip, psim[:k] + (tv,) + psim[k:], -1 if (len(psip) + k) & 1 else 1
     if s_twice in psip:
         j = psip.index(s_twice)
-        return [(_state((sec, psip[:j] + psip[j + 1:], psim, dp, cp)), -1 if j & 1 else 1)]
-    return []
+        return psip[:j] + psip[j + 1:], psim, -1 if j & 1 else 1
+    return None
+
+
+def _psi_minus(b: FockBasisVector, s_twice: int) -> List[Hit]:
+    sec, psip, psim, dp, cp = b
+    hit = _psi_minus_letters(psip, psim, s_twice)
+    if hit is None:
+        return []
+    psip, psim, sign = hit
+    return [(_state((sec, psip, psim, dp, cp)), sign)]
 
 
 def _c_free(b: FockBasisVector, n: int) -> List[Hit]:
@@ -177,38 +197,76 @@ def _d_free(b: FockBasisVector, n: int) -> List[Hit]:
 
 class FockVector:
     """Rational combination of Fock basis vectors times (sqrt 2)^parity.
-    Its coefficients are nonzero Fractions: an int is converted."""
 
-    __slots__ = ("terms", "parity")
+    It is kept as nonzero int numerators (nums, a {state: int} dict that is
+    never changed after construction, so vectors may share it) over one
+    positive denominator (den), reduced: gcd(den, *nums) = 1, and den = 1 for
+    the zero vector.  The form is canonical, so == compares den and nums.
+    The arithmetic runs on the ints; terms, the {state: Fraction} view, is
+    built on first read."""
+
+    __slots__ = ("nums", "den", "parity", "_terms")
 
     def __init__(self, terms: Optional[Dict[FockBasisVector, Fraction]] = None, parity: int = 0):
-        t: Dict[FockBasisVector, Fraction] = {}
+        coeffs = {}
         if terms:
             for b, c in terms.items():
+                c = c if type(c) is Fraction else Fraction(c)
                 if c:
-                    t[b] = c if type(c) is Fraction else Fraction(c)
-        self.terms = t
+                    coeffs[b] = c
+        # over the least common denominator the numerators are already reduced
+        den = math.lcm(*[c.denominator for c in coeffs.values()])
+        self.nums = {b: c.numerator * (den // c.denominator) for b, c in coeffs.items()}
+        self.den = den
         self.parity = parity & 1
+        self._terms = None
+
+    @classmethod
+    def _of(cls, nums: Dict[FockBasisVector, int], den: int, parity: int) -> "FockVector":
+        """The vector of nums over den, both already in reduced form."""
+        v = object.__new__(cls)
+        v.nums, v.den, v.parity, v._terms = nums, den, parity & 1, None
+        return v
+
+    @classmethod
+    def _reduced(cls, nums: Dict[FockBasisVector, int], den: int, parity: int) -> "FockVector":
+        """The vector of nums (nonzero ints) over den > 0, reduced."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {b: n // g for b, n in nums.items()}
+            den //= g
+        return cls._of(nums, den, parity)
+
+    @property
+    def terms(self) -> Dict[FockBasisVector, Fraction]:
+        t = self._terms
+        if t is None:
+            den = self.den
+            t = self._terms = {b: Fraction(n, den) for b, n in self.nums.items()}
+        return t
 
     @classmethod
     def zero(cls) -> "FockVector":
         return cls()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def scale(self, c) -> "FockVector":
-        c = Fraction(c)
-        if not c:
+        num, den = (c, 1) if type(c) is int else Fraction(c).as_integer_ratio()
+        if not num:
             return FockVector()
-        return FockVector({b: v * c for b, v in self.terms.items()}, self.parity)
+        return FockVector._reduced({b: v * num for b, v in self.nums.items()}, self.den * den, self.parity)
 
     def scale_sqrt2(self) -> "FockVector":
         if self.is_zero():
             return self
-        if self.parity:
-            return FockVector({b: 2 * v for b, v in self.terms.items()}, 0)
-        return FockVector(dict(self.terms), 1)
+        if not self.parity:
+            return FockVector._of(self.nums, self.den, 1)
+        # 2 * nums / den stays reduced: halve an even den, else double nums
+        if self.den & 1:
+            return FockVector._of({b: 2 * v for b, v in self.nums.items()}, self.den, 0)
+        return FockVector._of(self.nums, self.den >> 1, 0)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         return self._combine(other, False)
@@ -223,16 +281,19 @@ class FockVector:
             return self
         if self.parity != other.parity:
             raise ValueError("cannot add vectors of different sqrt(2)-parity")
-        out = dict(self.terms)
-        add_scaled(out, other.terms.items(), -1 if subtract else 1)
-        return FockVector(out, self.parity)
+        a, b = self.den, other.den
+        g = math.gcd(a, b)
+        fa, fb = b // g, a // g
+        out = dict(self.nums) if fa == 1 else {k: v * fa for k, v in self.nums.items()}
+        add_scaled(out, other.nums.items(), -fb if subtract else fb)
+        return FockVector._reduced(out, a * fa, self.parity)
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        return self.parity == other.parity and self.terms == other.terms
+        return self.parity == other.parity and self.den == other.den and self.nums == other.nums
 
     __hash__ = None
 

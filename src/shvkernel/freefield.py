@@ -39,18 +39,18 @@ it, and stored once.  _realized_raw caches the column of a mode at a state id
 as (id, int) pairs, D times the mode's rational part.  One path composes the
 columns: _accumulate applies a word's mode letters right to left through
 _realized_raw and adds the image, times an integer weight, to an unfiltered
-sum keyed by id.  realize_word (and generator_mode, a one-letter word) scales
-its input to integers, interns its states, folds the word's central letters
-into one scalar (_fold), accumulates, and divides each output entry once, at
-the end, by that scale and D per mode, back on states.
+sum keyed by id.  realize_word (and generator_mode, a one-letter word) reads
+its input's integer numerators, interns its states, folds the word's central
+letters into one scalar (_fold), accumulates, and returns to states over one
+denominator (_vector): the input's, the scalar's and D per mode.
 
 A commutator check x∘y ∓ y∘x − [x, y]± is planned once per pair
 (_bracket_plan): the table is read, central letters are folded, equal mode
 words are merged (an even x∘x − x∘x leaves nothing) and each word gets one
 integer weight over one scale Q * D**top per sector.  realized_bracket_report
 evaluates a pair's plan on every basis state id and tests the sum for zero;
-bracket_defect evaluates it on the vector scaled to integers and returns to
-states and Fractions only for a nonzero defect.
+bracket_defect evaluates it on the vector's integer numerators and returns
+the defect over one denominator.
 
 Lattice exponential operators e^{kappa} (kappa a multiple of c), the odd
 screening built from psi^-(-1/2)e^{c/2}, and the long screenings assembled from
@@ -66,8 +66,15 @@ psi^- or the c letters.  So each operator expands once per such key into a
 template: one denominator and a tuple of (kept d letters, c letters[, twice
 fermion mode], integer numerator) with equal shapes merged and zero sums
 dropped, memoized in a bounded lru_cache (_a_template, _lattice_template).
-a_mode and lattice_mode then only place each template entry on each state,
-in integers over one scale per call, and divide each output entry once.
+N and the shifted target sector are memoized per (sector, charge, twice n)
+in _shifts (_effective); a mode off the sector's coset raises CosetError on
+every call and is never stored.  a_mode and lattice_mode then only place
+each template entry on each state, a_mode in one step: kept d letters,
+merged c letters and the psi^- letter with its sign (fock's
+_psi_minus_letters).  The input's integer numerators times the template
+numerators are summed over one scale per call, and the result stays in
+integers over one denominator, so a chain of modes or a screening sum makes
+no Fraction between steps.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ from .fock import (
     _c_free,
     _d_free,
     _psi_minus,
+    _psi_minus_letters,
     _psi_plus,
     _state,
     sector_for,
@@ -109,13 +117,17 @@ from .shv_algebra import (
 _HALF = Fraction(1, 2)
 
 
+def _c_letters(cp: Tuple[int, ...], mu_parts: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The c block cp with the c letters of the partition mu_parts added."""
+    if not (cp and mu_parts):
+        return cp or mu_parts
+    return tuple(sorted(cp + mu_parts, reverse=True))
+
+
 def _with_c_letters(b: FockBasisVector, mu_parts: Tuple[int, ...],
                     sector: LatticePoint, d_part: Tuple[int, ...]) -> FockBasisVector:
     """b with the c letters of mu added, over the given sector and d block."""
-    cp = b.c_part
-    if mu_parts:
-        cp = tuple(sorted(cp + mu_parts, reverse=True))
-    return _state((sector, b.psip, b.psim, d_part, cp))
+    return _state((sector, b.psip, b.psim, d_part, _c_letters(b.c_part, mu_parts)))
 
 
 # A column builder's hits: (state, numerator over the sector's D).
@@ -251,7 +263,7 @@ class FreeFieldRealization:
         self._states: List[FockBasisVector] = []
         self._sector_weights: Dict[LatticePoint, _Weights] = {}
         self._sectors: Dict[LatticePoint, LatticePoint] = {}
-        self._shifts: Dict[Tuple[LatticePoint, int], LatticePoint] = {}
+        self._shifts: Dict[Tuple[LatticePoint, int, object], Tuple[int, LatticePoint]] = {}
 
     # -- sectors -----------------------------------------------------------
 
@@ -260,12 +272,21 @@ class FreeFieldRealization:
         then share it, so comparing them seldom reaches its Fractions."""
         return self._sectors.setdefault(sec, sec)
 
-    def _shifted(self, sec: LatticePoint, twice_shift: int) -> LatticePoint:
-        """The shared instance of sec shifted by (twice_shift/2)c."""
-        key = (sec, twice_shift)
+    def _effective(self, sec: LatticePoint, k_half: int, twice) -> Tuple[int, LatticePoint]:
+        """(N, target) for the mode n = twice/2 of an operator of charge
+        (k_half/2)c on sector sec: the integer effective mode N = n +
+        k_half*x_d and the shared instance of sec shifted by (k_half/2)c.
+        Memoized; a mode off the sector's coset raises CosetError, on every
+        call, and is never stored."""
+        key = (sec, k_half, twice)
         hit = self._shifts.get(key)
         if hit is None:
-            hit = self._shifts[key] = self._shared(sec.shifted_c(Fraction(twice_shift, 2)))
+            n = Fraction(twice, 2)
+            N = n + k_half * sec.x_d
+            if N.denominator != 1:
+                raise CosetError(f"mode {n} is not admissible on sector {sec}")
+            target = self._shared(sec.shifted_c(Fraction(k_half, 2)))
+            hit = self._shifts[key] = (N.numerator, target)
         return hit
 
     def sector(self, p, r) -> LatticePoint:
@@ -296,7 +317,9 @@ class FreeFieldRealization:
 
     def psi_minus_mode(self, s, vec: FockVector) -> FockVector:
         s_twice = _twice_half_odd(s)
-        return FockVector(_image(vec.terms, lambda b: _psi_minus(b, s_twice)), vec.parity)
+        return FockVector._reduced(
+            _image(vec.nums, lambda b: _psi_minus(b, s_twice)), vec.den, vec.parity
+        )
 
     # -- realized algebra modes: integer columns ----------------------------
 
@@ -512,21 +535,31 @@ class FreeFieldRealization:
 
     def realize_word(self, word: Sequence[GeneratorSymbol], vec: FockVector) -> FockVector:
         """A word applied right to left: the columns compose over the
-        integers, and each output entry is divided once, by M * D**modes."""
-        ivec, M = _integer_terms(vec.terms)
+        integers, and the image comes back over one denominator, the input's
+        times D**modes per sector."""
         scalar, letters, odd = self._fold(word)
         img: Dict[int, int] = {}
         if scalar:
-            self._accumulate(img, letters, self._interned(ivec.items()), 1)
+            self._accumulate(img, letters, self._interned(vec.nums.items()), 1)
         twos, parity = divmod(vec.parity + odd, 2)
-        num, den = scalar.numerator << twos, M * scalar.denominator
-        modes, states, weights = len(letters), self._states, self._weights
-        out: Dict[FockBasisVector, Fraction] = {}
-        for i, n in img.items():
-            if n:
-                b = states[i]
-                out[b] = Fraction(num * n, den * weights(b.sector).D ** modes)
-        return FockVector(out, parity)
+        return self._vector(
+            img, scalar.numerator << twos, vec.den * scalar.denominator, len(letters), parity
+        )
+
+    def _vector(self, img: Dict[int, int], num: int, den: int, power: int,
+                parity: int) -> FockVector:
+        """The vector of num * n / (den * D**power) at each (id, n) of img, D
+        the denominator of the state's sector, brought over one denominator."""
+        states, weights = self._states, self._weights
+        kept = [(states[i], n) for i, n in img.items() if n]
+        scales: Dict[LatticePoint, int] = {}
+        for b, _ in kept:
+            if b.sector not in scales:
+                scales[b.sector] = weights(b.sector).D ** power
+        L = math.lcm(*scales.values())
+        return FockVector._reduced(
+            {b: num * n * (L // scales[b.sector]) for b, n in kept}, den * L, parity
+        )
 
     def realize_element(self, x: Element, vec: FockVector) -> FockVector:
         total = FockVector.zero()
@@ -573,24 +606,20 @@ class FreeFieldRealization:
                        vec: FockVector) -> FockVector:
         """[x, y]± applied via composition minus the bracket-table image.
 
-        Composed over the integers: vec is scaled to integers (by M), the
-        plan's terms sum over one scale M * Q * D**top per sector, and only a
-        nonzero defect is turned back into Fractions."""
+        Composed over the integers: on vec's numerators over its den M, the
+        plan's terms sum over one scale M * Q * D**top per sector."""
         plan = self._bracket_plan(sym_x, sym_y)
         # an odd word on an odd vector makes one more factor 2
         two = 1 + (vec.parity & plan.parity)
-        ivec, M = _integer_terms(vec.terms)
         by_sector: Dict[LatticePoint, List[StateHit]] = {}
-        for b, n in ivec.items():
+        for b, n in vec.nums.items():
             by_sector.setdefault(b.sector, []).append((b, n))
-        states = self._states
-        out: Dict[FockBasisVector, Fraction] = {}
+        # realized modes keep the sector, so the sectors' images are disjoint
+        img: Dict[int, int] = {}
         for sec, part in by_sector.items():
-            D = self._weights(sec).D
-            total = self._plan_image(plan.terms(D), self._interned(part))
-            scale = M * plan.scale * D ** plan.top
-            out.update((states[i], Fraction(two * n, scale)) for i, n in total.items() if n)
-        return FockVector(out, vec.parity + plan.parity)
+            terms = plan.terms(self._weights(sec).D)
+            img.update(self._plan_image(terms, self._interned(part)))
+        return self._vector(img, two, vec.den * plan.scale, plan.top, vec.parity + plan.parity)
 
     def realized_bracket_report(self, p, r, max_twice_mode: int = 6,
                                 max_degree=Fraction(3)) -> dict:
@@ -629,27 +658,23 @@ class FreeFieldRealization:
         target) gives the image of a state b of a sector with integer
         effective mode N = n + k_half*x_d, over the shifted sector target, as
         (den, hits), integer hits over den.  The images are summed in
-        integers over one scale S, raised to cover each den as it comes, and
-        each entry is divided once, at the end."""
-        n = Fraction(n)
-        ivec, M = _integer_terms(vec.terms)
+        integers over one scale S, raised to cover each den as it comes, over
+        vec's own denominator."""
+        twice = _twice(n)
         out: Dict[FockBasisVector, int] = {}
         S, last = 1, None
-        for b, m in ivec.items():
+        for b, m in vec.nums.items():
             sec = b.sector
             if sec is not last:
-                last, N = sec, n + k_half * sec.x_d
-                if N.denominator != 1:
-                    raise CosetError(f"mode {n} is not admissible on sector {sec}")
-                N, target = N.numerator, self._shifted(sec, k_half)
+                last = sec
+                N, target = self._effective(sec, k_half, twice)
             den, hits = row(b, N, target)
             if S % den:
                 f = den // math.gcd(S, den)
                 out = {key: v * f for key, v in out.items()}
                 S *= f
             add_scaled(out, hits, m * (S // den))
-        scale = M * S
-        return FockVector({key: Fraction(c, scale) for key, c in out.items()}, vec.parity)
+        return FockVector._reduced(out, vec.den * S, vec.parity)
 
     def lattice_mode(self, k_half: int, n, vec: FockVector) -> FockVector:
         """Mode of the exponential operator for kappa = (k_half/2)c."""
@@ -666,22 +691,34 @@ class FreeFieldRealization:
         """Modes of the odd screening current psi^-(-1/2)e^{c/2}."""
 
         def row(b, N, target):
-            den, entries = _a_template(N, b.psip, b.d_part)
-            # sg is a fermion sign, +1 or -1
-            return den, [
-                (b3, t * sg)
-                for kept, mu_parts, twice_s, t in entries
-                for b3, sg in _psi_minus(_with_c_letters(b, mu_parts, target, kept), twice_s)
-            ]
+            _, psip, psim, _, cp = b
+            den, entries = _a_template(N, psip, b.d_part)
+            # each entry placed as one state: its kept d letters, the merged c
+            # letters and the psi^- letter, times the fermion sign sg.  The
+            # entries of one fermion mode are adjacent, and share its letters.
+            hits = []
+            last = letters = None
+            for kept, mu_parts, twice_s, t in entries:
+                if twice_s != last:
+                    last, letters = twice_s, _psi_minus_letters(psip, psim, twice_s)
+                if letters is not None:
+                    p2, m2, sg = letters
+                    hits.append((_state((target, p2, m2, kept, _c_letters(cp, mu_parts))), t * sg))
+            return den, hits
 
         return self._screened(1, n, vec, row)
 
-    def _a_mode_bound(self, vec: FockVector) -> Fraction:
-        """Largest mode that can act without annihilating the vector."""
-        best = Fraction(-10)
-        for b in vec.terms:
-            smax = Fraction(max(b.psip), 2) if b.psip else Fraction(-1, 2)
-            best = max(best, smax - Fraction(1, 2) - b.sector.x_d + sum(b.d_part))
+    def _a_mode_bound(self, vec: FockVector) -> int:
+        """Twice the largest mode that can act without annihilating the
+        vector, rounded down, or 0 where no positive mode acts (as on the zero
+        vector).  Its only Fraction is -2*x_d, floored once per sector."""
+        best, last = 0, None
+        for b in vec.nums:
+            if b.sector is not last:
+                last = b.sector
+                floor_xd = math.floor(-2 * last.x_d)
+            top = (max(b.psip) if b.psip else -1) - 1 + 2 * sum(b.d_part)
+            best = max(best, top + floor_xd)
         return best
 
     def screening_q(self, vec: FockVector) -> FockVector:
@@ -690,16 +727,15 @@ class FreeFieldRealization:
     def screening_s(self, vec: FockVector, twisted: bool = False) -> FockVector:
         if vec.is_zero():
             return vec
-        bound = self._a_mode_bound(vec)
         total = FockVector.zero()
-        i = Fraction(1, 2) if twisted else Fraction(1)
-        while i <= bound:
+        # twice the mode i runs over the odd or the even positive ints
+        for i2 in range(1 if twisted else 2, self._a_mode_bound(vec) + 1, 2):
+            i = Fraction(i2, 2) if i2 & 1 else i2 >> 1
             w = self.a_mode(i, vec)
             if not w.is_zero():
-                piece = self.a_mode(-i, w).scale(Fraction(1) / i)
+                piece = self.a_mode(-i, w).scale(Fraction(2, i2))
                 if not piece.is_zero():
                     total = total + piece
-            i += 1
         return total
 
     def screening_g(self, vec: FockVector, twisted: bool = False) -> FockVector:
@@ -711,13 +747,13 @@ class FreeFieldRealization:
         """Insert the degree-`order` Schur polynomial in scaled c letters."""
         if order < 0:
             return FockVector.zero()
-        out: Dict[FockBasisVector, Fraction] = {}
-        for b, co in vec.terms.items():
+        schur, M = _integer_terms(schur_expand(order, scale))
+        out: Dict[FockBasisVector, int] = {}
+        for b, co in vec.nums.items():
             add_scaled(out, [
-                (_with_c_letters(b, mu.parts, b.sector, b.d_part), sc)
-                for mu, sc in schur_expand(order, scale).items()
+                (_with_c_letters(b, mu.parts, b.sector, b.d_part), sc) for mu, sc in schur.items()
             ], co)
-        return FockVector(out, vec.parity)
+        return FockVector._reduced(out, vec.den * M, vec.parity)
 
     def _psi_sum(self, offset: Fraction, scale, vec: FockVector, i_max: int) -> FockVector:
         """sum_i psi^-(i + offset) S_i(scaled c) applied to vec, with the
@@ -838,6 +874,14 @@ class FreeFieldRealization:
             )
             out.append((d, len(self.basis(p, r, d)) - rank(mq.stack(mg))))
         return out
+
+
+def _twice(n):
+    """Twice the mode n: an int for an integer or half-odd n, else a Fraction."""
+    if type(n) is int:
+        return 2 * n
+    num, den = (n if type(n) is Fraction else Fraction(n)).as_integer_ratio()
+    return num * (2 // den) if den <= 2 else Fraction(2 * num, den)
 
 
 def _twice_half_odd(s) -> int:

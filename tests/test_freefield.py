@@ -595,6 +595,93 @@ class TestScreeningTemplates:
         assert (_a_template(*a_key), _lattice_template(*lattice_key)) == before
 
 
+def oracle_screening_s(R, vec, twisted=False):
+    """The short screening as a Fraction loop over oracle_a_mode: modes i
+    from 1 (1/2 when twisted) in steps of 1 up to the largest that acts, and
+    each a(-i) a(i) vec over i."""
+    if vec.is_zero():
+        return vec
+    bound = F(-10)
+    for b in vec.terms:
+        smax = F(max(b.psip), 2) if b.psip else F(-1, 2)
+        bound = max(bound, smax - F(1, 2) - b.sector.x_d + sum(b.d_part))
+    total = FockVector.zero()
+    i = F(1, 2) if twisted else F(1)
+    while i <= bound:
+        w = oracle_a_mode(R, i, vec)
+        if not w.is_zero():
+            total = total + oracle_a_mode(R, -i, w).scale(1 / i)
+        i += 1
+    return total
+
+
+def oracle_screening_g(R, vec, twisted=False):
+    """The long screening: (e^c)_0 minus the short one, on the oracles."""
+    return oracle_lattice_mode(R, 2, 0, vec) - oracle_screening_s(R, vec, twisted)
+
+
+@st.composite
+def screening_sum_inputs(draw, R):
+    """A combination of one to three basis vectors to degree 2, with Fraction
+    coefficients, over one sector or two sectors of one label p: p = 1 and
+    p = 3 take the untwisted sums, p = 2 the twisted ones; twisted is drawn,
+    so a sum off its label's grid raises CosetError now and then."""
+    p = draw(st.sampled_from([1, 2, 3]))
+    rs = draw(st.lists(st.sampled_from([F(1, 3), F(2, 3), F(-1, 6)]), min_size=1, max_size=2,
+                       unique=True))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        basis = R.basis(p, draw(st.sampled_from(rs)), F(draw(st.integers(0, 4)), 2))
+        terms[basis[draw(st.integers(0, 50)) % len(basis)]] = draw(small_fractions.filter(bool))
+    twisted = p == 2 if draw(st.integers(0, 4)) else p != 2
+    return FockVector(terms, draw(st.integers(0, 1))), twisted
+
+
+class TestScreeningSums:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_match_the_fraction_oracle(self, R, data):
+        vec, twisted = data.draw(screening_sum_inputs(R))
+        for got, want in (
+            (
+                outcome(lambda: R.screening_s(vec, twisted)),
+                outcome(lambda: oracle_screening_s(R, vec, twisted)),
+            ),
+            (
+                outcome(lambda: R.screening_g(vec, twisted)),
+                outcome(lambda: oracle_screening_g(R, vec, twisted)),
+            ),
+        ):
+            if want is CosetError:
+                assert got is CosetError
+                continue
+            assert got == want
+            assert got.parity == want.parity or want.is_zero()
+            assert all(type(c) is F for c in got.terms.values())
+
+    def test_sums_over_two_sectors(self, R):
+        for p, twisted in ((1, False), (2, True)):
+            first, second = R.basis(p, F(1, 3), 1)[-1], R.basis(p, F(2, 3), F(3, 2))[-1]
+            assert first.sector != second.sector
+            vec = FockVector({first: F(3, 7), second: F(-5, 4)}, 0)
+            want = oracle_screening_g(R, vec, twisted)
+            assert not want.is_zero()
+            assert R.screening_g(vec, twisted) == want
+            assert R.screening_s(vec, twisted) == oracle_screening_s(R, vec, twisted)
+
+    def test_inadmissible_mode_raises_on_every_call(self):
+        R = FreeFieldRealization()
+        vac = R.vacuum_vector(2, F(1, 2))
+        for apply in (lambda: R.a_mode(0, vac), lambda: R.lattice_mode(1, 0, vac)):
+            for _ in range(2):
+                with pytest.raises(CosetError):
+                    apply()
+        # the failures stored nothing; an admissible mode still acts
+        assert not R._shifts
+        assert R.a_mode(F(1, 2), vac) == oracle_a_mode(R, F(1, 2), vac)
+        assert len(R._shifts) == 1
+
+
 class TestScreenings:
     def test_charge_squares_to_zero(self, R):
         for p, r in [(1, F(1, 3)), (3, F(2, 7)), (-1, 0)]:

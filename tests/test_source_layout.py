@@ -142,3 +142,37 @@ def test_gram_stays_on_integers():
     for name in ("Fraction", "apply_symbol"):
         assert "verma._gram" not in scopes(name)
     assert "verma.VermaAction.apply_symbol" not in scopes("super_bracket")
+
+
+def test_screening_stays_on_integers():
+    """The screening modes read a vector's integer numerators and build the
+    result over one denominator: no Fraction and no _integer_terms in
+    _screened, a_mode or lattice_mode (the effective mode is memoized in
+    _effective).  a_mode places each template entry as one state, through
+    the one definition of the psi^- letters in fock.py, which _psi_minus
+    calls too."""
+    freefield, fock = SOURCE / "freefield.py", SOURCE / "fock.py"
+    owner = "freefield.FreeFieldRealization"
+    hot = [f"{owner}.{name}" for name in ("_screened", "a_mode", "lattice_mode")]
+
+    def scopes(path, name):
+        return set(call_scopes(path, lambda call: call_name(call) == name))
+
+    def in_hot(scope):
+        return any(scope == h or scope.startswith(h + ".") for h in hot)
+
+    for name in ("Fraction", "_integer_terms"):
+        assert not [s for s in scopes(freefield, name) if in_hot(s)]
+    assert f"{owner}._screened" in scopes(freefield, "_effective")
+
+    definitions = [
+        (name, node.name)
+        for name in MODULES
+        for node in ast.walk(ast.parse((SOURCE / name).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_psi_minus")
+    ]
+    assert sorted(definitions) == [("fock.py", "_psi_minus"), ("fock.py", "_psi_minus_letters")]
+    assert scopes(fock, "_psi_minus_letters") == {"fock._psi_minus"}
+    placement = f"{owner}.a_mode.row"
+    assert scopes(freefield, "_psi_minus_letters") == {placement}
+    assert placement not in scopes(freefield, "_psi_minus") | scopes(freefield, "_with_c_letters")
