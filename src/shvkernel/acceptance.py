@@ -284,11 +284,11 @@ def _criterion_11() -> dict:
 
 
 def cmd_acceptance(cfg: RunConfig) -> List[dict]:
-    """The pinned acceptance battery; deeper --max-degree widens some sweeps."""
-    moved = [flag for flag in _moved_flags(cfg) if not flag.startswith("--max-degree")]
-    if moved:
-        raise UsageError(f"acceptance pins its own labels; {', '.join(moved)} would be ignored")
-    deepen = max(Fraction(0), cfg.max_degree - 4)
+    """The pinned acceptance battery; a --max-degree above 4 widens some sweeps."""
+    if cfg.max_degree < 4:
+        raise UsageError("acceptance: --max-degree must be at least 4, the pinned sweep depth, "
+                         f"got {format_rational(cfg.max_degree)}")
+    deepen = cfg.max_degree - 4
     global _shared_runs
     _shared_runs = {}
     try:

@@ -3,8 +3,11 @@
 Each subcommand runs one family of exact checks — bracket identities, the
 free-field realization, explicit singular/subsingular vectors, graded
 characters, determinant vanishing loci, embedding diagrams — and renders a
-fixed-order report as text or JSON.  Reports for the same configuration are
-reproducible verbatim (apart from the elapsed-time field), and expensive
+fixed-order report as text or JSON.  Everything runs at level zero, so the
+abelian central value cA is 0 and no flag sets it.  Each subcommand accepts
+only the label flags it reads (the table in ``build_parser``); a label flag
+left out keeps its ``RunConfig`` default.  Reports for the same configuration
+are reproducible verbatim (apart from the elapsed-time field), and expensive
 command results can be cached on disk as plain JSON files keyed by a content
 hash of the configuration.
 
@@ -75,7 +78,6 @@ class RunConfig:
     r: Fraction = Fraction(1, 3)
     cL: Fraction = Fraction(11, 2)
     cLa: Fraction = Fraction(2, 3)
-    cA: Fraction = Fraction(0)
     max_degree: Fraction = Fraction(4)
     fmt: str = "text"
     out: Optional[str] = None
@@ -96,33 +98,39 @@ class RunConfig:
             "r": format_rational(self.r),
             "cL": format_rational(self.cL),
             "cLa": format_rational(self.cLa),
-            "cA": format_rational(self.cA),
+            # cA is 0 at level zero, and no command reads a mode; the
+            # constant entries keep the report header, which
+            # perfbench/digests.json and the test test_params_are_strings
+            # pin, as it was
+            "cA": "0",
             "max_degree": format_rational(self.max_degree),
-            # no command reads a mode; the constant entry keeps the report
-            # header, which perfbench/digests.json and the test
-            # test_params_are_strings pin, as it was
             "mode": "specialized",
         }
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    def frac(label, text):
-        try:
-            return parse_rational(text)
-        except ValueError as exc:
-            raise UsageError(f"--{label}: {exc}") from None
+#: the label flags, each a rational that sets the RunConfig field its
+#: argparse dest names (--max-degree sets max_degree)
+_LABEL_FLAGS = {
+    "--p": "module label numerator parameter (rational a/b)",
+    "--r": "module label shift parameter (rational a/b)",
+    "--cL": "even central value (rational a/b)",
+    "--cLa": "mixed central value (rational a/b, nonzero)",
+    "--max-degree": "degree cutoff (half-integer n/2)",
+}
 
-    return RunConfig(
-        p=frac("p", ns.p),
-        r=frac("r", ns.r),
-        cL=frac("cL", ns.cL),
-        cLa=frac("cLa", ns.cLa),
-        cA=frac("cA", ns.cA),
-        max_degree=frac("max-degree", ns.max_degree),
-        fmt=ns.fmt,
-        out=ns.out,
-        cache_dir=ns.cache_dir,
-    )
+
+def _config_from_args(ns: argparse.Namespace) -> RunConfig:
+    """The RunConfig of the flags given; the parser sets no defaults, so a
+    field whose flag is left out keeps the RunConfig default."""
+    fields = {k: v for k, v in vars(ns).items() if k != "command"}
+    for field, text in fields.items():
+        flag = "--" + field.replace("_", "-")
+        if flag in _LABEL_FLAGS:
+            try:
+                fields[field] = parse_rational(text)
+            except ValueError as exc:
+                raise UsageError(f"{flag}: {exc}") from None
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +153,6 @@ def _require_integer_p(cfg: RunConfig, nonzero: bool = False) -> int:
     if nonzero and p == 0:
         raise UsageError("this command needs a nonzero integer label")
     return p
-
-
-def _require_level_zero(cfg: RunConfig, command: str, reason: str) -> None:
-    """Reject a nonzero --cA, which the command would otherwise ignore."""
-    if cfg.cA != 0:
-        raise UsageError(f"{command}: {reason} (level zero), got --cA {cfg.cA}")
 
 
 def _realized_span(R: FreeFieldRealization, p, r, degree, vec: FockVector, words) -> Matrix:
@@ -219,7 +221,6 @@ def _jacobi_failures(syms) -> List[str]:
 
 def cmd_relations(cfg: RunConfig) -> List[dict]:
     """Super-antisymmetry and graded Jacobi identity over a mode window."""
-    _require_level_zero(cfg, "relations", "the bracket checks run at cA = 0")
     bound = int(2 * cfg.max_degree)
     # every generator whose doubled mode is at most the bound, in PBW order
     syms = sorted((s for t in range(-bound, bound + 1) for s in alg.symbols_at(t)), key=alg.sym_key)
@@ -274,7 +275,6 @@ def _module_span_rows(R: FreeFieldRealization, p, r, max_degree):
 
 def cmd_realize(cfg: RunConfig) -> List[dict]:
     """Realized modes against the bracket table, plus module span checks."""
-    _require_level_zero(cfg, "realize", "the free-field realization fixes cA = 0")
     R = FreeFieldRealization(cfg.cL, cfg.cLa)
     report = R.realized_bracket_report(
         cfg.p, cfg.r, max_twice_mode=6, max_degree=cfg.max_degree
@@ -353,7 +353,7 @@ def _family_checks(R: FreeFieldRealization, p: int, r, ns: Sequence[int]) -> Lis
 
 def _kernel_cross_check(R: FreeFieldRealization, cfg: RunConfig, build, degree) -> dict:
     """The raising-kernel detector finds the same vector the formula builds."""
-    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
+    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa)
     kern = singular_vectors(hw, degree)
     ok = len(kern) == 1 and _proportional(
         R.realize_element(alg.Element(kern[0].to_dict()), R.vacuum_vector(cfg.p, cfg.r)), build
@@ -407,7 +407,7 @@ def _descent_checks(cfg: RunConfig, p: int) -> List[dict]:
 def _even_injectivity_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> dict:
     """Lowering words act freely on the first even singular vector."""
     u1 = R.family_vector(p, cfg.r, 1, "u")
-    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
+    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa)
     cap = min(cfg.max_degree, Fraction(3))
     rows = []
     for d in alg.half_degrees(cap):
@@ -426,7 +426,7 @@ def _subsingular_span_check(R: FreeFieldRealization, cfg: RunConfig, p: int) -> 
     """Raising images of the subsingular vector stay inside the singular submodule."""
     u0 = R.family_vector(p, cfg.r, 0, "u")
     w1 = R.family_vector(p, cfg.r, 1, "w")
-    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
+    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa)
     failures = []
     checked = 0
     for x in raising_symbols(Fraction(p)):
@@ -494,7 +494,7 @@ def cmd_subsingular(cfg: RunConfig) -> List[dict]:
             note="the half-mode sends the subsingular vector onto the singular one",
         ),
     ]
-    reps = _detected_subsingular(pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA), p)
+    reps = _detected_subsingular(pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa), p)
     checks.append(
         _check(
             "subsingular-detected",
@@ -541,7 +541,7 @@ def cmd_singular(cfg: RunConfig) -> List[dict]:
 def cmd_char(cfg: RunConfig) -> List[dict]:
     """Predicted simple characters against the Gram-rank dimension oracle."""
     p = _require_integer_p(cfg, nonzero=True)
-    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa, cfg.cA)
+    hw = pr_to_hw(cfg.p, cfg.r, cfg.cL, cfg.cLa)
     expected = [(d, simple_graded_dim(hw, d)) for d in alg.half_degrees(cfg.max_degree)]
     series = char_simple(p, cfg.max_degree)
     comparison = compare_dims(series, expected)
@@ -553,7 +553,7 @@ def cmd_char(cfg: RunConfig) -> List[dict]:
             entries=comparison["entries"],
         )
     ]
-    dual = pr_to_hw(-cfg.p, -cfg.r, cfg.cL, cfg.cLa, cfg.cA)
+    dual = pr_to_hw(-cfg.p, -cfg.r, cfg.cL, cfg.cLa)
     rows = []
     for d, a in expected:
         b = simple_graded_dim(dual, d)
@@ -571,7 +571,6 @@ def cmd_char(cfg: RunConfig) -> List[dict]:
 
 def cmd_det(cfg: RunConfig) -> List[dict]:
     """Gram determinant vanishing loci, symbolic in the module label."""
-    _require_level_zero(cfg, "det", "the Gram determinants are taken at cA = 0")
     if cfg.max_degree < _HALF:
         # below the first level the report would hold no check and read as a pass
         raise UsageError(f"det: --max-degree must be at least {format_rational(_HALF)}, "
@@ -772,34 +771,32 @@ def _write_atomically(path: Path, text: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", default="1", help="module label numerator parameter (rational a/b)")
-    common.add_argument("--r", default="1/3", help="module label shift parameter (rational a/b)")
-    common.add_argument("--cL", default="11/2", help="even central value (rational a/b)")
-    common.add_argument("--cLa", default="2/3", help="mixed central value (rational a/b, nonzero)")
-    common.add_argument("--cA", default="0", help="abelian central value (rational a/b)")
-    common.add_argument("--max-degree", default="4", dest="max_degree", help="degree cutoff (half-integer n/2)")
-    common.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    common.add_argument("--out", help="write the report to this file instead of stdout")
-    common.add_argument("--cache-dir", dest="cache_dir", help="directory for cached command results")
-
     parser = argparse.ArgumentParser(
         prog="shvkernel",
         description="exact verification suites for a level-zero super current algebra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command with the label flags it reads, and no other
+    label, degree = ("--p", "--r", "--cL", "--cLa"), ("--max-degree",)
     descriptions = {
-        "relations": "bracket antisymmetry and Jacobi identity sweeps",
-        "realize": "free-field modes against the bracket table, with span checks",
-        "singular": "build and certify explicit singular vectors",
-        "subsingular": "build and certify the subsingular vector (odd labels)",
-        "char": "simple characters against the rank oracle, with duality",
-        "det": "Gram determinant vanishing loci, symbolic in the label",
-        "diagram": "submodule generator diagram of the Verma module",
-        "acceptance": "the full pinned verification battery",
+        "relations": ("bracket antisymmetry and Jacobi identity sweeps", degree),
+        "realize": ("free-field modes against the bracket table, with span checks", label + degree),
+        "singular": ("build and certify explicit singular vectors", label + degree),
+        "subsingular": ("build and certify the subsingular vector (odd labels)", label),
+        "char": ("simple characters against the rank oracle, with duality", label + degree),
+        "det": ("Gram determinant vanishing loci, symbolic in the label", ("--r", "--cL", "--cLa") + degree),
+        "diagram": ("submodule generator diagram of the Verma module", label + degree),
+        "acceptance": ("the full pinned verification battery", degree),
     }
-    for name, desc in descriptions.items():
-        sub.add_parser(name, parents=[common], help=desc, description=desc)
+    for name, (desc, flags) in descriptions.items():
+        # no defaults here, RunConfig holds them; no prefixes, so --c never means --cache-dir
+        command = sub.add_parser(name, help=desc, description=desc,
+                                 argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag in flags:
+            command.add_argument(flag, help=_LABEL_FLAGS[flag])
+        command.add_argument("--format", choices=("text", "json"), dest="fmt")
+        command.add_argument("--out", help="write the report to this file instead of stdout")
+        command.add_argument("--cache-dir", help="directory for cached command results")
     return parser
 
 

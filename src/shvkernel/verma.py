@@ -105,14 +105,13 @@ class HighestWeightData:
     hA: object
 
 
-def pr_to_hw(p, r, cL=None, cLa=None, cA=None) -> HighestWeightData:
-    """Weights of the standard family: h = (1-p^2)(cL-3)/24 - r*p, hA = (1+p)cLa."""
+def pr_to_hw(p, r, cL=None, cLa=None) -> HighestWeightData:
+    """Level-zero weights of the standard family: h = (1-p^2)(cL-3)/24 - r*p, hA = (1+p)cLa."""
     cL = DEFAULT_SPECIALIZATION["cL"] if cL is None else cL
     cLa = DEFAULT_SPECIALIZATION["cLa"] if cLa is None else cLa
-    cA = Fraction(0) if cA is None else cA
     h = (1 - p * p) * (cL - 3) * Fraction(1, 24) - r * p
     hA = (1 + p) * cLa
-    return HighestWeightData(cL=cL, cA=cA, cLa=cLa, h=h, hA=hA)
+    return HighestWeightData(cL=cL, cA=Fraction(0), cLa=cLa, h=h, hA=hA)
 
 
 # ---------------------------------------------------------------------------

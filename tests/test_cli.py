@@ -47,6 +47,29 @@ ORDER_DIGESTS = {
 }
 
 
+#: the label flags each command reads, and so the only ones it accepts
+READ_FLAGS = {
+    "relations": ("--max-degree",),
+    "realize": ("--p", "--r", "--cL", "--cLa", "--max-degree"),
+    "singular": ("--p", "--r", "--cL", "--cLa", "--max-degree"),
+    "subsingular": ("--p", "--r", "--cL", "--cLa"),
+    "char": ("--p", "--r", "--cL", "--cLa", "--max-degree"),
+    "det": ("--r", "--cL", "--cLa", "--max-degree"),
+    "diagram": ("--p", "--r", "--cL", "--cLa", "--max-degree"),
+    "acceptance": ("--max-degree",),
+}
+
+#: a value for each label flag a command might be given, --cA included
+FLAG_VALUES = {"--p": "2", "--r": "1/2", "--cL": "1", "--cLa": "1", "--cA": "5", "--max-degree": "0"}
+
+REFUSED_FLAGS = [
+    pytest.param(command, flag, value, id=f"{command} {flag}")
+    for command, flags in READ_FLAGS.items()
+    for flag, value in FLAG_VALUES.items()
+    if flag not in flags
+]
+
+
 def _with_checks(blob, **values):
     """A cache entry whose checks keep their keys but take these values."""
     entry = json.loads(blob)
@@ -58,7 +81,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.p == 1 and cfg.r == F(1, 3)
-        assert cfg.cL == F(11, 2) and cfg.cLa == F(2, 3) and cfg.cA == 0
+        assert cfg.cL == F(11, 2) and cfg.cLa == F(2, 3)
         assert cfg.max_degree == 4
 
     def test_rejects_zero_twist_central(self):
@@ -75,32 +98,59 @@ class TestConfig:
         params = RunConfig().params()
         assert params["cL"] == "11/2"
         assert params["max_degree"] == "4"
+        # level zero: a constant entry, not a parameter
+        assert params["cA"] == "0"
         assert list(params) == ["p", "r", "cL", "cLa", "cA", "max_degree", "mode"]
 
 
 class TestUsageErrors:
     def test_no_mode_flag(self, capsys):
-        # no command read the mode, so the flag and the field are gone
+        # no command read the mode, and cA is 0 at level zero, so neither
+        # has a flag or a field
         assert cli.main(["relations", "--mode", "symbolic", "--max-degree", "0"]) == 2
+        assert cli.main(["char", "--cA", "0", "--max-degree", "0"]) == 2
         with pytest.raises(TypeError):
             RunConfig(mode="symbolic")
+        with pytest.raises(TypeError):
+            RunConfig(cA=0)
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--p", "2"), ("--r", "1/2"), ("--cL", "1"), ("--cLa", "1"), ("--cA", "5")]
-    )
-    def test_acceptance_rejects_labels(self, capsys, flag, value):
-        # the battery pins its own labels, so any other value would be ignored
-        assert cli.main(["acceptance", flag, value]) == 2
-        assert flag in capsys.readouterr().err
+    @pytest.mark.parametrize("command, flag, value", REFUSED_FLAGS)
+    def test_refused_label_flag(self, capsys, monkeypatch, command, flag, value):
+        # a flag the command does not read would change nothing, so the
+        # parser refuses it before any check runs
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, command, ran.append)
+        assert cli.main([command, flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert ran == []
+
+    def test_flags_are_spelled_in_full(self, capsys, tmp_path):
+        # a prefix is refused even where it names one flag of the command
+        assert cli.main(["relations", "--c", str(tmp_path / "cache"), "--max-degree", "0"]) == 2
+        assert cli.main(["char", "--max", "0"]) == 2
+        assert "unrecognized arguments: --max 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_bad_rational(self, capsys):
-        assert cli.main(["relations", "--p", "abc"]) == 2
+        assert cli.main(["char", "--p", "abc"]) == 2
+        assert "--p" in capsys.readouterr().err
         # an exponent form would build an integer too long to print
-        assert cli.main(["relations", "--r", "1e5000", "--max-degree", "0"]) == 2
-        assert "--r" in capsys.readouterr().err
+        assert cli.main(["char", "--r", "1e5000", "--max-degree", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--r" in err and "unrecognized" not in err
 
     def test_zero_twist_central(self, capsys):
-        assert cli.main(["relations", "--cLa", "0"]) == 2
+        assert cli.main(["char", "--cLa", "0", "--max-degree", "0"]) == 2
+        assert "cLa" in capsys.readouterr().err
+
+    def test_acceptance_below_the_pinned_depth_is_a_usage_error(self, capsys, monkeypatch):
+        # the sweeps never run shallower than degree 4, so a lower value
+        # would change only the report header
+        monkeypatch.setattr(acceptance, "_criterion_01", pytest.fail)
+        for degree in ("0", "7/2"):
+            assert cli.main(["acceptance", "--max-degree", degree]) == 2
+            err = capsys.readouterr().err
+            assert "--max-degree must be at least 4" in err and f"got {degree}" in err
 
     def test_degree_cap(self, capsys):
         assert cli.main(["relations", "--max-degree", "7"]) == 2
@@ -117,20 +167,6 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert cli.main(["bogus"]) == 2
 
-    def test_realize_rejects_nonzero_cA(self, capsys):
-        # the realization fixes CA = 0, so any other value would be ignored
-        assert cli.main(["realize", "--cA", "5", "--max-degree", "0"]) == 2
-        assert "cA" in capsys.readouterr().err
-
-    def test_relations_rejects_nonzero_cA(self, capsys):
-        # the bracket checks would run at level zero and print cA=5 as passed
-        assert cli.main(["relations", "--cA", "5", "--max-degree", "1"]) == 2
-        assert "cA" in capsys.readouterr().err
-
-    def test_det_rejects_nonzero_cA(self, capsys):
-        assert cli.main(["det", "--cA", "5", "--max-degree", "1"]) == 2
-        assert "cA" in capsys.readouterr().err
-
     def test_det_below_the_first_level_is_a_usage_error(self, capsys):
         # a det report with no level in range would check nothing and exit 0
         assert cli.main(["det", "--max-degree", "0"]) == 2
@@ -139,6 +175,50 @@ class TestUsageErrors:
         code, report = run_json(capsys, "det", "--max-degree", "1/2")
         assert code == 0
         assert [c["name"] for c in report["checks"]] == ["determinant-locus-1/2"]
+
+
+#: cheap command lines that together reach every label read of each command
+#: (singular reads --max-degree only at even p)
+READ_PROBES = {
+    "relations": ["--max-degree 0"],
+    "realize": ["--p 1/2 --max-degree 0"],
+    "singular": ["--p 1", "--p 2 --max-degree 0", "--p -1"],
+    "subsingular": ["--p 1"],
+    "char": ["--max-degree 0"],
+    "det": ["--max-degree 1/2"],
+    "diagram": ["--max-degree 0"],
+    "acceptance": [""],
+}
+
+LABEL_FIELDS = {"p", "r", "cL", "cLa", "max_degree"}
+
+
+class TestFlagTable:
+    def test_each_command_reads_exactly_its_flags(self, monkeypatch):
+        reads = set()
+
+        class RecordingConfig(RunConfig):
+            def __getattribute__(self, name):
+                if name in LABEL_FIELDS:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(cli, "RunConfig", RecordingConfig)
+        # the battery's criteria build their own configurations
+        for n in range(1, 12):
+            monkeypatch.setattr(acceptance, f"_criterion_{n:02d}", lambda *_: {})
+        parser = cli.build_parser()
+        assert sorted(READ_PROBES) == sorted(READ_FLAGS) == sorted(cli._COMMANDS)
+        for command, flags in READ_FLAGS.items():
+            # the parser takes every flag of the table
+            parser.parse_args([command] + [x for flag in flags for x in (flag, "1")])
+            read = set()
+            for line in READ_PROBES[command]:
+                cfg = cli._config_from_args(parser.parse_args([command] + line.split()))
+                reads.clear()  # the reads of __post_init__ do not count
+                cli._COMMANDS[command](cfg)
+                read |= reads
+            assert read == {flag[2:].replace("-", "_") for flag in flags}, command
 
 
 class TestReportShape:
