@@ -827,4 +827,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run as a script, this file is a second module beside shvkernel.cli, the
+    # one acceptance imports; run that one's main, so that the UsageError it
+    # catches is the class every command raises.
+    from .cli import main as package_main
+
+    sys.exit(package_main())

@@ -11,31 +11,46 @@ included), and a dense column, such as a kernel vector, back into a dict
 without zeros.  verma.GradedBasis is a CoordinateMap of PBW words, and
 FreeFieldRealization.piece gives the one of a Fock piece.
 
-Rank, kernels and span membership take int and Fraction entries only, and
-run one fraction-free (Bareiss) elimination.  Rational rows are first scaled
-to primitive integer rows, so the elimination stays in plain integers and
-every division in it is checked to be exact.  Kernels are back-substituted
-over the integers too: one integer vector per free column, rescaled at each
-pivot just enough for the solved entry to be an integer, so no ``Fraction``
-is formed before the result.
+A Matrix of rational entries keeps each row as ints over one positive
+denominator, reduced (gcd(den, *row) = 1), the form of a FockVector; data,
+the rows as Fractions, is a view built on first read.  The Verma Gram blocks
+are such matrices, handed over as integer rows with their denominators.  A
+matrix with any other entry keeps its rows as given, over 1: determinant
+takes polynomial entries, and every other function raises TypeError naming
+the first entry that is not an int or a Fraction.  The entry types are read
+once, when the matrix is made.
 
-Matrices are lists of lists of at most a few hundred rows, but the kernel
-matrices of the Verma layer are sparse (about 5% nonzero), so elimination
-works on nonzero entries only: a row with nothing to eliminate at a pivot is
-not touched until it has (_int_echelon keeps the Bareiss factors it skipped
-as one pending division), an elimination subtracts only on the pivot row's
-nonzero columns, and back substitution sums over each pivot row's nonzero
-entries.  The rows, pivots and determinants are those of dense Bareiss
-elimination of the same rows in the same order, bit for bit.
+Rank, kernels and determinants run one fraction-free (Bareiss) elimination
+of the stored integer rows, each divided by its content first, and every
+division in it is checked to be exact.  A row's denominator and content
+change no rank and no kernel; a determinant multiplies the contents back in
+and divides by the denominators.  Kernels are back-substituted over the
+integers too: one integer vector per free column, rescaled at each pivot
+just enough for the solved entry to be an integer, so no ``Fraction`` is
+formed before the result.
 
-The order is sparsest first: the primitive integer rows are stably sorted by
-nonzero count (the fill-in rule of Markowitz, 1957), so the many dependent
-rows of a degenerate Gram block reach zero after few pivot steps.  No result
-depends on the order.  rank and determinants sort the columns too, and a
-determinant multiplies back the signs of both permutations.  Kernels and
-in_span keep the column order: their pivot columns are the leftmost
-independent ones whatever the row order, and each kernel vector is the one
-with 1 in its free column and 0 in the other free columns, made primitive.
+EchelonSpan is the one incremental span: integer rows in reduced echelon
+form, keyed by pivot column, that grows one vector at a time and answers
+membership.  The Verma submodule closures grow one per degree, and in_span
+puts the columns of a matrix in one.
+
+Matrices have at most a few hundred rows, but the kernel matrices of the
+Verma layer are sparse (about 5% nonzero), so elimination works on nonzero
+entries only: a row with nothing to eliminate at a pivot is not touched
+until it has (_int_echelon keeps the Bareiss factors it skipped as one
+pending division), an elimination subtracts only on the pivot row's nonzero
+columns, and back substitution sums over each pivot row's nonzero entries.
+The rows, pivots and determinants are those of dense Bareiss elimination of
+the same rows in the same order, bit for bit.
+
+The order is sparsest first: the primitive rows are stably sorted by nonzero
+count (the fill-in rule of Markowitz, 1957), so the many dependent rows of a
+degenerate Gram block reach zero after few pivot steps.  No result depends
+on the order.  rank and determinants sort the columns too, and a determinant
+multiplies back the signs of both permutations.  Kernels keep the column
+order: their pivot columns are the leftmost independent ones whatever the
+row order, and each kernel vector is the one with 1 in its free column and 0
+in the other free columns, made primitive.
 
 Determinants are integer Bareiss eliminations, and ``determinant`` is the
 one function that also takes polynomial entries.  Such a determinant is
@@ -51,55 +66,78 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from .scalars import PARAMETERS, ParamPolynomial
+from .scalars import PARAMETERS, ParamPolynomial, over_one_den
+
+_RATIONAL = {int, Fraction}
+_ZERO = Fraction(0)
 
 
 class Matrix:
-    """Immutable rectangular matrix with exact entries."""
+    """Immutable rectangular matrix with exact entries: row i is nums[i] over
+    dens[i] (see the module docstring), and rational says whether every
+    entry is an int or a Fraction.  The lists are never changed."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "nums", "dens", "rational", "_data")
 
-    def __init__(self, data: Sequence[Sequence], cols: int = 0):
-        """Rows of equal length; cols is the width of a matrix with no rows."""
-        rows = [tuple(r) for r in data]
+    def __init__(self, data: Iterable[Sequence], cols: int = 0,
+                 dens: Optional[Sequence[int]] = None):
+        """Rows of equal length, row i over dens[i] > 0 (1 by default); cols
+        is the width of a matrix with no rows."""
+        rows = [list(r) for r in data]
         width = len(rows[0]) if rows else cols
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        self.data = tuple(rows)
+        dens = list(dens) if dens else [1] * len(rows)
+        kinds = [set(map(type, r)) for r in rows]
+        self.rational = all(k <= _RATIONAL for k in kinds)
+        if not self.rational:
+            rows = [r if d == 1 else [x * Fraction(1, d) for x in r] for r, d in zip(rows, dens)]
+            dens = [1] * len(rows)
+        else:
+            for i, (row, den, k) in enumerate(zip(rows, dens, kinds)):
+                if Fraction in k:
+                    row, scale = over_one_den(row)
+                    den *= scale
+                if den != 1:
+                    g = math.gcd(den, *row)
+                    if g != 1:
+                        row = [x // g for x in row]
+                        den //= g
+                rows[i], dens[i] = row, den
+        self.nums, self.dens = rows, dens
         self.rows = len(rows)
         self.cols = width
+        self._data = None
 
-    @classmethod
-    def from_columns(cls, columns) -> "Matrix":
-        cols = [tuple(c) for c in columns]
-        if not cols:
-            return cls([])
-        return cls(list(zip(*cols)))
+    @property
+    def data(self) -> tuple:
+        """The rows as Fractions, entries that are not ints as they are and
+        every zero the one Fraction(0); built on first read."""
+        d = self._data
+        if d is None:
+            d = self._data = tuple(
+                tuple((Fraction(x, den) if type(x) is int else x) if x else _ZERO for x in row)
+                for row, den in zip(self.nums, self.dens)
+            )
+        return d
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols)
-
-    def row(self, i: int):
-        return self.data[i]
-
-    def augment(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return Matrix([a + b for a, b in zip(self.data, other.data)], self.cols + other.cols)
+        return cls([[0] * cols for _ in range(rows)], cols)
 
     def stack(self, other: "Matrix") -> "Matrix":
-        if self.rows and other.rows and self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return Matrix(list(self.data) + list(other.data), self.cols)
+        """self's rows over other's, of the same width."""
+        return Matrix(self.nums + other.nums, self.cols, self.dens + other.dens)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and (self.cols, self.nums, self.dens) == (
+            other.cols, other.nums, other.dens
+        )
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -140,22 +178,13 @@ class CoordinateMap:
 # fraction-free elimination
 
 
-def _all_rational(data) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in data for x in row)
-
-
-def _int_rows(data):
-    """Scale each row to a primitive integer row: multiply by the lcm of its
-    denominators, then divide by the content.  Returns (rows, scales), where
-    scales[i] = (lcm, content) of row i."""
-    out, scales = [], []
-    for row in data:
-        L = math.lcm(*(x.denominator for x in row if x))
-        ints = [x.numerator * (L // x.denominator) if x else 0 for x in row]
-        g = math.gcd(*(x for x in ints if x)) or 1
-        out.append([x // g if x else 0 for x in ints] if g > 1 else ints)
-        scales.append((L, g))
-    return out, scales
+def _rows_of(m: Matrix) -> List[List[int]]:
+    """The integer rows of a rational matrix; raises TypeError naming the
+    first entry that is not an int or a Fraction."""
+    if not m.rational:
+        bad = next(x for row in m.nums for x in row if type(x) not in _RATIONAL)
+        raise TypeError(f"expected int or Fraction entries, got {bad!r}")
+    return m.nums
 
 
 def _int_echelon(work: List[List[int]]):
@@ -248,39 +277,43 @@ def _permutation_sign(order: List[int]) -> int:
     return -1 if (len(order) - cycles) % 2 else 1
 
 
-def _sparsest_first(work: List[List[int]], columns: bool):
-    """The rows of work, and with columns=True also its columns, in ascending
-    order of nonzero count (stable, so ties keep their order); see the module
-    docstring.  Returns the reordered rows and the sign of the reordering, the
-    product of the signs of the row and column permutations."""
-    counts = [len(row) - row.count(0) for row in work]
-    order = sorted(range(len(work)), key=counts.__getitem__)
-    work = [work[i] for i in order]
-    sign = _permutation_sign(order)
+def _sparsest_first(rows: List[List[int]], columns: bool):
+    """Fresh primitive copies of integer rows (each divided by its content),
+    for an elimination to work on in place, in ascending order of nonzero
+    count, and with columns=True with the columns in that order too (stable,
+    so ties keep their order); see the module docstring.  Returns the copies
+    and the factor f with det(rows) = f * det(copies): the signs of the row
+    and column permutations times the contents."""
+    counts = [len(row) - row.count(0) for row in rows]
+    order = sorted(range(len(rows)), key=counts.__getitem__)
+    factor = _permutation_sign(order)
+    work = []
+    for i in order:
+        g = math.gcd(*rows[i])
+        if g > 1:
+            factor *= g
+            work.append([x // g for x in rows[i]])
+        else:
+            work.append(list(rows[i]))
     if columns:
         counts = [len(col) - col.count(0) for col in zip(*work)]
-        order = sorted(range(len(counts)), key=counts.__getitem__)
-        work = [[row[j] for j in order] for row in work]
-        sign *= _permutation_sign(order)
-    return work, sign
+        cols = sorted(range(len(counts)), key=counts.__getitem__)
+        work = [[row[j] for j in cols] for row in work]
+        factor *= _permutation_sign(cols)
+    return work, factor
 
 
 def _echelon_of(m: Matrix, columns: bool = False):
-    """Echelon rows of a rational matrix, as primitive integer rows taken
-    sparsest first, and its pivot columns.  Raises TypeError naming the first
-    entry that is not an int or a Fraction.
+    """Echelon rows of a rational matrix, from its integer rows taken
+    sparsest first, and its pivot columns.  Raises TypeError naming the
+    first entry that is not an int or a Fraction.
 
     By default the columns keep their order, so the pivot columns are the
     leftmost independent columns of m, whatever the row order.  columns=True
     takes the columns sparsest first too, for rank, which needs only how
     many pivots there are.
     """
-    for row in m.data:
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"expected int or Fraction entries, got {x!r}")
-    work, _ = _int_rows(m.data)
-    work, _ = _sparsest_first(work, columns)
+    work, _ = _sparsest_first(_rows_of(m), columns)
     pivots, _, _ = _int_echelon(work)
     return work, pivots
 
@@ -305,27 +338,25 @@ def determinant(m: Matrix):
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
     if m.rows == 0:
         return Fraction(1)
-    if _all_rational(m.data):
-        return _rational_det(m.data)
-    for row in m.data:
+    if m.rational:
+        return _rational_det(m)
+    for row in m.nums:
         for x in row:
             if not isinstance(x, (int, Fraction, ParamPolynomial)):
                 raise TypeError(f"determinant of a matrix with entry {x!r}")
-    return ParamPolynomial._coerce(_det(m.data))
+    return ParamPolynomial._coerce(_det(m.nums))
 
 
-def _rational_det(rows) -> Fraction:
+def _rational_det(m: Matrix) -> Fraction:
     """Integer Bareiss on the primitive integer rows, with rows and columns
-    taken sparsest first; the last pivot, times the signs of the row swaps
-    and of both orders and each row's content over its lcm, is the
-    determinant."""
-    work, scales = _int_rows(rows)
-    work, order_sign = _sparsest_first(work, columns=True)
+    taken sparsest first; the last pivot, times the sign of the row swaps
+    and the factor of _sparsest_first, over the product of the row
+    denominators, is the determinant."""
+    work, factor = _sparsest_first(m.nums, columns=True)
     pivots, sign, last = _int_echelon(work)
     if len(pivots) < len(work):
         return Fraction(0)
-    contents = math.prod(g for _, g in scales)
-    return Fraction(order_sign * sign * last * contents, math.prod(L for L, _ in scales))
+    return Fraction(factor * sign * last, math.prod(m.dens))
 
 
 def _coefficients(x, idx: int):
@@ -343,9 +374,7 @@ def _coefficients(x, idx: int):
         coeffs[exp[idx]][exp[:idx] + (0,) + exp[idx + 1:]] = c
     if any(any(exp) for terms in coeffs for exp in terms):
         return [ParamPolynomial(terms) for terms in coeffs]
-    values = [sum(terms.values(), Fraction(0)) for terms in coeffs]
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return over_one_den([sum(terms.values(), Fraction(0)) for terms in coeffs])
 
 
 def _at(entry, value: int):
@@ -387,10 +416,10 @@ def _det(rows):
         if e
     }
     if not used:
-        return _rational_det(
-            [[x.constant_value() if isinstance(x, ParamPolynomial) else x for x in row]
-             for row in rows]
-        )
+        return _rational_det(Matrix(
+            [x.constant_value() if isinstance(x, ParamPolynomial) else x for x in row]
+            for row in rows
+        ))
     idx = min(used)
     name = PARAMETERS[idx]
     degrees = [
@@ -482,12 +511,69 @@ def kernel_basis(m: Matrix) -> List[list]:
 def in_span(v: Sequence, m: Matrix) -> bool:
     """Is the rational vector v in the column span of the rational matrix m?
 
-    One elimination of [m | v]: pivots are found left to right, so v is in
-    the span exactly when its column is not a pivot column.  A matrix with
-    no columns spans only the zero vector, of any length.
+    The columns of m, over the lcm of its row denominators, go into one
+    EchelonSpan, and v is in it exactly when it reduces to zero there.  A
+    matrix with no columns spans only the zero vector, of any length.
     """
     if m.cols and len(v) != m.rows:
         raise ValueError("dimension mismatch")
-    column = Matrix.from_columns([list(v)])
-    _, pivots = _echelon_of(m.augment(column) if m.cols else column)
-    return not pivots or pivots[-1] != m.cols
+    (vec,) = _rows_of(Matrix([v]))
+    den = math.lcm(*m.dens)
+    span = EchelonSpan()
+    for column in zip(*[[x * (den // d) for x in row] for row, d in zip(_rows_of(m), m.dens)]):
+        span.insert(list(column))
+    return span.contains(vec)
+
+
+class EchelonSpan:
+    """Incremental reduced row echelon span over the rationals, of integer
+    vectors: a rational vector goes in as its ints over one denominator.
+
+    Rows are primitive integer rows keyed by pivot column: each pivot is
+    positive and every other pivot column of the row is zero.  Reduction is
+    fraction-free, v <- row[piv] * v - v[piv] * row followed by division by
+    the content, so no Fraction is formed.  Stored rows are rewritten in
+    place as the span grows, so a row is always a new list, never one a
+    caller passed in.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: Dict[int, List[int]] = {}
+
+    def reduce(self, v: List[int]) -> List[int]:
+        """An integer multiple of v minus its projection onto the span."""
+        for piv, row in self.rows.items():
+            c = v[piv]
+            if c:
+                p = row[piv]
+                v = [p * a - c * b for a, b in zip(v, row)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
+        return v
+
+    def insert(self, vec: List[int]) -> bool:
+        """Add vec unless it lies in the span; returns whether it was added."""
+        v = self.reduce(vec)
+        piv = next((i for i, c in enumerate(v) if c), None)
+        if piv is None:
+            return False
+        g = math.gcd(*v)
+        if v[piv] < 0:
+            g = -g
+        v = [c // g for c in v]
+        p = v[piv]
+        for other in self.rows.values():
+            c = other[piv]
+            if c:
+                # the other row's own pivot entry is multiplied by p > 0
+                new = [p * a - c * b for a, b in zip(other, v)]
+                g = math.gcd(*new)
+                other[:] = [a // g for a in new] if g > 1 else new
+        self.rows[piv] = v
+        return True
+
+    def contains(self, vec: List[int]) -> bool:
+        return not any(self.reduce(vec))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .scalars import add_scaled
+from .scalars import add_scaled, over_one_den
 
 
 class CosetError(ValueError):
@@ -214,10 +214,8 @@ class FockVector:
                 c = c if type(c) is Fraction else Fraction(c)
                 if c:
                     coeffs[b] = c
-        # over the least common denominator the numerators are already reduced
-        den = math.lcm(*[c.denominator for c in coeffs.values()])
-        self.nums = {b: c.numerator * (den // c.denominator) for b, c in coeffs.items()}
-        self.den = den
+        nums, self.den = over_one_den(coeffs.values())
+        self.nums = dict(zip(coeffs, nums))
         self.parity = parity & 1
         self._terms = None
 

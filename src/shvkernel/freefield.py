@@ -100,7 +100,7 @@ from .fock import (
     sector_for,
 )
 from .qchar import schur_expand
-from .scalars import DEFAULT_SPECIALIZATION, add_scaled
+from .scalars import DEFAULT_SPECIALIZATION, add_scaled, over_one_den
 from .shv_algebra import (
     Element,
     GeneratorSymbol,
@@ -183,12 +183,6 @@ def _image(terms: Dict[FockBasisVector, object],
     return out
 
 
-def _integer_terms(coeffs: Dict) -> Tuple[Dict, int]:
-    """The Fraction coefficients times their common denominator M, and M."""
-    M = math.lcm(*[c.denominator for c in coeffs.values()])
-    return {k: c.numerator * (M // c.denominator) for k, c in coeffs.items()}, M
-
-
 # Screening templates (see the module docstring).  They call schur_expand
 # through this module's global, where perfbench/tracing.py counts its calls.
 
@@ -200,12 +194,6 @@ def _d_subsets(d_part: Tuple[int, ...]):
         for S in itertools.combinations(positions, size):
             kept = tuple(v for i, v in enumerate(d_part) if i not in S)
             yield kept, sum(d_part[i] for i in S), size
-
-
-def _over_one_denominator(merged: Dict[tuple, Fraction]) -> Tuple[int, Tuple[tuple, ...]]:
-    """(den, entries): each key with its coefficient's numerator over den."""
-    ints, den = _integer_terms(merged)
-    return den, tuple(key + (n,) for key, n in ints.items())
 
 
 @lru_cache(maxsize=2048)
@@ -225,7 +213,8 @@ def _a_template(N: int, psip: Tuple[int, ...],
             if j >= 0:
                 terms = schur_expand(j, _HALF).items()
                 add_scaled(merged, (((kept, mu.parts, twice_s), sc) for mu, sc in terms), sign)
-    return _over_one_denominator(merged)
+    ints, den = over_one_den(merged.values())
+    return den, tuple(key + (n,) for key, n in zip(merged, ints))
 
 
 @lru_cache(maxsize=512)
@@ -240,7 +229,8 @@ def _lattice_template(k_half: int, N: int,
         if j >= 0:
             terms = schur_expand(j, shift).items()
             add_scaled(merged, (((kept, mu.parts), sc) for mu, sc in terms), (-k_half) ** size)
-    return _over_one_denominator(merged)
+    ints, den = over_one_den(merged.values())
+    return den, tuple(key + (n,) for key, n in zip(merged, ints))
 
 
 _MODE_PARITY = {"L": 0, "A": 0, "G": 1, "P": 1}
@@ -586,9 +576,9 @@ class FreeFieldRealization:
                 weighted.append((letters, c * scalar * (1 << (odd >> 1))))
         merged: Dict[tuple, Fraction] = {}
         add_scaled(merged, weighted, 1)
-        Q = math.lcm(*[w.denominator for w in merged.values()])
+        weights, Q = over_one_den(merged.values())
         return BracketPlan(
-            tuple((letters, w.numerator * (Q // w.denominator)) for letters, w in merged.items()),
+            tuple(zip(merged, weights)),
             Q,
             max((len(letters) for letters in merged), default=0),
             parity,
@@ -747,11 +737,12 @@ class FreeFieldRealization:
         """Insert the degree-`order` Schur polynomial in scaled c letters."""
         if order < 0:
             return FockVector.zero()
-        schur, M = _integer_terms(schur_expand(order, scale))
+        schur = schur_expand(order, scale)
+        nums, M = over_one_den(schur.values())
         out: Dict[FockBasisVector, int] = {}
         for b, co in vec.nums.items():
             add_scaled(out, [
-                (_with_c_letters(b, mu.parts, b.sector, b.d_part), sc) for mu, sc in schur.items()
+                (_with_c_letters(b, mu.parts, b.sector, b.d_part), n) for mu, n in zip(schur, nums)
             ], co)
         return FockVector._reduced(out, vec.den * M, vec.parity)
 

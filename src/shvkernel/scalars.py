@@ -15,7 +15,9 @@ per parameter, in the fixed order above) to ``fractions.Fraction`` coefficients.
 Every sparse linear combination in the kernel (polynomial terms, PBW words,
 Fock states) is summed by one accumulator, ``add_scaled``, which never stores
 a zero.  Truthiness is the one zero test for every exact scalar: an int, a
-Fraction and a ParamPolynomial are false exactly when they are zero.
+Fraction and a ParamPolynomial are false exactly when they are zero.  Every
+list of rationals that is kept in integers is brought over one common
+denominator by one helper, ``over_one_den``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 Rational = Fraction
 
@@ -50,6 +52,14 @@ def add_scaled(out: dict, terms: Iterable[Tuple[object, object]], scale) -> None
             out[key] = nv
         else:
             out.pop(key, None)
+
+
+def over_one_den(values) -> Tuple[List[int], int]:
+    """Rationals (ints or Fractions, a collection read twice) as ints over
+    one positive denominator, the lcm of theirs: (ints, den), with gcd(den,
+    *ints) = 1.  No values give ([], 1)."""
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _as_fraction(value) -> Fraction:
@@ -261,8 +271,7 @@ def rational_roots_in(value: Scalar, name: str) -> frozenset:
         coeffs = {k - low: v for k, v in coeffs.items()}
     if len(coeffs) == 1:
         return frozenset(roots)  # monomial: only the stripped root
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    ints = {k: int(c * scale) for k, c in coeffs.items()}
+    ints = dict(zip(coeffs, over_one_den(coeffs.values())[0]))
     # dividing out the content changes no root, and shrinks the numbers
     # whose divisors _divisors finds by trial division
     content = math.gcd(*ints.values())

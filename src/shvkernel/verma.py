@@ -25,19 +25,19 @@ degree-twice/2 piece: for each basis word, (target index, int) pairs over one
 positive denominator, built once from the cached ``apply_symbol``.
 
 The Gram block at degree d is assembled from the blocks below it and kept as
-integer rows, each over one positive denominator prime to the row.  For a
-basis word w = x * w', the row of w is the map of theta(x) on the degree-d
-piece applied to the row of w' in the block at degree d - wt(x): each entry
-is a sum of int products, over the product of the two denominators.
-``shapovalov_gram`` turns a block into the rational matrix.  A symbolic label
-(``det`` works in p) runs the same loop: its maps keep the polynomial
-coefficients over den 1, and so do its blocks.
+an ``exact_linalg.Matrix``: integer rows, each over one positive denominator
+prime to the row.  For a basis word w = x * w', the row of w is the map of
+theta(x) on the degree-d piece applied to the row of w' in the block at
+degree d - wt(x): each entry is a sum of int products, over the product of
+the two denominators.  ``shapovalov_gram`` returns the cached block itself.
+A symbolic label (``det`` works in p) runs the same loop: its maps keep the
+polynomial coefficients over den 1, and so do its blocks.
 
 A ``Submodule`` keeps each spanning vector as integers over one denominator,
 so a closure step is an integer matrix-vector product, and the product goes
-straight into the integer echelon span.  The singular and subsingular
-detectors stack the raising symbols' maps, each block scaled by its
-denominator, into one integer kernel matrix.
+straight into the integer echelon span (``exact_linalg.EchelonSpan``).  The
+singular and subsingular detectors stack the raising symbols' maps, each
+block scaled by its denominator, into one integer kernel matrix.
 
 The contravariant form uses the rational anti-involution
 
@@ -57,12 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact_linalg import CoordinateMap, Matrix, determinant, kernel_basis, rank
+from .exact_linalg import CoordinateMap, EchelonSpan, Matrix, determinant, kernel_basis, rank
 from .qchar import char_verma, schur_expand
 from .scalars import (
     DEFAULT_SPECIALIZATION,
     ParamPolynomial,
     add_scaled,
+    over_one_den,
     rational_roots_in,
 )
 from .shv_algebra import (
@@ -277,7 +278,7 @@ class VermaAction:
         self._symbolic = any(isinstance(c, ParamPolynomial) for c in self._subs.values())
         self._sym_cache: Dict[Tuple[GeneratorSymbol, Word], Dict[Word, object]] = {}
         self._brackets: Dict[Tuple[GeneratorSymbol, GeneratorSymbol], Tuple] = {}
-        self._gram_cache: Dict[int, GramBlock] = {}
+        self._gram_cache: Dict[int, Matrix] = {}
         self._maps: Dict[Tuple[GeneratorSymbol, int], SymbolMap] = {}
 
     def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
@@ -344,11 +345,9 @@ class VermaAction:
             den = 1
             columns = [[(target[u], c) for u, c in image.items()] for image in images]
         else:
-            den = math.lcm(*(c.denominator for image in images for c in image.values()))
-            columns = [
-                [(target[u], c.numerator * (den // c.denominator)) for u, c in image.items()]
-                for image in images
-            ]
+            ints, den = over_one_den([c for image in images for c in image.values()])
+            it = iter(ints)
+            columns = [[(target[u], next(it)) for u in image] for image in images]
         out = self._maps[key] = SymbolMap(den, len(target), columns)
         return out
 
@@ -419,36 +418,14 @@ _THETA = {
 }
 
 
-class GramBlock(NamedTuple):
-    """One Gram block as integer rows: entry (i, j) is nums[i][j] / dens[i],
-    with dens[i] > 0 and gcd(dens[i], *nums[i]) = 1.  For a symbolic label
-    the entries are Fractions and ParamPolynomials over den 1 (the top entry
-    <v, v> = 1 is an int on either kind of label)."""
-
-    rows: int
-    cols: int
-    nums: List[list]
-    dens: List[int]
-
-
-_ZERO = Fraction(0)
-
-
 def shapovalov_gram(hw: HighestWeightData, degree) -> Matrix:
-    """Gram matrix B[i][j] = <basis_i, basis_j> of the contravariant pairing,
-    with Fraction entries (ParamPolynomial ones too for a symbolic label) and
-    every zero entry the one shared Fraction(0)."""
-    block = _gram(get_action(hw), verma_basis(hw, degree).twice_degree)
-    return Matrix(
-        [
-            [(Fraction(n, den) if type(n) is int else n) if n else _ZERO for n in row]
-            for row, den in zip(block.nums, block.dens)
-        ],
-        block.cols,
-    )
+    """Gram matrix B[i][j] = <basis_i, basis_j> of the contravariant pairing:
+    the action's cached block, integer rows over their denominators (for a
+    symbolic label, its ParamPolynomial and rational entries over 1)."""
+    return _gram(get_action(hw), verma_basis(hw, degree).twice_degree)
 
 
-def _gram(action: VermaAction, twice_degree: int) -> GramBlock:
+def _gram(action: VermaAction, twice_degree: int) -> Matrix:
     """The Gram block at twice_degree, assembled from lower blocks.
 
     Row w = x * w' of G_d pairs theta(w) = theta(w') * theta(x) with each
@@ -458,12 +435,13 @@ def _gram(action: VermaAction, twice_degree: int) -> GramBlock:
     a row of the lower block, over the product of the two denominators.
     Zero entries of the lower row are skipped: on a symbolic label a
     polynomial times zero would turn a rational entry into a polynomial.
+    The rows go to the Matrix unreduced, with their denominators.
     """
     hit = action._gram_cache.get(twice_degree)
     if hit is not None:
         return hit
     if twice_degree == 0:
-        block = action._gram_cache[0] = GramBlock(1, 1, [[1]], [1])  # <v, v> = 1
+        block = action._gram_cache[0] = Matrix([[1]])  # <v, v> = 1
         return block
     basis = _piece(twice_degree)
     by_first: Dict[GeneratorSymbol, List[int]] = {}
@@ -488,15 +466,9 @@ def _gram(action: VermaAction, twice_degree: int) -> GramBlock:
                     if g:
                         acc += a * g
                 row.append(-acc if sign < 0 else acc)
-            den = smap.den * lower.dens[k]
-            if den > 1:
-                common = math.gcd(den, *row)
-                if common > 1:
-                    row = [a // common for a in row]
-                    den //= common
             nums[i] = row
-            dens[i] = den
-    block = action._gram_cache[twice_degree] = GramBlock(len(basis), len(basis), nums, dens)
+            dens[i] = smap.den * lower.dens[k]
+    block = action._gram_cache[twice_degree] = Matrix(nums, len(basis), dens)
     return block
 
 
@@ -577,73 +549,6 @@ def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
     ]
 
 
-def _over_one_den(vec: Sequence) -> Tuple[List[int], int]:
-    """A rational vector as (ints, den): integers over the lcm of its
-    denominators."""
-    den = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
-
-
-class _EchelonSpan:
-    """Incremental reduced row echelon span over the rationals, for fast
-    membership tests during submodule closure.
-
-    Rows are primitive integer rows keyed by pivot column: each pivot is
-    positive and every other pivot column of the row is zero.  reduce and
-    insert_ints take integer rows; insert and contains take rational vectors
-    and scale them to integers by the lcm of their denominators first.  Reduction is fraction-free, v <- row[piv] * v -
-    v[piv] * row followed by division by the content, so no Fraction is
-    formed.  Stored rows are rewritten in place as the span grows, so a row
-    is always a new list, never one a caller passed in.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: Dict[int, List[int]] = {}
-
-    def reduce(self, v: List[int]) -> List[int]:
-        """An integer multiple of v minus its projection onto the span."""
-        for piv, row in self.rows.items():
-            c = v[piv]
-            if c:
-                p = row[piv]
-                v = [p * a - c * b for a, b in zip(v, row)]
-                g = math.gcd(*v)
-                if g > 1:
-                    v = [a // g for a in v]
-        return v
-
-    def insert_ints(self, vec: List[int]) -> bool:
-        v = self.reduce(vec)
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
-            return False
-        g = math.gcd(*v)
-        if v[piv] < 0:
-            g = -g
-        v = [c // g for c in v]
-        p = v[piv]
-        for other in self.rows.values():
-            c = other[piv]
-            if c:
-                # the other row's own pivot entry is multiplied by p > 0
-                new = [p * a - c * b for a, b in zip(other, v)]
-                g = math.gcd(*new)
-                other[:] = [a // g for a in new] if g > 1 else new
-        self.rows[piv] = v
-        return True
-
-    def insert(self, vec: Sequence) -> bool:
-        return self.insert_ints(_over_one_den(vec)[0])
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(_over_one_den(vec)[0]))
-
-    def __len__(self):
-        return len(self.rows)
-
-
 class Submodule:
     """Graded span of the module closure of a set of homogeneous generators.
 
@@ -654,11 +559,10 @@ class Submodule:
 
     Each degree keeps its spanning vectors in insertion order, each as a
     reduced (ints, den) pair over the degree's basis (the vector ints / den),
-    beside an integer echelon form (_EchelonSpan) for membership tests.
-    graded_span gives them as {word: Fraction} dicts.  The closure is a
-    worklist: a count per degree of the vectors already processed, so every
-    symbol is applied to every vector once, as an integer matrix-vector
-    product with the action's symbol map.
+    beside an integer echelon form (EchelonSpan) for membership tests.  The
+    closure is a worklist: a count per degree of the vectors already
+    processed, so every symbol is applied to every vector once, as an
+    integer matrix-vector product with the action's symbol map.
     """
 
     def __init__(self, hw: HighestWeightData, max_degree):
@@ -666,7 +570,7 @@ class Submodule:
         self.action = get_action(hw)
         self.max_twice = doubled(max_degree)
         self._spans: Dict[int, List[Tuple[List[int], int]]] = {}
-        self._echelons: Dict[int, _EchelonSpan] = {}
+        self._echelons: Dict[int, EchelonSpan] = {}
         # per degree, how many vectors of _spans[t] _close has processed
         self._processed: Dict[int, int] = {}
 
@@ -682,21 +586,14 @@ class Submodule:
         order, as (ints, den) pairs; the lists are the submodule's own."""
         return list(self._spans.get(twice_degree, []))
 
-    def graded_span(self, degree) -> List[Dict[Word, object]]:
-        t = doubled(degree)
-        vecs = self._spans.get(t, [])
-        if not vecs:
-            return []
-        words = verma_basis(self.hw, Fraction(t, 2)).words
-        return [{w: Fraction(a, den) for w, a in zip(words, ints) if a} for ints, den in vecs]
-
     def contains(self, vec: Dict[Word, object], degree) -> bool:
         if not vec:
             return True
         t = doubled(degree)
         if t not in self._echelons:
             return False
-        return self._echelons[t].contains(verma_basis(self.hw, Fraction(t, 2)).column(vec))
+        column = verma_basis(self.hw, Fraction(t, 2)).column(vec)
+        return self._echelons[t].contains(over_one_den(column)[0])
 
     def _try_add(self, ints: List[int], den: int, twice_degree: int) -> bool:
         """Add the vector ints / den at twice_degree unless it lies in the
@@ -705,8 +602,8 @@ class Submodule:
             return False
         span = self._echelons.get(twice_degree)
         if span is None:
-            span = self._echelons[twice_degree] = _EchelonSpan()
-        if not span.insert_ints(ints):
+            span = self._echelons[twice_degree] = EchelonSpan()
+        if not span.insert(ints):
             return False
         g = math.gcd(den, *ints)
         self._spans.setdefault(twice_degree, []).append(([a // g for a in ints], den // g))
@@ -716,7 +613,7 @@ class Submodule:
         t = doubled(degree)
         if not vec or t > self.max_twice:
             return
-        ints, den = _over_one_den(verma_basis(self.hw, Fraction(t, 2)).column(vec))
+        ints, den = over_one_den(verma_basis(self.hw, Fraction(t, 2)).column(vec))
         if self._try_add(ints, den, t):
             self._close()
 
@@ -728,8 +625,8 @@ class Submodule:
         ascending, each degree's list in insertion order, repeated until a
         sweep adds nothing) with the vectors an earlier sweep already
         processed left out: their images are in the span already, since the
-        span only grows.  So graded_span lists come out in the order a full
-        sweep gives them, and the kernels built from them do not change.
+        span only grows.  So the spanning vectors come out in the order a
+        full sweep gives them, and the kernels built from them do not change.
         Each image is ints times the symbol's integer map, over den times
         the map's denominator: exactly the rational image.
         """
@@ -772,13 +669,13 @@ def subsingular_vectors(
     candidates = [x[:n] for x in kernel_basis(m) if any(x[:n])]
     if not candidates:
         return []
-    span = _EchelonSpan()
+    span = EchelonSpan()
     for ints, _ in submodule.integer_span(basis.twice_degree):
-        span.insert_ints(ints)
+        span.insert(ints)
     return [
         ModuleVector.from_dict(_normalize_leading(basis.vector(x)), degree)
         for x in candidates
-        if span.insert(list(x))
+        if span.insert(over_one_den(x)[0])
     ]
 
 

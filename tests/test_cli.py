@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -130,6 +133,20 @@ class TestUsageErrors:
         assert cli.main(["char", "--max", "0"]) == 2
         assert "unrecognized arguments: --max 0" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
+
+    def test_module_run_as_a_script_exits_2_on_a_usage_error(self):
+        # python -m shvkernel.cli loads cli.py a second time, as __main__;
+        # acceptance raises the package module's UsageError, before any check
+        root = Path(__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for module in ("shvkernel.cli", "shvkernel"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, "acceptance", "--max-degree", "3"],
+                capture_output=True, text=True, env=env, cwd=root, timeout=120,
+            )
+            assert done.returncode == 2, done.stderr
+            assert done.stderr.startswith("error: acceptance: --max-degree must be at least")
+            assert "Traceback" not in done.stderr and done.stdout == ""
 
     def test_bad_rational(self, capsys):
         assert cli.main(["char", "--p", "abc"]) == 2

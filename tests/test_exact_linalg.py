@@ -11,7 +11,6 @@ from shvkernel.exact_linalg import (
     determinant,
     in_span,
     _int_echelon,
-    _int_rows,
     kernel_basis,
     rank,
 )
@@ -49,18 +48,31 @@ def identity(n):
     return Matrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
 
 
+def _int_rows(data):
+    """Scale each row to a primitive integer row: multiply by the lcm of its
+    denominators, then divide by the content.  Returns (rows, scales), where
+    scales[i] = (lcm, content) of row i."""
+    out, scales = [], []
+    for row in data:
+        L = math.lcm(*(x.denominator for x in row if x))
+        ints = [x.numerator * (L // x.denominator) if x else 0 for x in row]
+        g = math.gcd(*(x for x in ints if x)) or 1
+        out.append([x // g if x else 0 for x in ints] if g > 1 else ints)
+        scales.append((L, g))
+    return out, scales
+
+
 def test_matrix_shape_checks():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
     m = Matrix([[1, 2], [3, 4]])
-    assert m.row(1)[0] == 3
+    assert m.data[1][0] == 3
     assert column(m, 1) == (2, 4)
-    assert transpose(m).row(0) == (1, 3)
+    assert transpose(m).data[0] == (1, 3)
     with pytest.raises(ValueError):
         determinant(Matrix([[1, 2]]))
-    # a matrix with no rows keeps its width through stack and augment
+    # a matrix with no rows keeps its width through stack
     assert Matrix.zero(0, 3).stack(Matrix.zero(0, 3)).cols == 3
-    assert Matrix.zero(0, 3).augment(Matrix.zero(0, 2)).cols == 5
 
 
 def test_rank_examples():
@@ -87,6 +99,12 @@ def test_determinant_polynomial_entries():
     # mixed Fraction/polynomial entries go down the generic Bareiss path
     m = Matrix([[x, F(1)], [F(1), x]])
     assert determinant(m) == x * x - 1
+    # such a matrix keeps its entries as given, over 1: a row that comes
+    # over a denominator, here the integer row [3, 2] over 6, is divided out
+    mixed = Matrix([[x, F(1)]]).stack(Matrix([[F(1, 2), F(1, 3)]]))
+    assert not mixed.rational and mixed.dens == [1, 1]
+    assert mixed.data == ((x, F(1)), (F(1, 2), F(1, 3)))
+    assert determinant(mixed) == x * F(1, 3) - F(1, 2)
 
 
 def test_kernel_examples():
@@ -602,13 +620,22 @@ def test_row_skipping_pivots_before_it_becomes_the_pivot_row():
 
 
 @settings(max_examples=100, deadline=None)
-@given(sparse_rational_matrices)
-def test_integer_rows_are_primitive_row_multiples(m):
-    rows, scales = _int_rows(m.data)
-    for row, ints, (L, g) in zip(m.data, rows, scales):
-        assert [F(x) * g for x in ints] == [x * L for x in row]
-        assert all(type(x) is int for x in ints)
-        assert math.gcd(*ints) in (0, 1)
+@given(sparse_rows(lambda rnd: F(rnd.randint(-9, 9), rnd.randint(1, 6))), st.data())
+def test_integer_rows_are_primitive_row_multiples(data, draw):
+    # each stored row is the row times its denominator, reduced, whether the
+    # rows come as Fractions or as integer rows over given denominators
+    dens = draw.draw(st.lists(st.integers(1, 12), min_size=len(data), max_size=len(data)))
+    over = [[F(x) / d for x in row] for row, d in zip(data, dens)]
+    ints = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in data]
+    scaled = [d * math.lcm(*(y.denominator for y in row)) for row, d in zip(data, dens)]
+    for m in (Matrix(over), Matrix(ints, len(data[0]), scaled)):
+        assert m.rational and (m.rows, m.cols) == (len(data), len(data[0]))
+        for row, nums, den in zip(over, m.nums, m.dens):
+            assert [F(x, den) for x in nums] == row
+            assert all(type(x) is int for x in nums) and type(den) is int and den > 0
+            assert math.gcd(den, *nums) == 1
+        assert m.data == tuple(map(tuple, over))
+        assert all(type(x) is F for row in m.data for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from shvkernel.scalars import (
     ParamPolynomial,
     add_scaled,
     format_rational,
+    over_one_den,
     parse_rational,
     rational_roots_in,
 )
@@ -172,6 +174,17 @@ def test_add_scaled_is_the_dense_sum_without_zeros(out, terms, scale):
         inputs = [before.get(k), terms.get(k), scale if k in terms else None]
         if not any(isinstance(x, P) for x in inputs) and any(isinstance(x, F) for x in inputs):
             assert type(c) is F
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12)), max_size=6))
+def test_over_one_den_is_the_least_common_denominator(values):
+    ints, den = over_one_den(values)
+    assert [F(n, den) for n in ints] == values
+    assert all(type(n) is int for n in ints) and type(den) is int and den > 0
+    # the lcm of the denominators, so the numerators are already reduced
+    assert all(den % F(x).denominator == 0 for x in values)
+    assert gcd(den, *ints) == 1
 
 
 @settings(max_examples=80, deadline=None)

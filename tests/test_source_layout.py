@@ -34,21 +34,26 @@ def test_module_stays_below_the_parser_token_step(name):
     assert parser_tokens(SOURCE / name) < 8192
 
 
-def call_scopes(path: Path, match) -> list:
-    """The enclosing scope, as module.Class.function, of every call in a
-    module that match accepts."""
+def node_scopes(path: Path, match) -> list:
+    """The enclosing scope, as module.Class.function, of every syntax node
+    in a module that match accepts."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Call) and match(node):
+        if match(node):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), (path.stem,))
     return found
+
+
+def call_scopes(path: Path, match) -> list:
+    """The enclosing scope of every call in a module that match accepts."""
+    return node_scopes(path, lambda node: isinstance(node, ast.Call) and match(node))
 
 
 def is_pop_none(call: ast.Call) -> bool:
@@ -69,6 +74,35 @@ def test_one_accumulator():
     as a dict.pop(key, None) call."""
     calls = [scope for name in MODULES for scope in call_scopes(SOURCE / name, is_pop_none)]
     assert calls == ["scalars.add_scaled"]
+
+
+def is_attribute(node, attr: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == attr
+
+
+def scales_to_common_denominator(node) -> bool:
+    """<x>.numerator * (<d> // <x>.denominator), in either factor order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    return any(
+        is_attribute(a, "numerator")
+        and isinstance(b, ast.BinOp)
+        and isinstance(b.op, ast.FloorDiv)
+        and is_attribute(b.right, "denominator")
+        for a, b in ((node.left, node.right), (node.right, node.left))
+    )
+
+
+def test_one_common_denominator():
+    """Every list of rationals kept in integers is brought over one
+    denominator by scalars.over_one_den.  A hand-written copy shows as
+    x.numerator * (d // x.denominator)."""
+    found = [
+        scope
+        for name in MODULES
+        for scope in node_scopes(SOURCE / name, scales_to_common_denominator)
+    ]
+    assert found == ["scalars.over_one_den"]
 
 
 def call_name(call: ast.Call):
@@ -107,19 +141,24 @@ def test_fock_columns_stay_on_integers():
 
 def test_verma_closure_stays_on_integers():
     """The submodule closure multiplies integer vectors by the integer symbol
-    maps and hands integer rows to the echelon span: no Fraction and no
-    apply_word on that path.  The subsingular detector reads the degree's
-    singular vectors from the submodule it is given and computes none."""
+    maps and hands integer rows to the echelon span, exact_linalg's one
+    incremental span: no Fraction and no apply_word on that path.  The
+    subsingular detector reads the degree's singular vectors from the
+    submodule it is given and computes none."""
     verma = SOURCE / "verma.py"
 
     def scopes(name):
-        return set(call_scopes(verma, lambda call: call_name(call) == name))
+        return {
+            scope
+            for path in (verma, SOURCE / "exact_linalg.py")
+            for scope in call_scopes(path, lambda call: call_name(call) == name)
+        }
 
     path = {
         "verma.Submodule._close": "symbol_map",
-        "verma.Submodule._try_add": "insert_ints",
-        "verma._EchelonSpan.insert_ints": "reduce",
-        "verma._EchelonSpan.reduce": None,
+        "verma.Submodule._try_add": "insert",
+        "exact_linalg.EchelonSpan.insert": "reduce",
+        "exact_linalg.EchelonSpan.reduce": None,
     }
     for scope, callee in path.items():
         assert callee is None or scope in scopes(callee)
@@ -131,22 +170,30 @@ def test_verma_closure_stays_on_integers():
 def test_gram_stays_on_integers():
     """The Gram blocks are assembled from the symbol maps, as sums of int
     products (of the polynomial coefficients for a symbolic label): no
-    Fraction and no per-word apply_symbol in _gram.  The action reads each
-    bracket from its own table, so apply_symbol never rebuilds one."""
+    Fraction and no per-word apply_symbol in _gram.  shapovalov_gram hands
+    out the cached block, and rank reads its integer rows, so no Fraction is
+    built between the two.  The action reads each bracket from its own
+    table, so apply_symbol never rebuilds one."""
     verma = SOURCE / "verma.py"
 
-    def scopes(name):
-        return set(call_scopes(verma, lambda call: call_name(call) == name))
+    def scopes(name, path=verma):
+        return set(call_scopes(path, lambda call: call_name(call) == name))
 
     assert "verma._gram" in scopes("symbol_map")
     for name in ("Fraction", "apply_symbol"):
         assert "verma._gram" not in scopes(name)
+    assert "verma.shapovalov_gram" not in scopes("Fraction")
+    rank_path = {
+        f"exact_linalg.{name}"
+        for name in ("rank", "_echelon_of", "_rows_of", "_sparsest_first", "_int_echelon")
+    }
+    assert not rank_path & scopes("Fraction", SOURCE / "exact_linalg.py")
     assert "verma.VermaAction.apply_symbol" not in scopes("super_bracket")
 
 
 def test_screening_stays_on_integers():
     """The screening modes read a vector's integer numerators and build the
-    result over one denominator: no Fraction and no _integer_terms in
+    result over one denominator: no Fraction and no over_one_den in
     _screened, a_mode or lattice_mode (the effective mode is memoized in
     _effective).  a_mode places each template entry as one state, through
     the one definition of the psi^- letters in fock.py, which _psi_minus
@@ -161,7 +208,7 @@ def test_screening_stays_on_integers():
     def in_hot(scope):
         return any(scope == h or scope.startswith(h + ".") for h in hot)
 
-    for name in ("Fraction", "_integer_terms"):
+    for name in ("Fraction", "over_one_den"):
         assert not [s for s in scopes(freefield, name) if in_hot(s)]
     assert f"{owner}._screened" in scopes(freefield, "_effective")
 

@@ -11,20 +11,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shvkernel.exact_linalg import EchelonSpan, Matrix
 from shvkernel.qchar import char_simple, char_verma
-from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial
+from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial, over_one_den
 from shvkernel import shv_algebra
 from shvkernel.shv_algebra import A, G, L, P, _normal_form, sym_key
 from shvkernel.verma import (
     ModuleVector,
     Submodule,
     VermaAction,
-    _EchelonSpan,
     _gram,
     act,
     det_formula_phi,
     det_vanishing_check,
     embedding_diagram,
+    get_action,
     highest_weight_vector,
     kostant_p2,
     maximal_submodule_dim,
@@ -379,7 +380,7 @@ class TestSubmoduleStructure:
         u0 = singular_vectors(hw, Fraction(1, 2))[0].to_dict()
         s = Submodule(hw, Fraction(3, 2))
         s.add_generator(u0, Fraction(1, 2))
-        for read in (s.graded_dim, s.graded_span, lambda d: s.contains(u0, d)):
+        for read in (s.graded_dim, lambda d: graded_span(s, d), lambda d: s.contains(u0, d)):
             with pytest.raises(ValueError):
                 read(Fraction(1, 3))
         with pytest.raises(ValueError):
@@ -387,7 +388,7 @@ class TestSubmoduleStructure:
         with pytest.raises(ValueError):
             s.add_generator(u0, Fraction(2, 3))
         # below degree 0 a submodule is empty, as subsingular_vectors reads it
-        assert s.graded_dim(Fraction(-1, 2)) == 0 and s.graded_span(-1) == []
+        assert s.graded_dim(Fraction(-1, 2)) == 0 and graded_span(s, -1) == []
 
     def test_no_subsingular_generic(self):
         hw = pr_to_hw(Fraction(5, 7), R)
@@ -543,14 +544,17 @@ def test_recursive_gram_matches_theta_word_gram(hw):
 
 @pytest.mark.parametrize("label", ["p=1", "p=-2", "p=5/7"])
 def test_gram_blocks_are_reduced_integer_rows(label):
-    # every cached row is ints over one positive denominator prime to the
-    # row, and the row over its denominator is the oracle's row
+    # every cached block is a Matrix whose stored rows are ints over one
+    # positive denominator prime to the row, the oracle's row over it; the
+    # Gram matrix is that block itself
     hw = _ORACLE_WEIGHTS[label]
     action = VermaAction(hw)
     _gram(action, 6)
     assert sorted(action._gram_cache) == list(range(7))
     for t, block in action._gram_cache.items():
         want = _oracle_gram(hw, Fraction(t, 2))
+        assert isinstance(block, Matrix) and block.rational
+        assert shapovalov_gram(hw, Fraction(t, 2)) is get_action(hw)._gram_cache[t]
         assert block.rows == block.cols == len(want)
         assert len(block.nums) == len(block.dens) == len(want)
         for row, den, want_row in zip(block.nums, block.dens, want):
@@ -647,10 +651,10 @@ def test_integer_echelon_span_matches_fraction_rref(case):
     def combo(coeffs):
         return [sum((c * x for c, x in zip(coeffs, col)), Fraction(0)) for col in zip(*base)]
 
-    got, want = _EchelonSpan(), _FractionEchelon()
+    got, want = EchelonSpan(), _FractionEchelon()
     for coeffs in inserts:
         v = combo(coeffs)
-        assert got.insert(v) == want.insert(v)
+        assert got.insert(over_one_den(v)[0]) == want.insert(v)
         assert list(got.rows) == list(want.rows)
         for piv, row in got.rows.items():
             assert row[piv] > 0 and math.gcd(*row) == 1
@@ -658,8 +662,8 @@ def test_integer_echelon_span_matches_fraction_rref(case):
             assert [Fraction(x, row[piv]) for x in row] == want.rows[piv]
     for coeffs in queries + [[1] + [0] * (len(base) - 1)]:
         v = combo(coeffs)
-        assert got.contains(v) == want.contains(v)
-    assert len(got) == len(want.rows)
+        assert got.contains(over_one_den(v)[0]) == want.contains(v)
+    assert len(got.rows) == len(want.rows)
 
 
 class _FullSweepClosure:
@@ -707,8 +711,16 @@ class _FullSweepClosure:
                             changed = True
 
 
+def graded_span(sub, degree):
+    """The submodule's spanning vectors at the degree, as {word: Fraction}."""
+    t = shv_algebra.doubled(degree)
+    vecs = sub.integer_span(t)
+    words = verma_basis(sub.hw, Fraction(t, 2)).words if vecs else ()
+    return [{w: Fraction(a, den) for w, a in zip(words, ints) if a} for ints, den in vecs]
+
+
 def _spans(sub):
-    return [sub.graded_span(Fraction(t, 2)) for t in range(sub.max_twice + 1)]
+    return [graded_span(sub, Fraction(t, 2)) for t in range(sub.max_twice + 1)]
 
 
 @pytest.mark.parametrize("p, r, max_degree", [(-1, Fraction(1, 3), 3), (1, Fraction(1, 3), 2)])
