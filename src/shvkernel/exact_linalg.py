@@ -29,6 +29,11 @@ integers too: one integer vector per free column, rescaled at each pivot
 just enough for the solved entry to be an integer, so no ``Fraction`` is
 formed before the result.
 
+rank_mod_p eliminates the same integer rows modulo the prime P = 2^61 - 1.
+Its result is a lower bound on the rank over Q, never a rank: it is used
+only where that bound proves an exact statement by itself (the subsingular
+detector's count in verma), and no report shows it.
+
 EchelonSpan is the one incremental span: integer rows in reduced echelon
 form, keyed by pivot column, that grows one vector at a time and answers
 membership.  The Verma submodule closures grow one per degree, and in_span
@@ -55,10 +60,12 @@ in the other free columns, made primitive.
 Determinants are integer Bareiss eliminations, and ``determinant`` is the
 one function that also takes polynomial entries.  Such a determinant is
 interpolated, one parameter at a time: its degree in the parameter is at
-most D (the Leibniz bound from the entry degrees), so its values at 0, 1,
-..., D fix it exactly, and each value is the determinant of a matrix with
-one parameter fewer.  Each entry is split once into its coefficients in that
-parameter and evaluated at the D + 1 nodes by Horner's rule.
+most D, the largest sum of entry degrees along one permutation that avoids
+every zero entry (an assignment problem, solved by the Hungarian method),
+so its values at 0, 1, ..., D fix it exactly, and each value is the
+determinant of a matrix with one parameter fewer.  Each entry is split once
+into its coefficients in that parameter and evaluated at the D + 1 nodes by
+Horner's rule.
 """
 
 from __future__ import annotations
@@ -325,6 +332,49 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
+#: the Mersenne prime 2^61 - 1, the modulus of rank_mod_p
+_P = (1 << 61) - 1
+
+
+def rank_mod_p(m: Matrix) -> int:
+    """The rank over GF(P) of a rational matrix's integer rows, P = 2^61 - 1:
+    a lower bound on the rank over Q, never a result.
+
+    Every r x r minor that is nonzero mod P is a nonzero integer, so
+    rank_P <= rank_Q; the two differ only when P divides every nonzero
+    maximal minor.  The columns are taken sparsest first, and at each the
+    pivot is the sparsest row with a nonzero head (the rows start sparsest
+    first too, so ties keep that order); each elimination step touches only
+    the pivot row's nonzero columns.  Raises TypeError naming the first
+    entry that is not an int or a Fraction.
+    """
+    rows = _rows_of(m)
+    counts = [len(row) - row.count(0) for row in rows]
+    work = [[x % _P for x in rows[i]] for i in sorted(range(m.rows), key=counts.__getitem__)]
+    counts = [len(col) - col.count(0) for col in zip(*work)]
+    r = 0
+    for col in sorted(range(len(counts)), key=counts.__getitem__):
+        heads = [i for i in range(r, m.rows) if work[i][col]]
+        if not heads:
+            continue
+        p = min(heads, key=lambda i: len(work[i]) - work[i].count(0))
+        work[r], work[p] = work[p], work[r]
+        row_r = work[r]
+        inv = pow(row_r[col], -1, _P)
+        support = [j for j, x in enumerate(row_r) if x and j != col]
+        for i in heads:
+            if i == p:
+                continue
+            # the row that was at r moved to p
+            row_i = work[p if i == r else i]
+            f = row_i[col] * inv % _P
+            row_i[col] = 0
+            for j in support:
+                row_i[j] = (row_i[j] - f * row_r[j]) % _P
+        r += 1
+    return r
+
+
 # The same function under a second name: perfbench/tracing.py wraps
 # ``rational_rank`` in exact_linalg, verma and cli, and cli's rank calls go
 # through this name so that they stay traced.
@@ -399,12 +449,13 @@ def _det(rows):
     """Determinant of a square matrix of ints, Fractions and ParamPolynomials,
     by evaluation and interpolation in the first parameter that occurs.
 
-    Every Leibniz term takes one entry from each row and from each column, so
-    the determinant's degree in the parameter is at most D, the smaller of the
-    sums of the largest entry degrees over the rows and over the columns.  Its
-    values at 0, 1, ..., D are determinants with one parameter fewer, and a
-    polynomial of degree at most D is fixed by D + 1 values: Newton's divided
-    differences recover it exactly.
+    Every Leibniz term is the product of the entries along one permutation,
+    zero when one of them is, so the determinant's degree in the parameter
+    is at most D, the largest sum of entry degrees along a permutation that
+    avoids every zero entry (_max_assignment); with no such permutation the
+    determinant is 0.  Its values at 0, 1, ..., D are determinants with one
+    parameter fewer, and a polynomial of degree at most D is fixed by D + 1
+    values: Newton's divided differences recover it exactly.
     """
     used = {
         i
@@ -422,11 +473,12 @@ def _det(rows):
         ))
     idx = min(used)
     name = PARAMETERS[idx]
-    degrees = [
-        [x.degree_in(name) if isinstance(x, ParamPolynomial) else 0 for x in row]
+    bound = _max_assignment([
+        [(x.degree_in(name) if isinstance(x, ParamPolynomial) else 0) if x else None for x in row]
         for row in rows
-    ]
-    bound = min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
+    ])
+    if bound is None:
+        return ParamPolynomial()
     split = [[_coefficients(x, idx) for x in row] for row in rows]
     c = [_det([[_at(x, k) for x in row] for row in split]) for k in range(bound + 1)]
     # divided differences at the nodes 0, 1, ..., bound: c[j] = f[0, ..., j]
@@ -446,6 +498,53 @@ def _det(rows):
         for exp, v in ParamPolynomial._coerce(a).terms.items():
             terms[exp[:idx] + (k,) + exp[idx + 1:]] = v
     return ParamPolynomial(terms)
+
+
+def _max_assignment(weights: List[List[Optional[int]]]) -> Optional[int]:
+    """The largest sum weights[0][s(0)] + ... + weights[n-1][s(n-1)] over the
+    permutations s that avoid every None entry, or None if each meets one.
+
+    The Hungarian method (Kuhn 1955) in its O(n^3) form with row and column
+    potentials, minimizing the cost -w, and big for a None entry.  Every
+    permutation that avoids them costs at most 0, and one that meets a None
+    costs at least big - (n - 1) * max w > 0, so the optimum takes a None
+    entry exactly when no permutation avoids them all.
+    """
+    n = len(weights)
+    top = max((w for row in weights for w in row if w is not None), default=0)
+    big = n * top + 1
+    cost = [[big if w is None else -w for w in row] for row in weights]
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    # owner[j]: the row (from 1) assigned to column j; column 0 is a sentinel
+    owner, way = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    chosen = [weights[owner[j] - 1][j - 1] for j in range(1, n + 1)]
+    return None if None in chosen else sum(chosen)
 
 
 def _int_kernel_vector(work: List[List[int]], pivots: List[int], supports: List[list],
@@ -577,3 +676,9 @@ class EchelonSpan:
 
     def contains(self, vec: List[int]) -> bool:
         return not any(self.reduce(vec))
+
+    def copy(self) -> "EchelonSpan":
+        """An independent span with the same rows, each a new list."""
+        span = EchelonSpan()
+        span.rows = {piv: list(row) for piv, row in self.rows.items()}
+        return span

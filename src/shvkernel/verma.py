@@ -37,7 +37,14 @@ A ``Submodule`` keeps each spanning vector as integers over one denominator,
 so a closure step is an integer matrix-vector product, and the product goes
 straight into the integer echelon span (``exact_linalg.EchelonSpan``).  The
 singular and subsingular detectors stack the raising symbols' maps, each
-block scaled by its denominator, into one integer kernel matrix.
+block scaled by its denominator, into one integer kernel matrix.  Where the
+subsingular detector has nothing to find, a count proves it without the
+kernel: the kernel holds the submodule's piece S_d, and columns minus a
+rank mod a prime (``exact_linalg.rank_mod_p``, a lower bound on the rank)
+bounds its dimension from above, so a bound equal to dim S_d proves the
+kernel is S_d.  The count needs the submodule closed through the degree.
+``embedding_diagram`` starts its accumulated submodule as a copy of the
+first node's closure rather than closing it a second time.
 
 The contravariant form uses the rational anti-involution
 
@@ -57,7 +64,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exact_linalg import CoordinateMap, EchelonSpan, Matrix, determinant, kernel_basis, rank
+from .exact_linalg import (
+    CoordinateMap,
+    EchelonSpan,
+    Matrix,
+    determinant,
+    kernel_basis,
+    rank,
+    rank_mod_p,
+)
 from .qchar import char_verma, schur_expand
 from .scalars import (
     DEFAULT_SPECIALIZATION,
@@ -595,6 +610,17 @@ class Submodule:
         column = verma_basis(self.hw, Fraction(t, 2)).column(vec)
         return self._echelons[t].contains(over_one_den(column)[0])
 
+    def copy(self) -> "Submodule":
+        """An independent submodule with the same spans, worklist counts and
+        echelon rows.  The (ints, den) pairs are never changed, but the
+        echelon rows are rewritten in place as a span grows, so each is
+        copied."""
+        new = Submodule(self.hw, self.max_degree)
+        new._spans = {t: list(vecs) for t, vecs in self._spans.items()}
+        new._echelons = {t: span.copy() for t, span in self._echelons.items()}
+        new._processed = dict(self._processed)
+        return new
+
     def _try_add(self, ints: List[int], den: int, twice_degree: int) -> bool:
         """Add the vector ints / den at twice_degree unless it lies in the
         span; returns whether it was added."""
@@ -658,13 +684,26 @@ def subsingular_vectors(
     and the vector itself is reduced modulo S_d.  The caller puts the
     degree's singular vectors in S (as embedding_diagram does), so the new
     directions are neither in S nor singular.  Returns normalized
-    representatives of the new directions."""
+    representatives of the new directions.
+
+    S must be closed through the degree (ValueError otherwise): then S_d
+    lies in K, the kernel of m = [raising images | -(S at the targets)] on
+    its first n columns, and the new directions number dim K - dim S_d.  The
+    columns of S are independent, so dim K = m.cols - rank_Q(m), which is
+    at most m.cols - rank_mod_p(m).  When that bound is dim S_d, K = S_d and
+    no kernel is built; otherwise the kernel gives the vectors.
+    """
     basis = verma_basis(hw, degree)
+    if basis.twice_degree > submodule.max_twice:
+        raise ValueError(
+            f"the submodule is closed only through degree {submodule.max_degree}, "
+            f"not through {basis.degree}"
+        )
     n = len(basis)
-    # [raising images | -(the spans of S at the targets)]: a kernel vector
-    # is a vector whose raising images lie in S, with their coordinates in S
+    # a kernel vector of m is a vector whose raising images lie in S, with
+    # their coordinates in S
     m = _raised(hw, basis, submodule)
-    if m is None:
+    if m is None or m.cols - rank_mod_p(m) == submodule.graded_dim(degree):
         return []
     candidates = [x[:n] for x in kernel_basis(m) if any(x[:n])]
     if not candidates:
@@ -856,7 +895,13 @@ class Diagram:
 
 def embedding_diagram(p, r, max_degree, cL=None, cLa=None) -> Diagram:
     """Discover singular/subsingular vectors degree by degree and the submodule
-    containments among them, up to the truncation degree."""
+    containments among them, up to the truncation degree.
+
+    Each node gets its own closure, for the containments, and every node
+    found so far is accumulated in one submodule S that the subsingular
+    detector reads, closed through max_degree.  S starts as a copy of the
+    first node's closure, which it would otherwise repeat vector for vector.
+    """
     hw = pr_to_hw(Fraction(p), Fraction(r), cL=cL, cLa=cLa)
     accumulated = Submodule(hw, max_degree)
     nodes: List[DiagramNode] = [
@@ -865,13 +910,17 @@ def embedding_diagram(p, r, max_degree, cL=None, cLa=None) -> Diagram:
     closures: Dict[str, Submodule] = {}
 
     def record(prefix: str, kind: str, found: List[ModuleVector], d) -> None:
+        nonlocal accumulated
         for i, sv in enumerate(found):
             node_id = f"{prefix}@{d}" + (f".{i}" if len(found) > 1 else "")
             nodes.append(DiagramNode(node_id, Fraction(d), kind, sv))
             closure = Submodule(hw, max_degree)
             closure.add_generator(sv.to_dict(), d)
             closures[node_id] = closure
-            accumulated.add_generator(sv.to_dict(), d)
+            if len(closures) == 1:
+                accumulated = closure.copy()
+            else:
+                accumulated.add_generator(sv.to_dict(), d)
 
     for d in half_degrees(max_degree)[1:]:
         # the singular nodes go into accumulated first: the subsingular

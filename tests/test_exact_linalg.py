@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction as F
@@ -11,12 +12,14 @@ from shvkernel.exact_linalg import (
     determinant,
     in_span,
     _int_echelon,
+    _max_assignment,
     kernel_basis,
     rank,
+    rank_mod_p,
 )
 from shvkernel.freefield import FreeFieldRealization
 from shvkernel.scalars import ParamPolynomial
-from shvkernel.verma import verma_basis
+from shvkernel.verma import pr_to_hw, shapovalov_gram, verma_basis
 
 P = ParamPolynomial
 
@@ -373,6 +376,7 @@ def test_divexact_roundtrip(a, b):
 
 NON_RATIONAL_CALLS = {
     "rank": lambda x: rank(Matrix([[1, 0], [0, x]])),
+    "rank_mod_p": lambda x: rank_mod_p(Matrix([[1, 0], [0, x]])),
     "kernel_basis": lambda x: kernel_basis(Matrix([[1, 0], [0, x]])),
     "in_span": lambda x: in_span([1, 0], Matrix([[1, 0], [0, x]])),
     "in_span-vector": lambda x: in_span([1, x], Matrix([[1, 0], [0, 1]])),
@@ -683,3 +687,123 @@ def test_coordinate_map(kind, t, data):
         assert (empty.rows, empty.cols) == shape
         assert rank(empty) == 0
         assert len(kernel_basis(empty)) == kernel_dim
+
+
+# ---------------------------------------------------------------------------
+# the mod-P rank, a lower bound on the rank over Q
+
+MOD_P = (1 << 61) - 1
+
+
+def test_rank_mod_p_examples():
+    # a row P times another is zero mod P, and dependent over Q
+    assert rank_mod_p(Matrix([[3, 5], [3 * MOD_P, 5 * MOD_P]])) == 1
+    # determinant P: the rank drops mod P, and only the bound holds
+    for lost in (Matrix([[1, 0], [0, MOD_P]]), Matrix([[1, 1], [1, 1 + MOD_P]])):
+        assert (rank_mod_p(lost), rank(lost)) == (1, 2)
+    assert rank_mod_p(Matrix([[F(1, 2), F(1, 3)], [F(3, 2), 1]])) == 1
+    # at the third column taken the first remaining row is a head but not the
+    # sparsest one, so it changes places with the pivot row
+    moved = Matrix([
+        [-3, 0, 0, 0, 0],
+        [0, -2, 1, 1, 0],
+        [-1, 3, 0, 3, -3],
+        [-3, -3, 1, -2, 2],
+        [0, 0, -1, 1, 0],
+    ])
+    assert rank_mod_p(moved) == rank(moved) == 4
+    assert rank_mod_p(Matrix.zero(0, 3)) == rank_mod_p(Matrix.zero(3, 0)) == 0
+    assert rank_mod_p(Matrix.zero(2, 3)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(sparse_int_rows, sparse_rows(lambda rnd: F(rnd.randint(-9, 9), rnd.randint(1, 6)))),
+    st.data(),
+)
+def test_rank_mod_p_is_a_lower_bound(data, draw):
+    # some rows replaced by P times another row, or another row plus P
+    # times a third, which can lose rank mod P
+    rows = [list(row) for row in data]
+    index = st.integers(0, len(rows) - 1)
+    for kind in draw.draw(st.lists(st.sampled_from(["times P", "plus P times"]), max_size=2)):
+        i, j, k = (draw.draw(index) for _ in range(3))
+        other = [MOD_P * x for x in rows[k]]
+        rows[i] = other if kind == "times P" else [a + b for a, b in zip(rows[j], other)]
+    m = Matrix(rows)
+    assert rank_mod_p(m) <= rank(m)
+    # Hadamard: every minor of m's integer rows is below P in absolute value
+    # (a nonzero integer row has norm at least 1, and zero rows are in no
+    # nonzero minor), so a nonzero minor stays nonzero mod P
+    if math.prod(filter(None, (sum(x * x for x in row) for row in m.nums))) < MOD_P**2:
+        assert rank_mod_p(m) == rank(m)
+
+
+# ---------------------------------------------------------------------------
+# the interpolation degree bound, against the permutations themselves
+
+
+def _brute_max_assignment(weights):
+    sums = [
+        sum(weights[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(weights)))
+        if all(weights[i][j] is not None for i, j in enumerate(perm))
+    ]
+    return max(sums, default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.none(), st.integers(0, 6)), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_max_assignment_is_the_best_permutation(weights):
+    assert _max_assignment(weights) == _brute_max_assignment(weights)
+
+
+def leibniz_determinant(m):
+    """The sum over permutations of the signed products of entries."""
+    total = P()
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = P.const(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * P._coerce(m.data[i][j])
+        total = total + term
+    return total
+
+
+@st.composite
+def sparse_symbolic_matrices(draw):
+    """Small polynomial matrices, mostly zeros: often no permutation avoids
+    every zero entry, and the determinant is 0 without interpolation."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just(F(0)), st.just(F(0)), small_fractions, polys_in("p"), polys_in("cL", "p")
+    )
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if _all_constant(rows):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = P.variable("p")
+    return Matrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_symbolic_matrices())
+def test_interpolated_determinant_matches_leibniz_expansion(m):
+    assert determinant(m) == leibniz_determinant(m)
+
+
+def test_degree_bound_is_sharp_on_gram_blocks():
+    # at levels 1/2 to 5/2 the assignment bound is the true degree in p of
+    # the Gram determinant (the row and column bound gave 3, 5, 15, 31, 61)
+    hw = pr_to_hw(P.variable("p"), F(1, 3))
+    for level, degree in ((F(1, 2), 2), (1, 4), (F(3, 2), 10), (2, 22), (F(5, 2), 42)):
+        gram = shapovalov_gram(hw, level)
+        degrees = [[x.degree_in("p") if isinstance(x, P) else 0 if x else None for x in row]
+                   for row in gram.nums]
+        assert _max_assignment(degrees) == degree == determinant(gram).degree_in("p")

@@ -223,3 +223,17 @@ def test_screening_stays_on_integers():
     placement = f"{owner}.a_mode.row"
     assert scopes(freefield, "_psi_minus_letters") == {placement}
     assert placement not in scopes(freefield, "_psi_minus") | scopes(freefield, "_with_c_letters")
+
+
+def test_mod_p_rank_is_only_a_bound():
+    """rank_mod_p is a lower bound on a rank, never a result: its one caller
+    is the subsingular detector, where it can only prove that a kernel has
+    no new vector, and no report (cli, acceptance) reads it."""
+    calls = [
+        scope
+        for name in MODULES
+        for scope in call_scopes(SOURCE / name, lambda call: call_name(call) == "rank_mod_p")
+    ]
+    assert calls == ["verma.subsingular_vectors"]
+    for name in ("cli.py", "acceptance.py"):
+        assert "rank_mod_p" not in (SOURCE / name).read_text()

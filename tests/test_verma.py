@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from shvkernel.exact_linalg import EchelonSpan, Matrix
 from shvkernel.qchar import char_simple, char_verma
 from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial, over_one_den
-from shvkernel import shv_algebra
+from shvkernel import cli, exact_linalg, shv_algebra, verma
 from shvkernel.shv_algebra import A, G, L, P, _normal_form, sym_key
 from shvkernel.verma import (
     ModuleVector,
@@ -764,3 +764,124 @@ def test_symbol_map_is_the_symbol_action(p):
                     got = {target[j]: Fraction(a, smap.den) for j, a in column}
                     assert got == action.apply_symbol(sym, w)
                 assert action.symbol_map(sym, t) is smap
+
+
+# ---------------------------------------------------------------------------
+# the subsingular count and the seeded diagram submodule, against the kernel
+# detector and fresh closures
+
+
+def _kernel_subsingular(hw, degree, submodule):
+    """The kernel detector alone: every new direction of the kernel of
+    [raising images | -S] on its first columns, reduced modulo S_d."""
+    basis = verma_basis(hw, degree)
+    n = len(basis)
+    m = verma._raised(hw, basis, submodule)
+    if m is None:
+        return []
+    candidates = [x[:n] for x in exact_linalg.kernel_basis(m) if any(x[:n])]
+    span = EchelonSpan()
+    for ints, _ in submodule.integer_span(basis.twice_degree):
+        span.insert(ints)
+    return [
+        ModuleVector.from_dict(verma._normalize_leading(basis.vector(x)), degree)
+        for x in candidates
+        if span.insert(over_one_den(x)[0])
+    ]
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["count", "fallback"])
+def test_subsingular_count_matches_the_kernel_detector(monkeypatch, fallback):
+    # every call of the diagrams at p = +-1, -2, 2, 3 to degree 3 and of the
+    # subsingular command's detector at p = 1, 3, 5; a mod-P rank one lower
+    # than the true rank never proves the count, so every call falls back
+    if fallback:
+        lower = verma.rank_mod_p
+        monkeypatch.setattr(verma, "rank_mod_p", lambda m: lower(m) - 1)
+    found = []
+
+    def checked(hw, degree, submodule):
+        got = subsingular_vectors(hw, degree, submodule)
+        assert got == _kernel_subsingular(hw, degree, submodule)
+        found.append(len(got))
+        return got
+
+    monkeypatch.setattr(verma, "subsingular_vectors", checked)
+    monkeypatch.setattr(cli, "subsingular_vectors", checked)
+    for p in (1, -1, -2, 2, 3):
+        embedding_diagram(p, Fraction(1, 3), 3)
+    for p in (1, 3, 5):
+        cli._detected_subsingular(hw_for(p, Fraction(1, 3)), p)
+    assert len(found) == 33
+    assert found.count(1) == 5 and found.count(0) == 28
+
+
+def test_subsingular_needs_a_submodule_closed_through_the_degree():
+    # S = <u0> at p = 1: closed only to 1/2 or 1, S_{3/2} misses vectors
+    # whose raising images lie in S, and the kernel detector would report
+    # them as subsingular
+    hw = hw_for(1, Fraction(1, 3))
+    u0 = singular_vectors(hw, Fraction(1, 2))[0].to_dict()
+    for top, false_vectors in ((Fraction(1, 2), 1), (Fraction(1), 2), (Fraction(3, 2), 0)):
+        s = Submodule(hw, top)
+        s.add_generator(u0, Fraction(1, 2))
+        assert len(_kernel_subsingular(hw, Fraction(3, 2), s)) == false_vectors
+        if false_vectors:
+            with pytest.raises(ValueError, match="closed only through degree"):
+                subsingular_vectors(hw, Fraction(3, 2), s)
+        else:
+            assert subsingular_vectors(hw, Fraction(3, 2), s) == []
+
+
+def test_diagram_work_counters(monkeypatch):
+    # at p = -1 to degree 4 no degree has a subsingular vector, so the count
+    # replaces each of the eight subsingular kernels; the accumulated
+    # submodule starts from the first node's 113 closed vectors instead of
+    # closing them again (381 before)
+    kernels, processed = [0], [0]
+    kernel_basis, close = verma.kernel_basis, Submodule._close
+
+    def counted_kernel(m):
+        kernels[0] += 1
+        return kernel_basis(m)
+
+    def counted_close(self):
+        before = sum(self._processed.values())
+        close(self)
+        processed[0] += sum(self._processed.values()) - before
+
+    monkeypatch.setattr(verma, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(Submodule, "_close", counted_close)
+    d = embedding_diagram(-1, Fraction(1, 3), 4)
+    assert d.pattern == "singular-chain"
+    assert (kernels[0], processed[0]) == (8, 268)
+
+
+def test_seeded_submodule_shares_no_rows(monkeypatch):
+    # at p = 1 the accumulated submodule is a copy of sing@1/2's closure when
+    # sub@1 joins it; the closure itself must stay that of sing@1/2 alone
+    made = []
+
+    class Recorded(Submodule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verma, "Submodule", Recorded)
+    max_degree = Fraction(2)
+    d = embedding_diagram(1, Fraction(1, 3), max_degree)
+    first = d.nodes[1]
+    assert (first.node_id, d.nodes[2].node_id) == ("sing@1/2", "sub@1")
+    # made: the empty start, sing@1/2's closure, its copy, sub@1's closure
+    start, closure, accumulated = made[:3]
+    assert not start.integer_span(1) and accumulated.contains(d.nodes[2].vector.to_dict(), 1)
+    fresh = Submodule(closure.hw, max_degree)
+    fresh.add_generator(first.vector.to_dict(), first.degree)
+    dims = [fresh.graded_dim(Fraction(t, 2)) for t in range(5)]
+    assert [closure.graded_dim(Fraction(t, 2)) for t in range(5)] == dims
+    assert [accumulated.graded_dim(Fraction(t, 2)) for t in range(5)] != dims
+    assert _spans(closure) == _spans(fresh)
+    assert {t: e.rows for t, e in closure._echelons.items()} == {
+        t: e.rows for t, e in fresh._echelons.items()
+    }
+    assert not closure.contains(d.nodes[2].vector.to_dict(), 1)
