@@ -41,14 +41,18 @@ from .verma import (
     act,
     det_vanishing_check,
     embedding_diagram,
+    kernel_subsingular_vectors,
     pr_to_hw,
     raising_symbols,
     simple_graded_dim,
     singular_vector_from_phi,
     singular_vectors,
-    subsingular_vectors,
     verma_basis,
 )
+
+# Unused here: perfbench/tracing.py wraps subsingular_vectors in this module
+# by name, so the import stays.
+from .verma import subsingular_vectors  # noqa: F401
 
 _HALF = Fraction(1, 2)
 
@@ -456,12 +460,14 @@ def _detected_subsingular(hw, p: int) -> list:
     """Vectors of degree p singular modulo the submodule that the singular
     vectors of degree p/2 generate, found by the kernel detector.  The
     singular vectors of degree p go into the base too, so that none of them
-    is reported."""
+    is reported.  Every label this runs at has such a vector, so the mod-P
+    count of subsingular_vectors could never prove there is none: the
+    kernel is built straight away."""
     base = Submodule(hw, Fraction(p))
     for degree in (Fraction(p, 2), Fraction(p)):
         for vec in singular_vectors(hw, degree):
             base.add_generator(vec.to_dict(), degree)
-    return subsingular_vectors(hw, Fraction(p), base)
+    return kernel_subsingular_vectors(hw, Fraction(p), base)
 
 
 def cmd_subsingular(cfg: RunConfig) -> List[dict]:

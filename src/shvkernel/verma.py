@@ -15,14 +15,19 @@ exact linear algebra over these coordinates.
 
 A generator acts on a basis word inside the module, by recursion on the
 word's first letter (``VermaAction.apply_symbol``); no word is normal-ordered
-in the enveloping algebra.  Each bracket the recursion meets is read from a
-table the action keeps, one tuple of (symbol, coefficient) pairs per pair of
-symbols.
+in the enveloping algebra.  The recursion runs on basis positions: a word is
+twice its degree and its index in that piece, the first letter and the index
+of the rest of the word come from the piece's ``heads`` table, and each
+result is one integer column, (den, ((target index, int), ...)) reduced by
+its gcd.  Each bracket the recursion meets is read from a table the action
+keeps, as (symbol, numerator, denominator) triples per pair of symbols.  The
+callers that hold words (``act``, ``apply_word``, ``apply_element``) turn
+them into positions at that boundary.
 
 The Gram blocks, the closure and the detectors read the action as integer
 matrices.  ``VermaAction.symbol_map(sym, twice)`` is sym on the
-degree-twice/2 piece: for each basis word, (target index, int) pairs over one
-positive denominator, built once from the cached ``apply_symbol``.
+degree-twice/2 piece: apply_symbol's column of each basis word, scaled to one
+positive denominator (the lcm of the columns'), built once.
 
 The Gram block at degree d is assembled from the blocks below it and kept as
 an ``exact_linalg.Matrix``: integer rows, each over one positive denominator
@@ -43,6 +48,9 @@ kernel: the kernel holds the submodule's piece S_d, and columns minus a
 rank mod a prime (``exact_linalg.rank_mod_p``, a lower bound on the rank)
 bounds its dimension from above, so a bound equal to dim S_d proves the
 kernel is S_d.  The count needs the submodule closed through the degree.
+Where a vector is sure to exist (the subsingular command's detector), the
+count could only fail, and ``kernel_subsingular_vectors`` goes straight to
+the kernel.
 ``embedding_diagram`` starts its accumulated submodule as a copy of the
 first node's closure rather than closing it a second time.
 
@@ -93,11 +101,11 @@ from .shv_algebra import (
     SuperPartition,
     Word,
     _CENTRAL_KINDS,
+    _ODD_KINDS,
     doubled,
     graded_tuples,
     half_degrees,
     pair_sort_key,
-    parity,
     super_bracket,
     sym_key,
     symbols_at,
@@ -136,13 +144,18 @@ def pr_to_hw(p, r, cL=None, cLa=None) -> HighestWeightData:
 
 class GradedBasis(CoordinateMap):
     """PBW basis words of one graded component, in a fixed deterministic
-    order, and the coordinate map they define."""
+    order, and the coordinate map they define.  heads[i] is the first letter
+    of word i and the index of the rest of the word in its own piece (empty
+    at degree 0), the table the action's recursion reads."""
 
-    __slots__ = ("twice_degree",)
+    __slots__ = ("twice_degree", "heads")
 
     def __init__(self, twice_degree: int, words: Tuple[Word, ...]):
         super().__init__(words)
         self.twice_degree = twice_degree
+        self.heads = tuple(
+            (w[0], _piece(twice_degree + w[0].mode.twice_value).index[w[1:]]) for w in words if w
+        )
 
     @property
     def words(self) -> Tuple[Word, ...]:
@@ -251,133 +264,179 @@ class SymbolMap(NamedTuple):
     """One generator on one graded piece: basis word i goes to
     sum_j a_j / den * (target word j) over the pairs (j, a_j) of columns[i],
     with den > 0 and every a_j a nonzero int; rows is the size of the
-    target piece.  For a symbolic label (weights polynomial in p) the a_j are
-    the nonzero coefficients of apply_symbol as they are, Fractions and
-    ParamPolynomials, over den 1, so a sum of a_j times entries runs
-    unchanged on either kind of label."""
+    target piece.  Each column is apply_symbol's, scaled to the one den.
+    For a symbolic label (weights polynomial in p) the a_j are apply_symbol's
+    entries divided by its den, Fractions and ParamPolynomials, over den 1,
+    so a sum of a_j times entries runs unchanged on either kind of label."""
 
     den: int
     rows: int
-    columns: List[List[Tuple[int, int]]]
+    columns: List[Sequence[Tuple[int, object]]]
+
+
+#: the zero Column (a vector as VermaAction.apply_symbol returns it)
+_ZERO = (1, ())
+
+
+def _pair(c):
+    """A scalar as (numerator, positive denominator); a polynomial over 1."""
+    return (c, 1) if isinstance(c, ParamPolynomial) else c.as_integer_ratio()
+
+
+def _rational(den, column):
+    """A Column's entries divided by its den: a Fraction for an int
+    numerator, a ParamPolynomial for a polynomial one."""
+    return [(j, a * Fraction(1, den)) for j, a in column]
+
+
+def _combined(terms):
+    """The Column sum of n / d times column over the (n, d, column) terms,
+    over the lcm of the products of denominators, reduced by the gcd of the
+    den and the int numerators (a polynomial one is divided by it in Q).
+    An empty column adds nothing, and one column with n = d = 1 is itself
+    (n the int 1: a polynomial n makes the entries polynomials)."""
+    den, live = 1, []
+    for term in terms:
+        if term[2][1]:
+            live.append(term)
+            den = math.lcm(den, term[1] * term[2][0])
+    if not live:
+        return _ZERO
+    if len(live) == 1 and type(live[0][0]) is int and live[0][0] == live[0][1] == 1:
+        return live[0][2]
+    acc = {}
+    for n, d, (cd, column) in live:
+        add_scaled(acc, column, n * (den // (d * cd)))
+    g = math.gcd(den, *[a for a in acc.values() if type(a) is int])
+    if g == 1:
+        return den, tuple(acc.items())
+    return den // g, tuple([(j, a // g if type(a) is int else a * Fraction(1, g)) for j, a in acc.items()])
+
+
+class _Brackets(dict):
+    """The bracket term of x * y by the pair (x, y): [x, y], or [x, x]_+ / 2
+    for x = y (odd; x * x = 0 for an even lowering x is never asked), as
+    (symbol, numerator, denominator) triples, each built on first read."""
+
+    def __missing__(self, pair):
+        half = Fraction(1, 2) if pair[0] == pair[1] else 1
+        self[pair] = tuple((b, *_pair(half * bc)) for (b,), bc in super_bracket(*pair).terms.items())
+        return self[pair]
 
 
 class VermaAction:
     """The action of single generators on the PBW basis of the module of hw.
 
-    ``apply_symbol(sym, word)`` is sym applied to word * v, computed inside
-    the module by recursion on the first letter of the canonical lowering
-    word = s1 * rest:
+    ``apply_symbol(sym, twice, i)`` is sym applied to w * v, for w the word
+    at index i of the piece at degree twice/2, computed inside the module by
+    recursion on the first letter of the canonical lowering word w = s1 * rest:
 
         sym * s1 * rest = (-1)^{|sym||s1|} s1 * (sym * rest) + [sym, s1] * rest
 
-    unless sym * word is already canonical (sym sorts before s1, or equals an
+    unless sym * w is already canonical (sym sorts before s1, or equals an
     even s1) or sym = s1 is odd (then sym * sym = [sym, sym]_+ / 2).  On the
     highest weight vector a lowering symbol gives its one-letter word, a
     raising symbol gives zero and a Cartan or central symbol its eigenvalue;
-    a central symbol scales any word.  Every result is memoized per (symbol,
-    word), so each suffix is worked out once, whatever precedes it, and each
-    bracket [sym, s1] is built once per pair, as a tuple of (symbol,
-    coefficient) pairs.  Those applications dominate every downstream
-    computation (Gram matrices, closures, kernels).
+    a central symbol scales any word.  The recursion reads s1 and the index
+    of rest from the piece's ``heads`` table, and each bracket [sym, s1]
+    from a table built once per pair, as (symbol, numerator, denominator)
+    triples; only a canonical product looks a word up.
+
+    Every result is a Column over the target piece: (den, ((j, a_j), ...)),
+    the vector sum_j a_j / den * (word j), with den > 0 and each a_j a
+    nonzero int, reduced by the gcd of den and the a_j.  It is memoized per
+    (symbol, twice the degree, index), so each suffix is worked out once,
+    whatever precedes it.  On a symbolic label a numerator that involves a
+    weight is a ParamPolynomial (the gcd is that of the int ones).  Those
+    applications dominate every downstream computation (Gram matrices,
+    closures, kernels).
     """
 
     def __init__(self, hw: HighestWeightData):
         self.hw = hw
-        self._subs = {
-            "L": hw.h,
-            "A": hw.hA,
-            "CL": hw.cL,
-            "CA": hw.cA,
-            "CLA": hw.cLa,
-        }
-        self._symbolic = any(isinstance(c, ParamPolynomial) for c in self._subs.values())
-        self._sym_cache: Dict[Tuple[GeneratorSymbol, Word], Dict[Word, object]] = {}
-        self._brackets: Dict[Tuple[GeneratorSymbol, GeneratorSymbol], Tuple] = {}
+        weights = (hw.h, hw.hA, hw.cL, hw.cA, hw.cLa)
+        self._subs = {kind: _pair(c) for kind, c in zip(("L", "A", "CL", "CA", "CLA"), weights)}
+        self._symbolic = any(isinstance(c, ParamPolynomial) for c in weights)
+        # (symbol, twice the degree, index) -> Column
+        self._sym_cache: Dict[tuple, tuple] = {}
+        self._brackets = _Brackets()
         self._gram_cache: Dict[int, Matrix] = {}
         self._maps: Dict[Tuple[GeneratorSymbol, int], SymbolMap] = {}
 
-    def _scalar(self, kind: str, word: Word) -> Dict[Word, object]:
-        c = self._subs[kind]
-        return {word: c} if c else {}
-
-    def _bracket(self, x: GeneratorSymbol, y: GeneratorSymbol) -> Tuple:
-        """[x, y] as a tuple of (symbol, coefficient) pairs, built once."""
-        key = (x, y)
-        hit = self._brackets.get(key)
-        if hit is None:
-            hit = self._brackets[key] = tuple(
-                (b, bc) for (b,), bc in super_bracket(x, y).terms.items()
-            )
-        return hit
-
-    def apply_symbol(self, sym: GeneratorSymbol, word: Word) -> Dict[Word, object]:
-        """sym * word * v as {canonical lowering word: coefficient}."""
-        key = (sym, word)
+    def apply_symbol(self, sym, twice, i):
+        """sym * w * v for w the word at index i of the piece at degree
+        twice/2, as a Column over the piece at twice - 2 * mode(sym)."""
+        tw = sym.mode.twice_value
+        if tw > twice:
+            return _ZERO  # below degree 0
+        key = (sym, twice, i)
         hit = self._sym_cache.get(key)
         if hit is not None:
             return hit
-        if sym.kind in _CENTRAL_KINDS:
-            out = self._scalar(sym.kind, word)
-        elif not word:
-            block = sym_key(sym)[0]
-            if block == 0:
-                out = {(sym,): Fraction(1)}
-            elif block == 2:
-                out = {}
-            else:
-                out = self._scalar(sym.kind, ())
+        if sym.kind in _CENTRAL_KINDS or not (twice or tw):
+            # a central symbol scales any word, L(0) and A(0) scale v
+            num, den = self._subs[sym.kind]
+            out = (den, ((i, num),)) if num else _ZERO
+        elif not twice:
+            # a raising symbol kills v, a lowering one gives its word
+            out = _ZERO if tw > 0 else (1, ((_piece(-tw).index[(sym,)], 1),))
         else:
-            s1, rest = word[0], word[1:]
-            odd = parity(sym)
-            if sym_key(sym) < sym_key(s1) or (sym == s1 and not odd):
-                out = {(sym,) + word: Fraction(1)}
-            elif sym == s1:
-                out = {}
-                for b, bc in self._bracket(sym, sym):
-                    add_scaled(out, self.apply_symbol(b, rest).items(), Fraction(1, 2) * bc)
+            basis = _BASIS_CACHE[twice]
+            s1, k = basis.heads[i]
+            rest = twice + s1.mode.twice_value
+            odd = sym.kind in _ODD_KINDS
+            # s1 is a lowering letter, so only a lowering sym can sort before it
+            if tw < 0 and (sym_key(sym) < sym_key(s1) or (sym == s1 and not odd)):
+                out = (1, ((_piece(twice - tw).index[(sym,) + basis.words[i]], 1),))
             else:
-                out = {}
-                sign = -1 if (odd and parity(s1)) else 1
-                for u, c in self.apply_symbol(sym, rest).items():
-                    add_scaled(out, self.apply_symbol(s1, u).items(), sign * c)
-                for b, bc in self._bracket(sym, s1):
-                    add_scaled(out, self.apply_symbol(b, rest).items(), bc)
+                # plain loops: at a column's usual 0 to 2 entries a
+                # comprehension costs more than its work
+                terms = []
+                if sym != s1:
+                    den, column = self.apply_symbol(sym, rest, k)
+                    sign = -1 if odd and s1.kind in _ODD_KINDS else 1
+                    for u, c in column:
+                        terms.append((sign * c, den, self.apply_symbol(s1, rest - tw, u)))
+                for b, bn, bd in self._brackets[sym, s1]:
+                    terms.append((bn, bd, self.apply_symbol(b, rest, k)))
+                out = _combined(terms) if terms else _ZERO
         self._sym_cache[key] = out
         return out
 
     def symbol_map(self, sym: GeneratorSymbol, twice: int) -> SymbolMap:
         """sym on the PBW piece of degree twice/2 as a sparse integer matrix
-        (for a symbolic label, its coefficients over den 1), built once per
-        (sym, twice) from the cached apply_symbol; the target degree must be
-        >= 0."""
+        (for a symbolic label, its coefficients over den 1): apply_symbol's
+        columns scaled to the lcm of their dens, built once per (sym, twice);
+        the target degree must be >= 0."""
         key = (sym, twice)
         hit = self._maps.get(key)
         if hit is not None:
             return hit
-        target = _piece(twice - sym.mode.twice_value).index
-        images = [self.apply_symbol(sym, w) for w in _piece(twice).words]
+        images = [self.apply_symbol(sym, twice, i) for i in range(len(_piece(twice)))]
         if self._symbolic:
-            den = 1
-            columns = [[(target[u], c) for u, c in image.items()] for image in images]
+            den, columns = 1, [_rational(*image) for image in images]
         else:
-            ints, den = over_one_den([c for image in images for c in image.values()])
-            it = iter(ints)
-            columns = [[(target[u], next(it)) for u in image] for image in images]
-        out = self._maps[key] = SymbolMap(den, len(target), columns)
+            den = math.lcm(*[d for d, _ in images])
+            columns = [c if d == den else [(j, a * (den // d)) for j, a in c] for d, c in images]
+        out = self._maps[key] = SymbolMap(den, len(_piece(twice - sym.mode.twice_value)), columns)
         return out
 
-    def apply_word(self, opword: Sequence[GeneratorSymbol], vec: Dict[Word, object]):
+    def apply_word(self, opword, vec):
+        """opword * vec for vec a dict {basis word: coefficient}: each word
+        goes to apply_symbol by its position, and each result back to words."""
         for sym in reversed(tuple(opword)):
-            new: Dict[Word, object] = {}
+            new = {}
             for w, c in vec.items():
-                add_scaled(new, self.apply_symbol(sym, w).items(), c)
+                t = doubled(word_weight(w))
+                den, column = self.apply_symbol(sym, t, _piece(t).index[w])
+                if column:
+                    words = _piece(t - sym.mode.twice_value).words
+                    add_scaled(new, [(words[j], a) for j, a in _rational(den, column)], c)
             vec = new
-            if not vec:
-                break
         return vec
 
-    def apply_element(self, x: Element, vec: Dict[Word, object]):
-        out: Dict[Word, object] = {}
+    def apply_element(self, x: Element, vec):
+        out = {}
         for opword, coeff in x.terms.items():
             add_scaled(out, self.apply_word(opword, vec).items(), coeff)
         return out
@@ -407,8 +466,7 @@ def act(x, v: ModuleVector, hw: HighestWeightData) -> ModuleVector:
     if len(weights) > 1:
         raise ValueError("element is not weight-homogeneous; no single target degree")
     shift = weights.pop() if weights else Fraction(0)
-    action = get_action(hw)
-    out = action.apply_element(x, v.to_dict())
+    out = get_action(hw).apply_element(x, v.to_dict())
     target = Fraction(v.degree) + shift
     if target < 0:
         # raising past the top: the image is zero, reported at degree 0
@@ -459,19 +517,15 @@ def _gram(action: VermaAction, twice_degree: int) -> Matrix:
         block = action._gram_cache[0] = Matrix([[1]])  # <v, v> = 1
         return block
     basis = _piece(twice_degree)
-    by_first: Dict[GeneratorSymbol, List[int]] = {}
-    for i, w in enumerate(basis.words):
-        by_first.setdefault(w[0], []).append(i)
-    nums: List[Optional[list]] = [None] * len(basis)
-    dens: List[int] = [1] * len(basis)
+    by_first = {}  # first letter -> (index, index of the rest) per word
+    for i, (x, k) in enumerate(basis.heads):
+        by_first.setdefault(x, []).append((i, k))
+    nums, dens = [None] * len(basis), [1] * len(basis)
     for x, members in by_first.items():
-        lower_twice = twice_degree + x.mode.twice_value
-        lower = _gram(action, lower_twice)
-        lower_index = _piece(lower_twice).index
+        lower = _gram(action, twice_degree + x.mode.twice_value)
         theta, sign = _THETA[x.kind](x.mode.twice_value)
         smap = action.symbol_map(theta, twice_degree)
-        for i in members:
-            k = lower_index[basis.words[i][1:]]
+        for i, k in members:
             lower_row = lower.nums[k]
             row = []
             for column in smap.columns:
@@ -514,7 +568,7 @@ def _normalize_leading(vec: Dict[Word, object]) -> Dict[Word, object]:
     return {w: v * inv for w, v in vec.items()}
 
 
-def _raised(hw: HighestWeightData, basis: GradedBasis, submodule: Optional[Submodule] = None):
+def _raised(hw, basis, submodule=None):
     """The raising symbols of the basis degree stacked into one integer
     matrix, one column per basis word, or None at degree 0 (no symbol).
 
@@ -555,13 +609,8 @@ def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
     """Basis of the space of degree-d vectors killed by every raising generator,
     each normalized so its leading basis word has coefficient 1."""
     basis = verma_basis(hw, degree)
-    m = _raised(hw, basis)
-    if m is None:
-        return []
-    return [
-        ModuleVector.from_dict(_normalize_leading(basis.vector(k)), degree)
-        for k in kernel_basis(m)
-    ]
+    # the new directions modulo no submodule: the whole kernel
+    return _new_directions(basis, _raised(hw, basis), None)
 
 
 class Submodule:
@@ -607,7 +656,7 @@ class Submodule:
         t = doubled(degree)
         if t not in self._echelons:
             return False
-        column = verma_basis(self.hw, Fraction(t, 2)).column(vec)
+        column = _piece(t).column(vec)
         return self._echelons[t].contains(over_one_den(column)[0])
 
     def copy(self) -> "Submodule":
@@ -693,28 +742,47 @@ def subsingular_vectors(
     at most m.cols - rank_mod_p(m).  When that bound is dim S_d, K = S_d and
     no kernel is built; otherwise the kernel gives the vectors.
     """
+    basis, m = _modulo(hw, degree, submodule)
+    if m is not None and m.cols - rank_mod_p(m) == submodule.graded_dim(degree):
+        return []
+    return _new_directions(basis, m, submodule)
+
+
+def kernel_subsingular_vectors(hw, degree, submodule):
+    """subsingular_vectors without the count, straight from the kernel: for
+    a caller that expects a new direction, where the count could never
+    prove there is none.  S must be closed through the degree."""
+    return _new_directions(*_modulo(hw, degree, submodule), submodule)
+
+
+def _modulo(hw, degree, submodule):
+    """The basis at the degree and the raising matrix modulo S of _raised,
+    for an S closed through the degree (ValueError otherwise)."""
     basis = verma_basis(hw, degree)
     if basis.twice_degree > submodule.max_twice:
         raise ValueError(
             f"the submodule is closed only through degree {submodule.max_degree}, "
             f"not through {basis.degree}"
         )
-    n = len(basis)
-    # a kernel vector of m is a vector whose raising images lie in S, with
-    # their coordinates in S
-    m = _raised(hw, basis, submodule)
-    if m is None or m.cols - rank_mod_p(m) == submodule.graded_dim(degree):
-        return []
-    candidates = [x[:n] for x in kernel_basis(m) if any(x[:n])]
-    if not candidates:
+    return basis, _raised(hw, basis, submodule)
+
+
+def _new_directions(basis, m, submodule):
+    """The kernel vectors of m, cut to the basis's n columns, that are new
+    modulo S_d for S the submodule (none for None), each normalized; none
+    when m is None (degree 0)."""
+    if m is None:
         return []
     span = EchelonSpan()
-    for ints, _ in submodule.integer_span(basis.twice_degree):
+    for ints, _ in submodule.integer_span(basis.twice_degree) if submodule else []:
         span.insert(ints)
+    # a kernel vector of m is a vector whose raising images lie in S, with
+    # their coordinates in S; its first n entries are the vector (a zero
+    # one is in the span, and basis.vector reads only those)
     return [
-        ModuleVector.from_dict(_normalize_leading(basis.vector(x)), degree)
-        for x in candidates
-        if span.insert(over_one_den(x)[0])
+        ModuleVector.from_dict(_normalize_leading(basis.vector(x)), basis.degree)
+        for x in kernel_basis(m)
+        if span.insert(over_one_den(x[: len(basis)])[0])
     ]
 
 

@@ -173,7 +173,8 @@ def test_gram_stays_on_integers():
     Fraction and no per-word apply_symbol in _gram.  shapovalov_gram hands
     out the cached block, and rank reads its integer rows, so no Fraction is
     built between the two.  The action reads each bracket from its own
-    table, so apply_symbol never rebuilds one."""
+    table, so apply_symbol never rebuilds one, and symbol_map rescales
+    integer columns: no Fraction, no over_one_den."""
     verma = SOURCE / "verma.py"
 
     def scopes(name, path=verma):
@@ -189,6 +190,9 @@ def test_gram_stays_on_integers():
     }
     assert not rank_path & scopes("Fraction", SOURCE / "exact_linalg.py")
     assert "verma.VermaAction.apply_symbol" not in scopes("super_bracket")
+    # the maps scale apply_symbol's integer columns to one denominator
+    for name in ("over_one_den", "Fraction"):
+        assert "verma.VermaAction.symbol_map" not in scopes(name)
 
 
 def test_screening_stays_on_integers():

@@ -5,6 +5,9 @@ The small Gram matrices used as oracles here were computed by hand from the
 bracket table; the helper comments show the arithmetic.
 """
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from shvkernel.exact_linalg import EchelonSpan, Matrix
 from shvkernel.qchar import char_simple, char_verma
-from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial, over_one_den
+from shvkernel.scalars import DEFAULT_SPECIALIZATION, ParamPolynomial, add_scaled, over_one_den
 from shvkernel import cli, exact_linalg, shv_algebra, verma
 from shvkernel.shv_algebra import A, G, L, P, _normal_form, sym_key
 from shvkernel.verma import (
@@ -502,6 +505,65 @@ def _oracle_gram(hw, degree):
     return rows
 
 
+class _WordAction:
+    """The action as a recursion on basis words with Fraction coefficients
+    (rational and polynomial on a symbolic label), memoized per (symbol,
+    word), and its symbol maps: the same recursion and the same maps as
+    VermaAction, in {word: coefficient} dicts rather than integer columns
+    over basis positions.  It has a _gram_cache, so _gram runs on it."""
+
+    def __init__(self, hw):
+        self.hw = hw
+        self._subs = {"L": hw.h, "A": hw.hA, "CL": hw.cL, "CA": hw.cA, "CLA": hw.cLa}
+        self._symbolic = any(isinstance(c, ParamPolynomial) for c in self._subs.values())
+        self._cache = {}
+        self._gram_cache = {}
+
+    def _scalar(self, kind, word):
+        c = self._subs[kind]
+        return {word: c} if c else {}
+
+    def apply_symbol(self, sym, word):
+        key = (sym, word)
+        if key in self._cache:
+            return self._cache[key]
+        if sym.kind in shv_algebra._CENTRAL_KINDS:
+            out = self._scalar(sym.kind, word)
+        elif not word:
+            block = sym_key(sym)[0]
+            out = {(sym,): Fraction(1)} if block == 0 else {} if block == 2 else self._scalar(sym.kind, ())
+        else:
+            s1, rest = word[0], word[1:]
+            odd = shv_algebra.parity(sym)
+            if sym_key(sym) < sym_key(s1) or (sym == s1 and not odd):
+                out = {(sym,) + word: Fraction(1)}
+            elif sym == s1:
+                out = {}
+                for (b,), bc in shv_algebra.super_bracket(sym, sym).terms.items():
+                    add_scaled(out, self.apply_symbol(b, rest).items(), Fraction(1, 2) * bc)
+            else:
+                out = {}
+                sign = -1 if (odd and shv_algebra.parity(s1)) else 1
+                for u, c in self.apply_symbol(sym, rest).items():
+                    add_scaled(out, self.apply_symbol(s1, u).items(), sign * c)
+                for (b,), bc in shv_algebra.super_bracket(sym, s1).terms.items():
+                    add_scaled(out, self.apply_symbol(b, rest).items(), bc)
+        self._cache[key] = out
+        return out
+
+    def symbol_map(self, sym, twice):
+        target = verma_basis(None, Fraction(twice - sym.mode.twice_value, 2)).index
+        images = [self.apply_symbol(sym, w) for w in verma_basis(None, Fraction(twice, 2)).words]
+        if self._symbolic:
+            den = 1
+            columns = [[(target[u], c) for u, c in image.items()] for image in images]
+        else:
+            ints, den = over_one_den([c for image in images for c in image.values()])
+            it = iter(ints)
+            columns = [[(target[u], next(it)) for u in image] for image in images]
+        return verma.SymbolMap(den, len(target), columns)
+
+
 _ORACLE_WEIGHTS = {
     "p=1": pr_to_hw(Fraction(1), Fraction(1, 3)),
     "p=-2": pr_to_hw(Fraction(-2), Fraction(3, 4)),
@@ -527,8 +589,9 @@ def _typed(vec):
     st.sampled_from(_ORACLE_WORDS),
 )
 def test_apply_symbol_matches_normal_form_oracle(hw, sym, word):
-    # a fresh action, so the recursion runs rather than a cache lookup
-    got = VermaAction(hw).apply_symbol(sym, word)
+    # a fresh action, so the recursion runs rather than a cache lookup; the
+    # word-form boundary turns the integer column back into coefficients
+    got = VermaAction(hw).apply_word((sym,), {word: Fraction(1)})
     assert _typed(got) == _typed(_oracle_apply_symbol(hw, sym, word))
 
 
@@ -565,10 +628,10 @@ def test_gram_blocks_are_reduced_integer_rows(label):
 
 
 def test_symbol_map_keeps_symbolic_coefficients():
-    # on a label symbolic in p, each column of a map is apply_symbol on that
-    # basis word with its coefficients as they are, types included, over den 1
+    # on a label symbolic in p, each column of a map is the word recursion's
+    # image of that basis word, types included, over den 1
     hw = _ORACLE_WEIGHTS["p symbolic"]
-    action = VermaAction(hw)
+    action, oracle = VermaAction(hw), _WordAction(hw)
     polynomial = 0
     for t in range(5):
         words = verma_basis(hw, Fraction(t, 2)).words
@@ -582,9 +645,60 @@ def test_symbol_map_keeps_symbolic_coefficients():
                 assert smap.den == 1 and smap.rows == len(target)
                 for w, column in zip(words, smap.columns):
                     got = {target[j]: a for j, a in column}
-                    assert _typed(got) == _typed(action.apply_symbol(sym, w))
+                    assert _typed(got) == _typed(oracle.apply_symbol(sym, w))
                     polynomial += sum(isinstance(a, ParamPolynomial) for _, a in column)
     assert polynomial
+
+
+_MAP_LABELS = {
+    "(1, 1/3)": hw_for(1, Fraction(1, 3)),
+    "(3, 2/3)": hw_for(3, Fraction(2, 3)),
+    "(-1, 1/3)": hw_for(-1, Fraction(1, 3)),
+    "(1/2, 1/3)": hw_for(Fraction(1, 2), Fraction(1, 3)),
+    "p symbolic": _ORACLE_WEIGHTS["p symbolic"],
+}
+
+
+@pytest.mark.parametrize("label", list(_MAP_LABELS))
+def test_symbol_maps_match_the_word_recursion(label):
+    # every map at degrees <= 4 (every symbol whose target degree is >= 0)
+    # has the word recursion's den and columns, entries, order and types
+    hw = _MAP_LABELS[label]
+    action, oracle = VermaAction(hw), _WordAction(hw)
+    for t in range(9):
+        for tm in range(-8, t + 1):
+            for sym in shv_algebra.symbols_at(tm):
+                got, want = action.symbol_map(sym, t), oracle.symbol_map(sym, t)
+                assert (got.den, got.rows) == (want.den, want.rows)
+                assert [[(j, type(a), a) for j, a in c] for c in got.columns] == [
+                    [(j, type(a), a) for j, a in c] for c in want.columns
+                ]
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_gram_blocks_match_the_word_recursion(p):
+    # the blocks to degree 5, assembled from either action's maps
+    hw = hw_for(p, Fraction(1, 3))
+    action, oracle = VermaAction(hw), _WordAction(hw)
+    for t in range(11):
+        got, want = _gram(action, t), _gram(oracle, t)
+        assert (got.nums, got.dens) == (want.nums, want.dens)
+
+
+def test_apply_symbol_columns_are_reduced():
+    # every memoized result is a Column: den > 0 prime to its int numerators,
+    # each index inside the target piece (none below degree 0), each
+    # numerator nonzero
+    hw = hw_for(1, Fraction(1, 3))
+    action = VermaAction(hw)
+    _gram(action, 8)
+    assert action._sym_cache
+    for (sym, t, i), (den, column) in action._sym_cache.items():
+        assert i < len(verma_basis(hw, Fraction(t, 2)))
+        t2 = t - sym.mode.twice_value
+        rows = len(verma_basis(hw, Fraction(t2, 2))) if t2 >= 0 else 0
+        assert type(den) is int and den > 0 and math.gcd(den, *(a for _, a in column)) == 1
+        assert all(type(a) is int and a and 0 <= j < rows for j, a in column)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +858,11 @@ def test_worklist_closure_matches_full_sweep(p, r, max_degree):
 
 @pytest.mark.parametrize("p", [-1, 1])
 def test_symbol_map_is_the_symbol_action(p):
-    # each column of a symbol map, over its denominator, is apply_symbol on
-    # that basis word, for every symbol of the closure window at degrees 0..3
+    # each column of a symbol map, over its denominator, is the word
+    # recursion's image of that basis word, for every symbol of the closure
+    # window at degrees 0..3
     hw = hw_for(p, Fraction(1, 3))
-    action = VermaAction(hw)
+    action, oracle = VermaAction(hw), _WordAction(hw)
     for t in range(7):
         words = verma_basis(hw, Fraction(t, 2)).words
         for tm in range(1, 7):
@@ -762,7 +877,7 @@ def test_symbol_map_is_the_symbol_action(p):
                 for w, column in zip(words, smap.columns):
                     assert all(type(a) is int and a for _, a in column)
                     got = {target[j]: Fraction(a, smap.den) for j, a in column}
-                    assert got == action.apply_symbol(sym, w)
+                    assert got == oracle.apply_symbol(sym, w)
                 assert action.symbol_map(sym, t) is smap
 
 
@@ -792,9 +907,9 @@ def _kernel_subsingular(hw, degree, submodule):
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["count", "fallback"])
 def test_subsingular_count_matches_the_kernel_detector(monkeypatch, fallback):
-    # every call of the diagrams at p = +-1, -2, 2, 3 to degree 3 and of the
-    # subsingular command's detector at p = 1, 3, 5; a mod-P rank one lower
-    # than the true rank never proves the count, so every call falls back
+    # every call of the diagrams at p = +-1, -2, 2, 3 to degree 3; a mod-P
+    # rank one lower than the true rank never proves the count, so every
+    # call falls back
     if fallback:
         lower = verma.rank_mod_p
         monkeypatch.setattr(verma, "rank_mod_p", lambda m: lower(m) - 1)
@@ -807,13 +922,40 @@ def test_subsingular_count_matches_the_kernel_detector(monkeypatch, fallback):
         return got
 
     monkeypatch.setattr(verma, "subsingular_vectors", checked)
-    monkeypatch.setattr(cli, "subsingular_vectors", checked)
     for p in (1, -1, -2, 2, 3):
         embedding_diagram(p, Fraction(1, 3), 3)
-    for p in (1, 3, 5):
-        cli._detected_subsingular(hw_for(p, Fraction(1, 3)), p)
-    assert len(found) == 33
-    assert found.count(1) == 5 and found.count(0) == 28
+    assert len(found) == 30
+    assert found.count(1) == 2 and found.count(0) == 28
+
+
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_subsingular_command_takes_no_mod_p_rank(monkeypatch, p):
+    # the subsingular command finds a vector at every label it runs at, where
+    # the count can never prove there is none: it goes straight to the
+    # kernel, and its vector is the counted detector's and the kernel's
+    ranks, seen = [], []
+    lower = verma.rank_mod_p
+    monkeypatch.setattr(verma, "rank_mod_p", lambda m: ranks.append(m) or lower(m))
+    kernel_half = verma.kernel_subsingular_vectors
+
+    def recorded(hw, degree, submodule):
+        got = kernel_half(hw, degree, submodule)
+        seen.append((hw, degree, submodule, got))
+        return got
+
+    monkeypatch.setattr(cli, "kernel_subsingular_vectors", recorded)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["subsingular", "--p", str(p), "--format", "json"]) == 0
+    assert ranks == []
+    [(hw, degree, submodule, got)] = seen
+    assert degree == p and len(got) == 1
+    [check] = [c for c in json.loads(out.getvalue())["checks"] if c["name"] == "subsingular-detected"]
+    normalized = check["details"]["normalized"]
+    assert normalized == got[0].to_text()
+    assert got == _kernel_subsingular(hw, degree, submodule)
+    counted = subsingular_vectors(hw, degree, submodule)
+    assert len(ranks) == 1 and [v.to_text() for v in counted] == [normalized]
 
 
 def test_subsingular_needs_a_submodule_closed_through_the_degree():
