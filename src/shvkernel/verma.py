@@ -320,8 +320,8 @@ class _Brackets(dict):
 
     def __missing__(self, pair):
         half = Fraction(1, 2) if pair[0] == pair[1] else 1
-        self[pair] = tuple((b, *_pair(half * bc)) for (b,), bc in super_bracket(*pair).terms.items())
-        return self[pair]
+        out = self[pair] = tuple((b, *_pair(half * bc)) for (b,), bc in super_bracket(*pair).terms.items())
+        return out
 
 
 class VermaAction:
@@ -358,7 +358,7 @@ class VermaAction:
         self._subs = {kind: _pair(c) for kind, c in zip(("L", "A", "CL", "CA", "CLA"), weights)}
         self._symbolic = any(isinstance(c, ParamPolynomial) for c in weights)
         # (symbol, twice the degree, index) -> Column
-        self._sym_cache: Dict[tuple, tuple] = {}
+        self._sym_cache = {}
         self._brackets = _Brackets()
         self._gram_cache: Dict[int, Matrix] = {}
         self._maps: Dict[Tuple[GeneratorSymbol, int], SymbolMap] = {}
@@ -378,16 +378,16 @@ class VermaAction:
             num, den = self._subs[sym.kind]
             out = (den, ((i, num),)) if num else _ZERO
         elif not twice:
-            # a raising symbol kills v, a lowering one gives its word
-            out = _ZERO if tw > 0 else (1, ((_piece(-tw).index[(sym,)], 1),))
+            # a lowering symbol gives its word (a raising one returned above)
+            out = 1, ((_piece(-tw).index[(sym,)], 1),)
         else:
-            basis = _BASIS_CACHE[twice]
+            basis = _piece(twice)
             s1, k = basis.heads[i]
             rest = twice + s1.mode.twice_value
             odd = sym.kind in _ODD_KINDS
             # s1 is a lowering letter, so only a lowering sym can sort before it
             if tw < 0 and (sym_key(sym) < sym_key(s1) or (sym == s1 and not odd)):
-                out = (1, ((_piece(twice - tw).index[(sym,) + basis.words[i]], 1),))
+                out = 1, ((_piece(twice - tw).index[(sym,) + basis.words[i]], 1),)
             else:
                 # plain loops: at a column's usual 0 to 2 entries a
                 # comprehension costs more than its work
@@ -399,7 +399,7 @@ class VermaAction:
                         terms.append((sign * c, den, self.apply_symbol(s1, rest - tw, u)))
                 for b, bn, bd in self._brackets[sym, s1]:
                     terms.append((bn, bd, self.apply_symbol(b, rest, k)))
-                out = _combined(terms) if terms else _ZERO
+                out = _combined(terms)
         self._sym_cache[key] = out
         return out
 
@@ -431,7 +431,7 @@ class VermaAction:
                 den, column = self.apply_symbol(sym, t, _piece(t).index[w])
                 if column:
                     words = _piece(t - sym.mode.twice_value).words
-                    add_scaled(new, [(words[j], a) for j, a in _rational(den, column)], c)
+                    add_scaled(new, [(words[j], a * Fraction(1, den)) for j, a in column], c)
             vec = new
         return vec
 
@@ -609,8 +609,13 @@ def singular_vectors(hw: HighestWeightData, degree) -> List[ModuleVector]:
     """Basis of the space of degree-d vectors killed by every raising generator,
     each normalized so its leading basis word has coefficient 1."""
     basis = verma_basis(hw, degree)
-    # the new directions modulo no submodule: the whole kernel
-    return _new_directions(basis, _raised(hw, basis), None)
+    m = _raised(hw, basis)
+    if m is None:
+        return []
+    return [
+        ModuleVector.from_dict(_normalize_leading(basis.vector(k)), degree)
+        for k in kernel_basis(m)
+    ]
 
 
 class Submodule:
@@ -726,9 +731,7 @@ class Submodule:
                             self._try_add(image, den * smap.den, t2)
 
 
-def subsingular_vectors(
-    hw: HighestWeightData, degree, submodule: Submodule
-) -> List[ModuleVector]:
+def subsingular_vectors(hw, degree, submodule):
     """Vectors singular modulo a submodule S: every raising image lands in S,
     and the vector itself is reduced modulo S_d.  The caller puts the
     degree's singular vectors in S (as embedding_diagram does), so the new
@@ -769,12 +772,12 @@ def _modulo(hw, degree, submodule):
 
 def _new_directions(basis, m, submodule):
     """The kernel vectors of m, cut to the basis's n columns, that are new
-    modulo S_d for S the submodule (none for None), each normalized; none
-    when m is None (degree 0)."""
+    modulo S_d for S the submodule, each normalized; none when m is None
+    (degree 0)."""
     if m is None:
         return []
     span = EchelonSpan()
-    for ints, _ in submodule.integer_span(basis.twice_degree) if submodule else []:
+    for ints, _ in submodule.integer_span(basis.twice_degree):
         span.insert(ints)
     # a kernel vector of m is a vector whose raising images lie in S, with
     # their coordinates in S; its first n entries are the vector (a zero

@@ -685,6 +685,19 @@ def test_gram_blocks_match_the_word_recursion(p):
         assert (got.nums, got.dens) == (want.nums, want.dens)
 
 
+def test_action_survives_a_cleared_basis_cache():
+    # an action's memo outlives _BASIS_CACHE.clear(): on the degree-1/2
+    # piece a memo hit at degree 0 leads to a miss on the degree-2 piece,
+    # which the clear dropped and nothing has rebuilt by then
+    hw = hw_for(1, Fraction(1, 3))
+    action = VermaAction(hw)
+    action.symbol_map(L(-2), 0)
+    verma._BASIS_CACHE.clear()
+    got = action.symbol_map(L(-2), 1)
+    want = _WordAction(hw).symbol_map(L(-2), 1)
+    assert (got.den, [list(c) for c in got.columns]) == (want.den, want.columns)
+
+
 def test_apply_symbol_columns_are_reduced():
     # every memoized result is a Column: den > 0 prime to its int numerators,
     # each index inside the target piece (none below degree 0), each
